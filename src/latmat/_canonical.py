@@ -26,6 +26,7 @@ def _swap_bits(mask: int, e: int, f: int) -> int:
 
 
 def _find(parent: list[int], a: int) -> int:
+    """Root of a's union-find tree, halving the path on the way up."""
     while parent[a] != a:
         parent[a] = parent[parent[a]]
         a = parent[a]

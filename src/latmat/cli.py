@@ -112,9 +112,7 @@ def _witness_json(w) -> object:
 
 def _cmd_recognize(args) -> int:
     M = kernel.matroid_from_text(_read(args.file))
-    result = lpm.recognize(
-        M, args.method, max_n=args.max_n, prune=not args.no_prune
-    )
+    result = lpm.recognize(M, args.method, max_n=args.max_n)
     if args.json:
         print(json.dumps(
             {
@@ -248,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["oracle", "flats", "minors"])
     p.add_argument("--max-n", type=int, default=9,
                    help="oracle ground-set cap (default 9)")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable oracle order pruning (reference mode)")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_recognize)

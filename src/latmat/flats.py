@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._canonical import _find
 from .kernel import Matroid, MatroidError, members
 
 
@@ -65,24 +66,17 @@ def _restriction_connected(M: Matroid, x: int) -> bool:
         m ^= low
     if len(es) <= 1:
         return True
-    parent = {e: e for e in es}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    parent = list(range(M.n))
     for c in M.circuit_masks:
         if c & ~x:
             continue
         cs = [e for e in es if (c >> e) & 1]
         for e in cs[1:]:
-            ra, rb = find(cs[0]), find(e)
+            ra, rb = _find(parent, cs[0]), _find(parent, e)
             if ra != rb:
                 parent[rb] = ra
-    root = find(es[0])
-    return all(find(e) == root for e in es)
+    root = _find(parent, es[0])
+    return all(_find(parent, e) == root for e in es)
 
 
 def _pnc_masks(M: Matroid) -> tuple[int, ...]:

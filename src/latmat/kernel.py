@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from . import _canonical
+from ._canonical import _find
 
 MAX_GROUND = 12
 
@@ -191,22 +192,15 @@ class Matroid:
     def component_masks(self) -> tuple[int, ...]:
         """Finest direct-sum decomposition, via shared-circuit transitivity."""
         parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for c in self.circuit_masks:
             es = list(_bits(c))
             for e in es[1:]:
-                ra, rb = find(es[0]), find(e)
+                ra, rb = _find(parent, es[0]), _find(parent, e)
                 if ra != rb:
                     parent[rb] = ra
         groups: dict[int, int] = {}
         for e in range(self.n):
-            r = find(e)
+            r = _find(parent, e)
             groups[r] = groups.get(r, 0) | (1 << e)
         return tuple(sorted(groups.values(), key=lambda m: m & -m))
 

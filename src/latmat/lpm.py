@@ -23,13 +23,14 @@ from typing import Optional
 
 from . import flats as _flats
 from . import ordersearch
+from ._canonical import _find
 from .kernel import (
+    MAX_GROUND,
     GroundTooLarge,
     Matroid,
     MatroidError,
     _bits,
     _compress,
-    is_connected,
     members,
 )
 
@@ -52,7 +53,8 @@ class IntervalPresentation:
 
     ``order[p]`` is the element at position p (identity when omitted);
     ``intervals[i] = (a_i, b_i)`` are 0-based positions with a_i <= b_i and
-    both endpoint sequences strictly increasing.
+    both endpoint sequences strictly increasing.  Raises GroundTooLarge past
+    ``MAX_GROUND`` elements, like every other matroid constructor.
     """
 
     n: int
@@ -60,6 +62,8 @@ class IntervalPresentation:
     order: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        if self.n > MAX_GROUND:
+            raise GroundTooLarge(f"n={self.n} exceeds the cap of {MAX_GROUND}")
         if not self.order:
             object.__setattr__(self, "order", tuple(range(self.n)))
         object.__setattr__(
@@ -238,38 +242,24 @@ def _strip_loops(M: Matroid) -> tuple[Matroid, tuple[int, ...], tuple[int, ...]]
 
 def find_path_order(
     M: Matroid,
-    prune: bool = True,
     max_n: int = 9,
-    backend: Optional[str] = None,
 ) -> Optional[tuple[tuple[int, ...], IntervalPresentation]]:
     """Brute-force oracle: the lexicographically least path order, if any.
 
-    Scans every order of the loopless part (reversals skipped); per order the
-    only possible presentation has lower endpoints at the greedy minimum
-    basis and upper endpoints at the greedy maximum basis, so one realization
-    test per order decides.  Loops are appended after the scanned part, in
-    ascending label order, so the returned presentation realizes M exactly.
-
-    ``prune=True`` additionally restricts first/last elements to the union
-    of minimal fundamental flats on connected inputs; the unpruned scan is
-    the reference mode and both return the same order.
+    Scans every order of the loopless part (reversals skipped) with
+    :func:`latmat.ordersearch.scan_path_orders`; per order the only possible
+    presentation has lower endpoints at the greedy minimum basis and upper
+    endpoints at the greedy maximum basis, so one realization test per order
+    decides.  Loops are appended after the scanned part, in ascending label
+    order, so the returned presentation realizes M exactly.
     """
     if M.n > max_n:
         raise GroundTooLarge(f"oracle capped at {max_n} elements, got {M.n}")
     ML, kept, loops = _strip_loops(M)
     if ML.n == 0:
         return tuple(range(M.n)), IntervalPresentation(M.n, ())
-    first_mask = 0
-    if prune and is_connected(ML):
-        fund = _flats._fundamental_masks(ML)
-        minimal = [
-            f for f in fund if not any(g != f and g & f == g for g in fund)
-        ]
-        if minimal:
-            for f in minimal:
-                first_mask |= f
     perm = ordersearch.scan_path_orders(
-        ML.n, ML.rank, ML.basis_masks, ML.indep_masks, first_mask, backend
+        ML.n, ML.rank, ML.basis_masks, ML.indep_masks
     )
     if perm is None:
         return None
@@ -295,12 +285,6 @@ def _chain_partition(fund: tuple[int, ...]):
     k = len(fund)
     parent = list(range(k))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     def comparable(i, j):
         m = fund[i] & fund[j]
         return m == fund[i] or m == fund[j]
@@ -308,12 +292,12 @@ def _chain_partition(fund: tuple[int, ...]):
     for i in range(k):
         for j in range(i + 1, k):
             if comparable(i, j):
-                ra, rb = find(i), find(j)
+                ra, rb = _find(parent, i), _find(parent, j)
                 if ra != rb:
                     parent[rb] = ra
     groups: dict[int, list[int]] = {}
     for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     comps = sorted(groups.values(), key=lambda g: min(fund[i] for i in g))
     bad_path = None
     for g in comps:
@@ -466,10 +450,10 @@ def is_nested_via_pn(M: Matroid) -> bool:
 # unified front end and rendering
 
 
-def recognize(M: Matroid, method: str, max_n: int = 9, prune: bool = True) -> RecognitionResult:
+def recognize(M: Matroid, method: str, max_n: int = 9) -> RecognitionResult:
     """Run one of the three recognizers: 'oracle', 'flats', or 'minors'."""
     if method == "oracle":
-        found = find_path_order(M, prune=prune, max_n=max_n)
+        found = find_path_order(M, max_n=max_n)
         if found is None:
             return RecognitionResult(False, "oracle")
         return RecognitionResult(True, "oracle", found[1])

@@ -140,7 +140,6 @@ class TheoremReport:
 def theorem_check(
     corpus: Iterable[Matroid],
     corpus_label: str = "",
-    oracle_max_n: int = 9,
 ) -> TheoremReport:
     """Oracle vs structural vs catalog verdicts over a corpus."""
     total = 0
@@ -152,7 +151,7 @@ def theorem_check(
                 f"theorem_check corpus is capped at 8 elements, got {M.n}"
             )
         total += 1
-        v_oracle = lpm.find_path_order(M, max_n=oracle_max_n) is not None
+        v_oracle = lpm.find_path_order(M) is not None
         v_char = lpm.is_lpm_char(M).verdict
         v_minor = is_lpm_via_excluded_minors(M)
         if v_oracle:

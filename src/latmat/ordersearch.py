@@ -1,41 +1,26 @@
 """Exhaustive scan over ground-set orders for an interval presentation.
 
-This is the hot loop of the brute-force recognizer: for every linear order
-(lexicographic, skipping reversals) build the only candidate presentation --
-lower endpoints from the greedy minimum basis, upper endpoints from the
-greedy maximum basis -- and accept the order iff the candidate realizes the
-input family.  A compiled twin (``latmat._ordersearch``, built from the
-Cython source next to this file) is selected at import when available; set
-``LATMAT_BACKEND=py`` or ``=c`` to force a backend.
+This is the brute-force recognizer's search for a path order: for every
+linear order (lexicographic, skipping reversals) build the only candidate
+presentation -- lower endpoints from the greedy minimum basis, upper
+endpoints from the greedy maximum basis -- and accept the order iff the
+candidate realizes the input family.
 
 Acceptance test per order: the number of increasing transversals of the
 candidate intervals must equal the number of bases, and every basis must fit
-the intervals position-wise.  Both backends return the identical,
-lexicographically least accepting order.
+the intervals position-wise.  The scan returns the lexicographically least
+accepting order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Optional, Sequence
-
-try:  # compiled twin; optional
-    from . import _ordersearch as _compiled
-except ImportError:  # pragma: no cover - depends on build environment
-    _compiled = None
-
-_ENV = os.environ.get("LATMAT_BACKEND", "auto")
 
 
 def backend_name() -> str:
-    if _ENV == "py" or _compiled is None:
-        return "py"
-    return "c"
-
-
-def compiled_available() -> bool:
-    return _compiled is not None
+    """Name of the scan implementation; there is one, in pure Python."""
+    return "py"
 
 
 def transversal_count(n: int, a: Sequence[int], b: Sequence[int]) -> int:
@@ -56,22 +41,21 @@ def transversal_count(n: int, a: Sequence[int], b: Sequence[int]) -> int:
     return sum(prev)
 
 
-def _scan_py(
+def scan_path_orders(
     n: int,
     rank: int,
     bases: Sequence[int],
     indep: frozenset,
-    first_mask: int,
 ) -> Optional[tuple[int, ...]]:
+    """First accepting order in lexicographic sequence, or None.
+
+    ``bases``: basis bitmasks; ``indep``: their downward closure.
+    """
     if n == 0:
         return ()
     nb = len(bases)
     for perm in itertools.permutations(range(n)):
         if perm[0] > perm[-1]:
-            continue
-        if first_mask and not (
-            (first_mask >> perm[0]) & 1 or (first_mask >> perm[-1]) & 1
-        ):
             continue
         a = []
         got = 0
@@ -108,37 +92,6 @@ def _scan_py(
         if ok:
             return perm
     return None
-
-
-def scan_path_orders(
-    n: int,
-    rank: int,
-    bases: Sequence[int],
-    indep: frozenset,
-    first_mask: int = 0,
-    backend: Optional[str] = None,
-) -> Optional[tuple[int, ...]]:
-    """First accepting order in lexicographic sequence, or None.
-
-    ``bases``: basis bitmasks; ``indep``: their downward closure;
-    ``first_mask``: when nonzero, only orders whose first or last element
-    lies in the mask are scanned (sound for connected inputs whose minimal
-    fundamental flats are all inside the mask).
-    """
-    which = backend or _ENV
-    if which == "auto":
-        which = "c" if _compiled is not None else "py"
-    if which == "c":
-        if _compiled is None:
-            raise RuntimeError("compiled ordersearch backend is not available")
-        table = bytearray(1 << n)
-        for m in indep:
-            table[m] = 1
-        res = _compiled.scan(n, rank, tuple(bases), bytes(table), first_mask)
-        return None if res is None else tuple(res)
-    if which != "py":
-        raise ValueError(f"unknown backend {which!r}")
-    return _scan_py(n, rank, tuple(bases), indep, first_mask)
 
 
 def candidate_intervals(

@@ -30,10 +30,6 @@ def test_recognize_oracle_positive(tmp_path, capsys):
     code, out, err = run(capsys, "recognize", "--method", "oracle", str(path))
     assert code == 0
     assert "order:" in out and "interval:" in out
-    code2, out2, err2 = run(
-        capsys, "recognize", "--method", "oracle", "--no-prune", str(path)
-    )
-    assert code2 == 0 and out2 == out
 
 
 def test_recognize_json_and_flats(tmp_path, capsys):
@@ -80,6 +76,15 @@ def test_realize_and_diagram(tmp_path, capsys):
     code, out, err = run(capsys, "diagram", str(ppath))
     assert code == 0
     assert "lower: NNENEE" in out and "upper: EENENN" in out
+
+
+def test_realize_past_ground_cap_exits_2(tmp_path, capsys):
+    ppath = tmp_path / "big.lpm"
+    ppath.write_text("LPM 13 2\n0 6\n1 12\n")
+    mpath = tmp_path / "big.mat"
+    code, out, err = run(capsys, "realize", str(ppath), "-o", str(mpath))
+    assert code == 2 and "cap" in err
+    assert not mpath.exists()
 
 
 def test_minor_verb(tmp_path, capsys):

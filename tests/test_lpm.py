@@ -13,7 +13,6 @@ from latmat.kernel import (
     MatroidError,
     contract,
     delete,
-    dual,
     from_bases,
     is_connected,
     rank_of,
@@ -65,6 +64,14 @@ def test_presentation_validation():
         IntervalPresentation(4, ((0, 4),))
     with pytest.raises(MatroidError):
         IntervalPresentation(3, ((0, 1),), (0, 1))  # bad order length
+
+
+def test_presentation_ground_cap():
+    assert IntervalPresentation(12, ((0, 6), (1, 11))).n == 12
+    with pytest.raises(GroundTooLarge):
+        IntervalPresentation(13, ((0, 6), (1, 12)))
+    with pytest.raises(GroundTooLarge):
+        presentation_from_text("LPM 13 2\n0 6\n1 12\n")
 
 
 def test_realize_p3():
@@ -234,11 +241,6 @@ def test_find_path_order_cap():
     with pytest.raises(GroundTooLarge):
         find_path_order(uniform(2, 10))
     assert find_path_order(uniform(2, 10), max_n=10) is not None
-
-
-def test_find_path_order_prune_agreement():
-    for M in (p3(), wheel(), dual(p3()), realize(TWO_ROW)):
-        assert find_path_order(M, prune=True) == find_path_order(M, prune=False)
 
 
 # --- structural recognizer -------------------------------------------------------

@@ -2,14 +2,9 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
-
 from latmat import ordersearch
-from latmat.corpus import CorpusSpec, generate
 from latmat.kernel import from_bases, uniform
-from util import p3_bases, spanning_trees_k4
-
-HAS_C = ordersearch.compiled_available()
+from util import p3_bases
 
 
 def test_transversal_count_against_enumeration():
@@ -28,50 +23,9 @@ def test_transversal_count_against_enumeration():
         assert ordersearch.transversal_count(n, a, b) == expected
 
 
-def _scan_both(M, first_mask=0):
-    py = ordersearch.scan_path_orders(
-        M.n, M.rank, M.basis_masks, M.indep_masks, first_mask, backend="py"
-    )
-    if not HAS_C:
-        return py, py
-    c = ordersearch.scan_path_orders(
-        M.n, M.rank, M.basis_masks, M.indep_masks, first_mask, backend="c"
-    )
-    return py, c
-
-
-@pytest.mark.skipif(not HAS_C, reason="compiled backend not built")
-def test_backends_agree_on_corpus():
-    spec = CorpusSpec(
-        ("catalog-minors", "random-transversal", "lpm-random", "duals-closure"),
-        count=50,
-        max_n=7,
-        seed=31,
-    )
-    for M in generate(spec):
-        if M.loops_mask:
-            continue
-        py, c = _scan_both(M)
-        assert py == c
-
-
-@pytest.mark.skipif(not HAS_C, reason="compiled backend not built")
-def test_backends_agree_with_first_mask():
-    M = from_bases(6, p3_bases())
-    for mask in (0, 0b000111, 0b111000, 0b010010):
-        py, c = _scan_both(M, mask)
-        assert py == c
-    W = from_bases(6, spanning_trees_k4())
-    assert _scan_both(W)[0] is None and _scan_both(W)[1] is None
-
-
 def test_scan_returns_lex_least():
     U = uniform(2, 4)
-    py, c = _scan_both(U)
-    assert py == (0, 1, 2, 3)
-    got = ordersearch.scan_path_orders(
-        U.n, U.rank, U.basis_masks, U.indep_masks, 0, backend="py"
-    )
+    got = ordersearch.scan_path_orders(U.n, U.rank, U.basis_masks, U.indep_masks)
     assert got == (0, 1, 2, 3)
 
 
@@ -86,11 +40,3 @@ def test_candidate_intervals_matches_p3():
         M.n, M.rank, M.indep_masks, (0, 1, 2, 3, 4, 5)
     )
     assert ivs == ((0, 2), (1, 4), (3, 5))
-
-
-def test_unknown_backend_rejected():
-    M = uniform(1, 2)
-    with pytest.raises(ValueError):
-        ordersearch.scan_path_orders(
-            M.n, M.rank, M.basis_masks, M.indep_masks, 0, backend="fortran"
-        )

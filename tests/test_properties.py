@@ -374,11 +374,6 @@ def test_oracle_closed_under_duality_and_reversal(small_corpus):
         assert realize(rev) == M
 
 
-def test_oracle_pruning_never_changes_verdict(small_corpus):
-    for M in small_corpus[:120]:
-        assert find_path_order(M, prune=True) == find_path_order(M, prune=False)
-
-
 # --- recognizer agreement and nestedness ----------------------------------------------
 
 
