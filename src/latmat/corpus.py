@@ -35,6 +35,8 @@ from typing import Optional
 
 from . import catalog, lpm
 from .kernel import (
+    MAX_GROUND,
+    GroundTooLarge,
     Matroid,
     MatroidError,
     _bits,
@@ -96,6 +98,10 @@ class CorpusSpec:
         for g in self.generators:
             if g not in GENERATORS:
                 raise MatroidError(f"unknown corpus generator {g!r}")
+        if self.max_n > MAX_GROUND:
+            raise GroundTooLarge(
+                f"max-n={self.max_n} exceeds the cap of {MAX_GROUND}"
+            )
         if self.needs_seed and self.seed is None:
             raise MatroidError(
                 "randomized corpus generators require an explicit seed"

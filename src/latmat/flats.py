@@ -10,15 +10,17 @@ spanning circuit C makes F & C a basis of F.
 
 Everything here enumerates over all 2^n subsets, which the ground-set cap
 keeps tractable.  Results are plain frozensets; no caching across calls
-beyond the per-matroid tables.
+beyond the per-matroid tables.  Each caller enumerates the pnc-flats once
+with ``_pnc_masks`` and passes that list to ``_fundamental_masks`` and
+``_reducible_masks``; connectivity of a restriction comes from
+``kernel._components_within``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._canonical import _find
-from .kernel import Matroid, MatroidError, members
+from .kernel import Matroid, MatroidError, _components_within, members
 
 
 class HasLoops(MatroidError):
@@ -58,25 +60,7 @@ def _is_cyclic_mask(M: Matroid, x: int) -> bool:
 
 def _restriction_connected(M: Matroid, x: int) -> bool:
     """Connectivity of M restricted to x, via circuits lying inside x."""
-    es = []
-    m = x
-    while m:
-        low = m & -m
-        es.append(low.bit_length() - 1)
-        m ^= low
-    if len(es) <= 1:
-        return True
-    parent = list(range(M.n))
-    for c in M.circuit_masks:
-        if c & ~x:
-            continue
-        cs = [e for e in es if (c >> e) & 1]
-        for e in cs[1:]:
-            ra, rb = _find(parent, cs[0]), _find(parent, e)
-            if ra != rb:
-                parent[rb] = ra
-    root = _find(parent, es[0])
-    return all(_find(parent, e) == root for e in es)
+    return len(_components_within(M, x)) <= 1
 
 
 def _pnc_masks(M: Matroid) -> tuple[int, ...]:
@@ -92,11 +76,13 @@ def _pnc_masks(M: Matroid) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fundamental_masks(M: Matroid) -> tuple[int, ...]:
+def _fundamental_masks(M: Matroid, pncs: tuple[int, ...]) -> tuple[int, ...]:
+    """The fundamental flats among ``pncs``, which must be M's pnc-flats as
+    :func:`_pnc_masks` returns them; callers pass the list they already hold."""
     ranks = M.rank_table
     spanning = [c for c in M.circuit_masks if c.bit_count() == M.rank + 1]
     out = []
-    for f in _pnc_masks(M):
+    for f in pncs:
         rf = ranks[f]
         for c in spanning:
             meet = f & c
@@ -104,6 +90,18 @@ def _fundamental_masks(M: Matroid) -> tuple[int, ...]:
                 out.append(f)
                 break
     return tuple(out)
+
+
+def _reducible_masks(pncs: tuple[int, ...]) -> frozenset[int]:
+    """The pnc-flats that are the meet of two incomparable pnc-flats."""
+    pnc_set = frozenset(pncs)
+    red = set()
+    for i, g in enumerate(pncs):
+        for h in pncs[i + 1 :]:
+            meet = g & h
+            if meet != g and meet != h and meet in pnc_set:
+                red.add(meet)
+    return frozenset(red)
 
 
 def all_flats(M: Matroid) -> frozenset[frozenset[int]]:
@@ -129,30 +127,18 @@ def reducible(M: Matroid, F) -> bool:
     pncs = _pnc_masks(M)
     if fm not in pncs:
         raise NotPncFlat(f"{sorted(members(fm))} is not a pnc-flat")
-    for i, g in enumerate(pncs):
-        for h in pncs[i + 1 :]:
-            if g & h == h or g & h == g:  # comparable
-                continue
-            if g & h == fm:
-                return True
-    return False
+    return fm in _reducible_masks(pncs)
 
 
 def irreducible_pnc_flats(M: Matroid) -> frozenset[frozenset[int]]:
     pncs = _pnc_masks(M)
-    red = set()
-    for i, g in enumerate(pncs):
-        for h in pncs[i + 1 :]:
-            meet = g & h
-            if meet == g or meet == h:
-                continue
-            red.add(meet)
+    red = _reducible_masks(pncs)
     return frozenset(members(f) for f in pncs if f not in red)
 
 
 def fundamental_flats(M: Matroid) -> frozenset[frozenset[int]]:
     """Pnc-flats met by some spanning circuit in a basis of the flat."""
-    return frozenset(members(f) for f in _fundamental_masks(M))
+    return frozenset(members(f) for f in _fundamental_masks(M, _pnc_masks(M)))
 
 
 def connected_flats_signature(M: Matroid) -> list[tuple[frozenset[int], int]]:
@@ -163,12 +149,11 @@ def connected_flats_signature(M: Matroid) -> list[tuple[frozenset[int], int]]:
     if M.loops_mask:
         raise HasLoops("signature is defined for loopless matroids")
     ranks = M.rank_table
-    out = []
-    for x in _flat_masks(M):
-        if ranks[x] >= x.bit_count():
-            continue
-        if _restriction_connected(M, x):
-            out.append((members(x), ranks[x]))
+    masks = list(_pnc_masks(M))
+    full = M.full_mask
+    if ranks[full] < full.bit_count() and _restriction_connected(M, full):
+        masks.append(full)
+    out = [(members(x), ranks[x]) for x in masks]
     out.sort(key=lambda fr: (len(fr[0]), sorted(fr[0])))
     return out
 
@@ -193,17 +178,10 @@ class FlatsReport:
 def flats_report(M: Matroid) -> FlatsReport:
     """Classify every flat; rows sorted by (size, elements)."""
     ranks = M.rank_table
-    pncs = set(_pnc_masks(M))
-    fund = set(_fundamental_masks(M))
-    red = set()
-    pnc_list = tuple(pncs)
-    for i, g in enumerate(pnc_list):
-        for h in pnc_list[i + 1 :]:
-            meet = g & h
-            if meet == g or meet == h:
-                continue
-            if meet in pncs:
-                red.add(meet)
+    pnc_list = _pnc_masks(M)
+    pncs = set(pnc_list)
+    fund = set(_fundamental_masks(M, pnc_list))
+    red = _reducible_masks(pnc_list)
     rows = []
     for x in sorted(_flat_masks(M), key=lambda m: (m.bit_count(), sorted(members(m)))):
         rows.append(

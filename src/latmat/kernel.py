@@ -191,18 +191,7 @@ class Matroid:
     @cached_property
     def component_masks(self) -> tuple[int, ...]:
         """Finest direct-sum decomposition, via shared-circuit transitivity."""
-        parent = list(range(self.n))
-        for c in self.circuit_masks:
-            es = list(_bits(c))
-            for e in es[1:]:
-                ra, rb = _find(parent, es[0]), _find(parent, e)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, int] = {}
-        for e in range(self.n):
-            r = _find(parent, e)
-            groups[r] = groups.get(r, 0) | (1 << e)
-        return tuple(sorted(groups.values(), key=lambda m: m & -m))
+        return _components_within(self, self.full_mask)
 
     @cached_property
     def _canon(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -316,6 +305,25 @@ def spanning_circuits(M: Matroid) -> frozenset[frozenset[int]]:
     return frozenset(
         members(c) for c in M.circuit_masks if c.bit_count() == r + 1
     )
+
+
+def _components_within(M: Matroid, x: int) -> tuple[int, ...]:
+    """Components of M restricted to x, sorted by least element: two
+    elements share one when a chain of circuits inside x joins them."""
+    parent = list(range(M.n))
+    for c in M.circuit_masks:
+        if c & ~x:
+            continue
+        es = list(_bits(c))
+        for e in es[1:]:
+            ra, rb = _find(parent, es[0]), _find(parent, e)
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, int] = {}
+    for e in _bits(x):
+        r = _find(parent, e)
+        groups[r] = groups.get(r, 0) | (1 << e)
+    return tuple(sorted(groups.values(), key=lambda m: m & -m))
 
 
 def is_connected(M: Matroid) -> bool:

@@ -250,7 +250,8 @@ def find_path_order(
     :func:`latmat.ordersearch.scan_path_orders`; per order the only possible
     presentation has lower endpoints at the greedy minimum basis and upper
     endpoints at the greedy maximum basis, so one realization test per order
-    decides.  Loops are appended after the scanned part, in ascending label
+    decides, and the scan returns the intervals it accepted along with the
+    order.  Loops are appended after the scanned part, in ascending label
     order, so the returned presentation realizes M exactly.
     """
     if M.n > max_n:
@@ -258,14 +259,12 @@ def find_path_order(
     ML, kept, loops = _strip_loops(M)
     if ML.n == 0:
         return tuple(range(M.n)), IntervalPresentation(M.n, ())
-    perm = ordersearch.scan_path_orders(
+    found = ordersearch.scan_path_orders(
         ML.n, ML.rank, ML.basis_masks, ML.indep_masks
     )
-    if perm is None:
+    if found is None:
         return None
-    intervals = ordersearch.candidate_intervals(
-        ML.n, ML.rank, ML.indep_masks, perm
-    )
+    perm, intervals = found
     full_order = tuple(kept[e] for e in perm) + loops
     pres = IntervalPresentation(M.n, intervals, full_order)
     return full_order, pres
@@ -337,8 +336,8 @@ def _comparability_path(fund, comp, src, dst, comparable):
 def _check_component(Mi: Matroid):
     """None if the component passes the four structural clauses, else
     (clause id, offending flats as masks)."""
-    fund = _flats._fundamental_masks(Mi)
     pncs = _flats._pnc_masks(Mi)
+    fund = _flats._fundamental_masks(Mi, pncs)
     # clause i: no three mutually incomparable fundamental flats, and the
     # comparability components (the forced chains) number at most two
     for i in range(len(fund)):

@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 
 from . import catalog, lpm
 from .kernel import (
+    MAX_GROUND,
     GroundTooLarge,
     Matroid,
     _minor_masks,
@@ -58,14 +59,13 @@ def has_minor(host: Matroid, pattern: Matroid) -> Optional[MinorWitness]:
     n_pattern; the candidate minor must match the pattern's rank and basis
     count before an isomorphism is attempted.
     """
-    if host.n > 12 or pattern.n > host.n:
-        raise GroundTooLarge("need |E(pattern)| <= |E(host)| <= 12")
+    if host.n > MAX_GROUND or pattern.n > host.n:
+        raise GroundTooLarge(f"need |E(pattern)| <= |E(host)| <= {MAX_GROUND}")
     k = host.n - pattern.n
     want_rank = pattern.rank
     want_count = pattern.num_bases
     want_deg = _degree_multiset(pattern.n, pattern.basis_masks)
     pat_canon = canonical_form(pattern)
-    tested: dict[frozenset, bool] = {}
     for removed in itertools.combinations(range(host.n), k):
         rm = mask_of(removed)
         for csize in range(k + 1):
@@ -77,28 +77,24 @@ def has_minor(host: Matroid, pattern: Matroid) -> Optional[MinorWitness]:
                     continue
                 if len(masks) != want_count:
                     continue
-                key = frozenset(masks)
-                hit = tested.get(key)
-                if hit is None:
-                    if _degree_multiset(new_n, masks) != want_deg:
-                        hit = False
-                    else:
-                        got = Matroid._from_masks(new_n, masks)
-                        hit = canonical_form(got) == pat_canon
-                    tested[key] = hit
-                if hit:
-                    got = Matroid._from_masks(new_n, masks)
-                    iso = is_isomorphic(got, pattern)
-                    return MinorWitness(
-                        "?", frozenset(members(dm)), frozenset(members(cm)), iso
-                    )
+                if _degree_multiset(new_n, masks) != want_deg:
+                    continue
+                got = Matroid._from_masks(new_n, masks)
+                if canonical_form(got) != pat_canon:
+                    continue
+                iso = is_isomorphic(got, pattern)
+                return MinorWitness(
+                    "?", frozenset(members(dm)), frozenset(members(cm)), iso
+                )
     return None
 
 
 def find_catalog_minor(M: Matroid) -> Optional[MinorWitness]:
     """Search the excluded-minor catalog, smallest patterns first."""
-    if M.n > 12:
-        raise GroundTooLarge(f"minor search capped at 12 elements, got {M.n}")
+    if M.n > MAX_GROUND:
+        raise GroundTooLarge(
+            f"minor search capped at {MAX_GROUND} elements, got {M.n}"
+        )
     if M.n < 6:
         return None
     for entry in catalog.catalog_up_to(M.n):

@@ -9,7 +9,8 @@ candidate realizes the input family.
 Acceptance test per order: the number of increasing transversals of the
 candidate intervals must equal the number of bases, and every basis must fit
 the intervals position-wise.  The scan returns the lexicographically least
-accepting order.
+accepting order together with the intervals it accepted, so no caller
+derives the endpoints a second time.
 """
 
 from __future__ import annotations
@@ -46,13 +47,16 @@ def scan_path_orders(
     rank: int,
     bases: Sequence[int],
     indep: frozenset,
-) -> Optional[tuple[int, ...]]:
-    """First accepting order in lexicographic sequence, or None.
+) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """First accepting order in lexicographic sequence with its intervals,
+    or None.
 
-    ``bases``: basis bitmasks; ``indep``: their downward closure.
+    ``bases``: basis bitmasks; ``indep``: their downward closure.  On
+    acceptance returns ``(order, intervals)``, where ``intervals`` are the
+    (a_i, b_i) position pairs just tested for that order.
     """
     if n == 0:
-        return ()
+        return (), ()
     nb = len(bases)
     for perm in itertools.permutations(range(n)):
         if perm[0] > perm[-1]:
@@ -90,34 +94,6 @@ def scan_path_orders(
             if not ok:
                 break
         if ok:
-            return perm
+            return perm, tuple(zip(a, b))
     return None
 
-
-def candidate_intervals(
-    n: int,
-    rank: int,
-    indep: frozenset,
-    order: Sequence[int],
-) -> tuple[tuple[int, int], ...]:
-    """The (a_i, b_i) position pairs the scan tested for this order."""
-    a = []
-    got = 0
-    for i in range(n):
-        cand = got | (1 << order[i])
-        if cand in indep:
-            got = cand
-            a.append(i)
-            if len(a) == rank:
-                break
-    b = []
-    got = 0
-    for i in range(n - 1, -1, -1):
-        cand = got | (1 << order[i])
-        if cand in indep:
-            got = cand
-            b.append(i)
-            if len(b) == rank:
-                break
-    b.reverse()
-    return tuple(zip(a, b))

@@ -132,6 +132,14 @@ def test_verify_theorem_requires_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+def test_verify_theorem_past_ground_cap_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify-theorem", "--corpus",
+        "random-sparse-paving,count=3,max-n=24,seed=1",
+    )
+    assert code == 2 and "cap" in err and out == ""
+
+
 def test_verify_theorem_seed_flag(capsys):
     code1, out1, _ = run(
         capsys, "verify-theorem", "--corpus", "lpm-random,count=20,max-n=5",

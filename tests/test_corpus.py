@@ -12,6 +12,7 @@ from latmat.corpus import (
     transversal_matroid,
 )
 from latmat.kernel import (
+    GroundTooLarge,
     MatroidError,
     canonical_form,
     dual,
@@ -55,6 +56,14 @@ def test_parse_corpus_spec():
         parse_corpus_spec("lpm-random,count=5")  # randomized without seed
     with pytest.raises(MatroidError):
         parse_corpus_spec("lpm-random,seed=1,fuel=9")
+
+
+def test_spec_past_ground_cap():
+    with pytest.raises(GroundTooLarge):
+        parse_corpus_spec("random-sparse-paving,count=2,max-n=13,seed=3")
+    with pytest.raises(GroundTooLarge):
+        CorpusSpec(("catalog-minors",), max_n=13)
+    assert parse_corpus_spec("catalog-minors,max-n=12").max_n == 12
 
 
 def test_transversal_matroid_against_sdr_oracle():

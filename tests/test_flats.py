@@ -152,3 +152,39 @@ def test_flats_report_reducible_flag():
     assert reducibles == {frozenset({2, 3})}
     assert pncs == fund | reducibles
     assert reducible(M, {2, 3})
+
+
+def _separator_free(M, F):
+    """Connectivity of M|F by definition: no nonempty proper S with
+    r(S) + r(F - S) = r(F).  S ranges over sets holding F's least element,
+    which covers every split once."""
+    fm = sum(1 << e for e in F)
+    if fm & (fm - 1) == 0:
+        return True
+    low = fm & -fm
+    rest = fm ^ low
+    rf = rank_of(M, fm)
+    sub = rest
+    while True:
+        s = sub | low
+        if s != fm and rank_of(M, s) + rank_of(M, fm ^ s) == rf:
+            return False
+        if sub == 0:
+            return True
+        sub = (sub - 1) & rest
+
+
+def test_flats_report_flags_match_enumerators(small_corpus):
+    for M in small_corpus:
+        entries = flats_report(M).entries
+
+        def flagged(attr):
+            return {e.flat for e in entries if getattr(e, attr)}
+
+        pncs = pnc_flats(M)
+        assert flagged("is_pnc") == pncs
+        assert flagged("is_fundamental") == fundamental_flats(M)
+        assert flagged("is_reducible") == pncs - irreducible_pnc_flats(M)
+        assert flagged("is_cyclic") == cyclic_flats(M)
+        for e in entries:
+            assert e.is_connected == _separator_free(M, e.flat), (M, e.flat)

@@ -26,17 +26,15 @@ def test_transversal_count_against_enumeration():
 def test_scan_returns_lex_least():
     U = uniform(2, 4)
     got = ordersearch.scan_path_orders(U.n, U.rank, U.basis_masks, U.indep_masks)
-    assert got == (0, 1, 2, 3)
+    assert got == ((0, 1, 2, 3), ((0, 2), (1, 3)))
 
 
 def test_scan_rank_zero_and_empty():
     M = uniform(0, 0)
-    assert ordersearch.scan_path_orders(0, 0, M.basis_masks, M.indep_masks) == ()
+    assert ordersearch.scan_path_orders(0, 0, M.basis_masks, M.indep_masks) == ((), ())
 
 
-def test_candidate_intervals_matches_p3():
+def test_scan_intervals_match_p3():
     M = from_bases(6, p3_bases())
-    ivs = ordersearch.candidate_intervals(
-        M.n, M.rank, M.indep_masks, (0, 1, 2, 3, 4, 5)
-    )
-    assert ivs == ((0, 2), (1, 4), (3, 5))
+    got = ordersearch.scan_path_orders(M.n, M.rank, M.basis_masks, M.indep_masks)
+    assert got == ((0, 1, 2, 3, 4, 5), ((0, 2), (1, 4), (3, 5)))

@@ -1,0 +1,50 @@
+"""The benchmark's per-layer trace hooks still reach the package.
+
+``perfbench/tracing.py`` wraps package attributes by name.  A renamed
+attribute would crash a traced benchmark run, and a call that bypasses the
+module attribute would silently count zero; both fail here instead.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from latmat.catalog import wheel3
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_hooks_count_every_layer():
+    tracing = _load_tracing()
+    keys = {hook[0] for hook in tracing.HOOKS} | {"kernel"}
+    mods = {k: importlib.import_module("latmat." + k) for k in keys}
+    tracer = tracing.Tracer(mods)
+    tracer.install()
+    try:
+        W = wheel3()
+        assert mods["lpm"].find_path_order(W) is None
+        assert not mods["lpm"].is_lpm_char(W).verdict
+        assert mods["minors"].find_catalog_minor(W) is not None
+        counts = tracer.counters()
+    finally:
+        tracer.uninstall()
+    for name in (
+        "flats.pnc",
+        "flats.fundamental",
+        "ordersearch.scan",
+        "ordersearch.orders_tested",
+        "kernel.rank_table",
+        "kernel.minor_masks",
+        "minors.has_minor",
+        "canonical.labeling",
+    ):
+        assert counts.get(name, 0) > 0, name
