@@ -54,7 +54,12 @@ GENERATORS = (
     "duals-closure",
 )
 
-_RANDOM_GENERATORS = {"random-transversal", "random-sparse-paving", "lpm-random"}
+# The random generators and the smallest ground set each one draws.
+_RANDOM_GENERATORS = {
+    "random-transversal": 3,
+    "random-sparse-paving": 3,
+    "lpm-random": 2,
+}
 
 
 class SplitMix64:
@@ -98,6 +103,13 @@ class CorpusSpec:
         for g in self.generators:
             if g not in GENERATORS:
                 raise MatroidError(f"unknown corpus generator {g!r}")
+            least = _RANDOM_GENERATORS.get(g, 0)
+            if self.max_n < least:
+                raise MatroidError(f"{g} needs max-n >= {least}, got {self.max_n}")
+        if self.count < 0:
+            raise MatroidError(f"count={self.count} is negative")
+        if self.max_n < 0:
+            raise MatroidError(f"max-n={self.max_n} is negative")
         if self.max_n > MAX_GROUND:
             raise GroundTooLarge(
                 f"max-n={self.max_n} exceeds the cap of {MAX_GROUND}"

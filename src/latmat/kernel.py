@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NoReturn, Optional, Union
 
 from . import _canonical
 from ._canonical import _find
@@ -103,9 +103,10 @@ def _bits(mask: int):
 class Matroid:
     """A matroid given by its basis family.
 
-    Construct through :func:`from_bases` (validates the exchange axiom) or
-    the internal :meth:`_from_masks` (trusted constructors).  Equality and
-    hashing compare the labelled basis family, not isomorphism type.
+    Construct through :func:`from_bases` (validates the family through its
+    rank table) or the internal :meth:`_from_masks` (trusted constructors).
+    Equality and hashing compare the labelled basis family, not isomorphism
+    type.
     """
 
     def __init__(self, n: int, masks: Iterable[int], _trusted: bool = False):
@@ -147,12 +148,33 @@ class Matroid:
         return mask in self.indep_masks
 
     @cached_property
-    def rank_table(self) -> list[int]:
-        """rank of every subset, indexed by bitmask."""
-        table = [0] * (1 << self.n)
-        for x in range(1 << self.n):
-            table[x] = max((b & x).bit_count() for b in self.basis_masks)
-        return table
+    def rank_table(self) -> bytes:
+        """Rank of every subset, one byte per bitmask.
+
+        Dynamic programming over subsets: a set inside some basis has rank
+        |X|; any other set X has the largest rank among the X - e.  For
+        any family of equal-size sets, matroid or not, this is max |B & X|
+        over the family, since a set B attaining that maximum misses some e
+        in X and still attains it on X - e.  :func:`from_bases` relies on
+        this to validate an unchecked family through its table.
+        """
+        size = 1 << self.n
+        bits = [1 << e for e in range(self.n)]
+        inside = bytearray(size)
+        for b in self.basis_masks:
+            inside[b] = 1
+        for x in range(size - 1, 0, -1):
+            if inside[x]:
+                for bit in bits:
+                    if x & bit:
+                        inside[x ^ bit] = 1
+        table = bytearray(size)
+        for x in range(1, size):
+            if inside[x]:
+                table[x] = x.bit_count()
+            else:
+                table[x] = max(table[x ^ bit] for bit in bits if x & bit)
+        return bytes(table)
 
     @cached_property
     def loops_mask(self) -> int:
@@ -220,6 +242,14 @@ def _as_mask(M: Matroid, X: ElementSetLike) -> int:
 def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
     """Validate a basis family and build the matroid.
 
+    The family's rank table r(X) = max |B & X| (see
+    :attr:`Matroid.rank_table`) is monotone and grows by at most one per
+    element, so it is a matroid rank function, whose bases are then the
+    family, exactly when it is locally submodular: r(X + x) = r(X + y) =
+    r(X) forces r(X + x + y) = r(X).  The check reads that as "the elements
+    e outside X with r(X + e) = r(X) together add no rank to X", the same
+    condition by monotonicity, at n lookups per subset.
+
     Raises EmptyFamily, MixedCardinality, OutOfRange, GroundTooLarge, or
     AxiomViolation (with a witnessing pair) when the family is not the basis
     family of a matroid on {0..n-1}.
@@ -235,6 +265,22 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
     for b in masks:
         if b.bit_count() != r:
             raise MixedCardinality("bases must share one cardinality")
+    M = Matroid._from_masks(n, masks)
+    ranks = M.rank_table
+    bits = [1 << e for e in range(n)]
+    for x, rx in enumerate(ranks):
+        span = x
+        for bit in bits:
+            if not x & bit and ranks[x | bit] == rx:
+                span |= bit
+        if ranks[span] != rx:
+            _raise_exchange_violation(masks)
+    return M
+
+
+def _raise_exchange_violation(masks: list[int]) -> NoReturn:
+    """Raise AxiomViolation for the first pair of bases, in sorted order,
+    where basis exchange fails."""
     mset = frozenset(masks)
     for b1 in masks:
         for b2 in masks:
@@ -257,7 +303,7 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
                     raise AxiomViolation(
                         members(b1), members(b2), xbit.bit_length() - 1
                     )
-    return Matroid._from_masks(n, masks)
+    raise AssertionError("rank table not submodular, yet every exchange holds")
 
 
 def uniform(r: int, n: int) -> Matroid:

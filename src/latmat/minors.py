@@ -56,12 +56,16 @@ def has_minor(host: Matroid, pattern: Matroid) -> Optional[MinorWitness]:
     """First delete/contract split exposing the pattern, or None.
 
     Exhaustive over all splits with |delete| + |contract| = n_host -
-    n_pattern; the candidate minor must match the pattern's rank and basis
+    n_pattern.  A split is skipped before its bases are built unless
+    host / contract \\ delete, of rank r(E - delete) - r(contract), has the
+    pattern's rank; the candidate minor must then match the pattern's basis
     count before an isomorphism is attempted.
     """
     if host.n > MAX_GROUND or pattern.n > host.n:
         raise GroundTooLarge(f"need |E(pattern)| <= |E(host)| <= {MAX_GROUND}")
     k = host.n - pattern.n
+    ranks = host.rank_table
+    full = host.full_mask
     want_rank = pattern.rank
     want_count = pattern.num_bases
     want_deg = _degree_multiset(pattern.n, pattern.basis_masks)
@@ -72,9 +76,9 @@ def has_minor(host: Matroid, pattern: Matroid) -> Optional[MinorWitness]:
             for cset in itertools.combinations(removed, csize):
                 cm = mask_of(cset)
                 dm = rm ^ cm
-                new_n, masks = _minor_masks(host, dm, cm)
-                if masks[0].bit_count() != want_rank:
+                if ranks[full ^ dm] - ranks[cm] != want_rank:
                     continue
+                new_n, masks = _minor_masks(host, dm, cm)
                 if len(masks) != want_count:
                     continue
                 if _degree_multiset(new_n, masks) != want_deg:

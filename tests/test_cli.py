@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from latmat import corpus
 from latmat.cli import main
 from latmat.catalog import p_n, wheel3
 from latmat.kernel import matroid_from_text, matroid_to_text, uniform
@@ -138,6 +139,40 @@ def test_verify_theorem_past_ground_cap_exits_2(capsys):
         "random-sparse-paving,count=3,max-n=24,seed=1",
     )
     assert code == 2 and "cap" in err and out == ""
+
+
+def test_verify_theorem_rejects_undrawable_specs(capsys):
+    for spec, word in (
+        ("random-transversal,count=-3,seed=1", "count"),
+        ("catalog-minors,max-n=-1", "max-n"),
+        ("random-transversal,max-n=2,seed=1", "random-transversal"),
+        ("lpm-random,max-n=1,seed=1", "lpm-random"),
+    ):
+        code, out, err = run(capsys, "verify-theorem", "--corpus", spec, "--json")
+        assert code == 2 and word in err and out == "", spec
+
+
+def test_recognize_minors_json_bytes(tmp_path, capsys):
+    # the first witness of the split search, pinned so a reordered search fails
+    np8 = corpus.generate(corpus.parse_corpus_spec(
+        "random-sparse-paving,count=1,max-n=8,seed=20261017"
+    ))[0]
+    assert np8.n == 8 and np8.num_bases == 54
+    cases = (
+        (wheel3(), '{"method":"minors","verdict":false,"witness":{"contract":[],'
+         '"delete":[],"iso":{"0":0,"1":1,"2":2,"3":3,"4":4,"5":5},'
+         '"kind":"excluded-minor","pattern":"W3"}}\n'),
+        (np8, '{"method":"minors","verdict":false,"witness":{"contract":[5,6],'
+         '"delete":[],"iso":{"0":0,"1":5,"2":3,"3":4,"4":1,"5":2},'
+         '"kind":"excluded-minor","pattern":"A3"}}\n'),
+    )
+    for M, expected in cases:
+        path = tmp_path / "m.mat"
+        path.write_text(matroid_to_text(M))
+        code, out, err = run(
+            capsys, "recognize", "--method", "minors", "--json", str(path)
+        )
+        assert code == 1 and out == expected
 
 
 def test_verify_theorem_seed_flag(capsys):

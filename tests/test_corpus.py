@@ -66,6 +66,22 @@ def test_spec_past_ground_cap():
     assert parse_corpus_spec("catalog-minors,max-n=12").max_n == 12
 
 
+def test_spec_rejects_undrawable_sizes():
+    with pytest.raises(MatroidError, match="count"):
+        CorpusSpec(("random-transversal",), count=-3, seed=1)
+    with pytest.raises(MatroidError, match="max-n"):
+        CorpusSpec(("catalog-minors",), max_n=-1)
+    for gen, least in (
+        ("random-transversal", 3),
+        ("random-sparse-paving", 3),
+        ("lpm-random", 2),
+    ):
+        with pytest.raises(MatroidError, match=gen):
+            CorpusSpec((gen,), count=2, max_n=least - 1, seed=1)
+        assert generate(CorpusSpec((gen,), count=2, max_n=least, seed=1))
+    assert CorpusSpec(("catalog-minors",), count=0, max_n=0).count == 0
+
+
 def test_transversal_matroid_against_sdr_oracle():
     cases = [
         (3, [0b011, 0b110]),

@@ -387,6 +387,67 @@ def test_rank_submodular_monotone(seed):
     assert rank_of(M, X & Y) <= min(rx, ry) <= max(rx, ry) <= rank_of(M, X | Y)
 
 
+@st.composite
+def equal_size_families(draw):
+    """A nonempty family of r-subsets of {0..n-1}, n <= 7, matroid or not."""
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(0, n))
+    pool = [sum(1 << e for e in c) for c in itertools.combinations(range(n), r)]
+    family = draw(st.sets(st.sampled_from(pool), min_size=1))
+    return n, sorted(family)
+
+
+def first_exchange_failure(family):
+    """(b1, b2, x) of the first failed exchange in sorted order, or None."""
+    fset = set(family)
+    for b1 in family:
+        for b2 in family:
+            for x in range(b1.bit_length()):
+                if not (b1 >> x) & 1 or (b2 >> x) & 1:
+                    continue
+                ys = [y for y in range(b2.bit_length())
+                      if (b2 >> y) & 1 and not (b1 >> y) & 1]
+                if all(((b1 ^ (1 << x)) | (1 << y)) not in fset for y in ys):
+                    return b1, b2, x
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_families())
+def test_rank_table_is_max_intersection(nf):
+    n, family = nf
+    M = Matroid._from_masks(n, family)
+    assert isinstance(M.rank_table, bytes)
+    assert list(M.rank_table) == [
+        max((b & x).bit_count() for b in family) for x in range(1 << n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_families())
+def test_from_bases_accepts_exactly_exchange_families(nf):
+    n, family = nf
+    failure = first_exchange_failure(family)
+    if failure is None:
+        assert from_bases(n, family).basis_masks == tuple(family)
+        return
+    with pytest.raises(AxiomViolation) as err:
+        from_bases(n, family)
+    w = err.value
+    # the witness re-verifies, and is the first failure in sorted order
+    bases = {kernel.members(b) for b in family}
+    assert w.basis1 in bases and w.basis2 in bases
+    assert w.x in w.basis1 - w.basis2
+    assert all(
+        (w.basis1 - {w.x}) | {y} not in bases for y in w.basis2 - w.basis1
+    )
+    b1, b2, x = failure
+    assert str(w) == (
+        f"exchange fails for x={x} between "
+        f"{sorted(kernel.members(b1))} and {sorted(kernel.members(b2))}"
+    )
+
+
 def test_operations_closed_under_validation(small_corpus):
     # every constructively produced basis family passes full validation
     for M in small_corpus[:80]:

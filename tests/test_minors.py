@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from latmat.catalog import e_n, p_n, whirl3, wheel3
 from latmat.kernel import (
     GroundTooLarge,
+    _minor_masks,
     direct_sum,
     dual,
     from_bases,
@@ -129,3 +132,22 @@ def test_minor_transitivity_spot():
     assert has_minor(A, B) is not None
     assert has_minor(B, C) is not None
     assert has_minor(A, C) is not None
+
+
+def test_split_rank_is_rank_of_minor(small_corpus):
+    # has_minor skips a split on r(E - delete) - r(contract) before building
+    # its bases; that must be the rank of host / contract \ delete
+    for host in small_corpus:
+        ranks = host.rank_table
+        full = host.full_mask
+        for size in (1, 2):
+            for removed in itertools.combinations(range(host.n), size):
+                rm = sum(1 << e for e in removed)
+                cm = rm
+                while True:
+                    dm = rm ^ cm
+                    _, masks = _minor_masks(host, dm, cm)
+                    assert ranks[full ^ dm] - ranks[cm] == masks[0].bit_count()
+                    if cm == 0:
+                        break
+                    cm = (cm - 1) & rm

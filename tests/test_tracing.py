@@ -30,7 +30,8 @@ def test_trace_hooks_count_every_layer():
     tracer = tracing.Tracer(mods)
     tracer.install()
     try:
-        W = wheel3()
+        kernel = mods["kernel"]
+        W = kernel.matroid_from_text(kernel.matroid_to_text(wheel3()))
         assert mods["lpm"].find_path_order(W) is None
         assert not mods["lpm"].is_lpm_char(W).verdict
         assert mods["minors"].find_catalog_minor(W) is not None
@@ -42,6 +43,7 @@ def test_trace_hooks_count_every_layer():
         "flats.fundamental",
         "ordersearch.scan",
         "ordersearch.orders_tested",
+        "kernel.from_bases",
         "kernel.rank_table",
         "kernel.minor_masks",
         "minors.has_minor",
