@@ -217,6 +217,20 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if report.ok else 1
 
 
+def _oracle_cap(text: str) -> int:
+    """``--max-n`` of the oracle: an integer from 0 to ``MAX_GROUND``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value <= kernel.MAX_GROUND:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and the ground-set cap of {kernel.MAX_GROUND}, "
+            f"got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latmat",
@@ -244,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="is the matroid a lattice path matroid?")
     p.add_argument("--method", required=True,
                    choices=["oracle", "flats", "minors"])
-    p.add_argument("--max-n", type=int, default=9,
-                   help="oracle ground-set cap (default 9)")
+    p.add_argument("--max-n", type=_oracle_cap, default=9,
+                   help=f"oracle ground-set cap, at most {kernel.MAX_GROUND} "
+                        "(default 9)")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_recognize)
@@ -262,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-catalog",
                        help="minor-minimality of every catalog member")
     p.add_argument("--max-size", type=int, default=8)
-    p.add_argument("--max-n", type=int, default=9,
-                   help="oracle ground-set cap (default 9)")
+    p.add_argument("--max-n", type=_oracle_cap, default=9,
+                   help=f"oracle ground-set cap, at most {kernel.MAX_GROUND} "
+                        "(default 9)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_catalog)
 

@@ -8,8 +8,9 @@ through the order.  Positions not covered by any interval carry loops.
 
 Three recognizers live here or are reachable from here:
 
-- ``find_path_order`` -- the brute-force oracle; scans all ground-set orders
-  for one whose forced candidate presentation realizes the input.
+- ``find_path_order`` -- the exact oracle; searches the ground-set orders,
+  prefix by prefix, for one whose forced candidate presentation realizes
+  the input.
 - ``is_lpm_char`` -- structural test on fundamental flats and pnc-flats
   of each connected component (four clauses, reported by id).
 - ``minors.is_lpm_via_excluded_minors`` -- catalog search, in
@@ -234,6 +235,10 @@ def fundamental_flats_from_presentation(
 
 
 def _strip_loops(M: Matroid) -> tuple[Matroid, tuple[int, ...], tuple[int, ...]]:
+    """The loopless part, the labels it keeps, and the loops.  A loopless M
+    is returned itself, so its cached tables serve the caller."""
+    if M.loops_mask == 0:
+        return M, tuple(range(M.n)), ()
     loops = tuple(sorted(members(M.loops_mask)))
     kept = tuple(e for e in range(M.n) if e not in loops)
     masks = sorted({_compress(b, kept) for b in M.basis_masks})
@@ -244,15 +249,19 @@ def find_path_order(
     M: Matroid,
     max_n: int = 9,
 ) -> Optional[tuple[tuple[int, ...], IntervalPresentation]]:
-    """Brute-force oracle: the lexicographically least path order, if any.
+    """Exact oracle: the lexicographically least path order, if any.
 
-    Scans every order of the loopless part (reversals skipped) with
-    :func:`latmat.ordersearch.scan_path_orders`; per order the only possible
-    presentation has lower endpoints at the greedy minimum basis and upper
-    endpoints at the greedy maximum basis, so one realization test per order
-    decides, and the scan returns the intervals it accepted along with the
-    order.  Loops are appended after the scanned part, in ascending label
-    order, so the returned presentation realizes M exactly.
+    Searches the orders of the loopless part with
+    :func:`latmat.ordersearch.scan_path_orders`, a depth-first search over
+    prefixes that reads both endpoint tests off the rank table; per order
+    the only possible presentation has lower endpoints at the greedy minimum
+    basis and upper endpoints at the greedy maximum basis, so one
+    realization test per order decides.  Prefixes that share their prefix
+    set and endpoints so far share every verdict below them, so a failed one
+    is never searched twice; the answer is the one an exhaustive scan of
+    every order gives.  The scan returns the intervals it accepted along
+    with the order.  Loops are appended after the scanned part, in
+    ascending label order, so the returned presentation realizes M exactly.
     """
     if M.n > max_n:
         raise GroundTooLarge(f"oracle capped at {max_n} elements, got {M.n}")
@@ -260,7 +269,7 @@ def find_path_order(
     if ML.n == 0:
         return tuple(range(M.n)), IntervalPresentation(M.n, ())
     found = ordersearch.scan_path_orders(
-        ML.n, ML.rank, ML.basis_masks, ML.indep_masks
+        ML.n, ML.rank, ML.basis_masks, ML.rank_table
     )
     if found is None:
         return None

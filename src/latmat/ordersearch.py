@@ -1,21 +1,33 @@
-"""Exhaustive scan over ground-set orders for an interval presentation.
+"""Exact search over ground-set orders for an interval presentation.
 
-This is the brute-force recognizer's search for a path order: for every
-linear order (lexicographic, skipping reversals) build the only candidate
-presentation -- lower endpoints from the greedy minimum basis, upper
-endpoints from the greedy maximum basis -- and accept the order iff the
-candidate realizes the input family.
+This is the oracle's search for a path order.  For a linear order of the
+ground set with prefix sets P_0 < P_1 < ... < P_n, the only candidate
+presentation has position p as a lower endpoint iff r(P_{p+1}) > r(P_p)
+(the greedy minimum basis) and as an upper endpoint iff
+r(E - P_p) > r(E - P_{p+1}) (the greedy maximum basis).  The order is
+accepted iff that candidate realizes the input family.
 
-Acceptance test per order: the number of increasing transversals of the
-candidate intervals must equal the number of bases, and every basis must fit
-the intervals position-wise.  The scan returns the lexicographically least
-accepting order together with the intervals it accepted, so no caller
-derives the endpoints a second time.
+Acceptance test per complete order: the number of increasing transversals
+of the candidate intervals must equal the number of bases, and every basis
+must fit the intervals position-wise.
+
+The search is a depth-first walk over prefixes, extending each prefix by the
+unused elements in ascending label order, so complete orders are reached in
+lexicographic order and the first accepted one is the lexicographically
+least.  Each step reads both endpoint tests off the rank table.  A prefix's
+state is (prefix set, lower endpoints so far, upper endpoints so far); a
+state whose subtree accepted nothing is recorded, and any later prefix with
+the same state is skipped.  The record is exact: every basis B of the input
+fits the candidate intervals of every order, because |B & P_p| <= r(P_p)
+and |B - P_p| <= r(E - P_p), so an order is accepted iff its intervals have
+exactly |bases| transversals, which depends on the endpoint sequences
+alone; and the endpoints at positions p and later depend only on the prefix
+set P_p and on how the order continues.  Two prefixes with the same state
+therefore reach the same endpoint sequences and the same verdicts.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 
@@ -42,58 +54,80 @@ def transversal_count(n: int, a: Sequence[int], b: Sequence[int]) -> int:
     return sum(prev)
 
 
+def _positions(mask: int) -> list[int]:
+    return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
+
+
 def scan_path_orders(
     n: int,
     rank: int,
     bases: Sequence[int],
-    indep: frozenset,
+    rank_table: bytes,
 ) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """First accepting order in lexicographic sequence with its intervals,
-    or None.
+    """Lexicographically least accepting order with its intervals, or None.
 
-    ``bases``: basis bitmasks; ``indep``: their downward closure.  On
+    ``bases``: basis bitmasks; ``rank_table``: the rank of every subset,
+    indexed by bitmask (:attr:`latmat.kernel.Matroid.rank_table`).  On
     acceptance returns ``(order, intervals)``, where ``intervals`` are the
     (a_i, b_i) position pairs just tested for that order.
+
+    Reversals are not skipped: the reversal of an accepted order is
+    accepted with the reversed intervals, so the least accepted order
+    starts with a smaller label than it ends with (else its reversal would
+    be smaller), and it is the order a scan skipping reversals finds.
+
+    Each complete order reached, that is, one whose state was not already
+    recorded as failed, gets the leaf test: the transversal count, then the
+    basis fit, which by the module docstring's argument never rejects an
+    order the count accepted.  The count is called through this module's
+    :func:`transversal_count`, so the benchmark's
+    ``ordersearch.orders_tested`` counter, which wraps that attribute,
+    counts complete orders reached rather than every order.
     """
     if n == 0:
         return (), ()
     nb = len(bases)
-    for perm in itertools.permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue
-        a = []
-        got = 0
-        for i in range(n):
-            cand = got | (1 << perm[i])
-            if cand in indep:
-                got = cand
-                a.append(i)
-                if len(a) == rank:
-                    break
-        b = []
-        got = 0
-        for i in range(n - 1, -1, -1):
-            cand = got | (1 << perm[i])
-            if cand in indep:
-                got = cand
-                b.append(i)
-                if len(b) == rank:
-                    break
-        b.reverse()
+    full = (1 << n) - 1
+    failed: set[int] = set()
+    order: list[int] = []
+
+    def leaf(lo: int, hi: int):
+        a = _positions(lo)
+        b = _positions(hi)
         if transversal_count(n, a, b) != nb:
-            continue
-        ok = True
+            return None
         for bm in bases:
             j = 0
             for i in range(n):
-                if (bm >> perm[i]) & 1:
+                if (bm >> order[i]) & 1:
                     if not (a[j] <= i <= b[j]):
-                        ok = False
-                        break
+                        return None
                     j += 1
-            if not ok:
-                break
-        if ok:
-            return perm, tuple(zip(a, b))
-    return None
+        return tuple(order), tuple(zip(a, b))
 
+    def extend(mask: int, lo: int, hi: int):
+        p = len(order)
+        if p == n:
+            return leaf(lo, hi)
+        bit_p = 1 << p
+        r_in = rank_table[mask]
+        r_out = rank_table[full ^ mask]
+        for e in range(n):
+            bit = 1 << e
+            if mask & bit:
+                continue
+            nxt = mask | bit
+            nlo = lo | bit_p if rank_table[nxt] > r_in else lo
+            nhi = hi | bit_p if r_out > rank_table[full ^ nxt] else hi
+            state = nxt | (nlo << n) | (nhi << 2 * n)
+            if state in failed:
+                continue
+            order.append(e)
+            found = extend(nxt, nlo, nhi)
+            if found is not None:
+                return found
+            order.pop()
+            failed.add(state)
+        return None
+
+    return extend(0, 0, 0)

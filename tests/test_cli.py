@@ -116,6 +116,33 @@ def test_verify_catalog_small(capsys):
     assert "all pass" in out
 
 
+def test_verify_catalog_ten_elements_exact_oracle(capsys):
+    code, out, err = run(
+        capsys, "verify-catalog", "--max-size", "10", "--max-n", "10", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_passed"] is True
+    assert len(payload["entries"]) == 19
+    assert all(e["passed"] for e in payload["entries"])
+
+
+def test_oracle_cap_out_of_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "u24.mat"
+    path.write_text(matroid_to_text(uniform(2, 4)))
+    for value in ("-1", "13", "ten"):
+        for argv in (
+            ("recognize", "--method", "oracle", "--max-n", value, str(path)),
+            ("verify-catalog", "--max-size", "6", "--max-n", value),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "--max-n" in err and out == "", argv
+    code, out, err = run(
+        capsys, "recognize", "--method", "oracle", "--max-n", "12", str(path)
+    )
+    assert code == 0
+
+
 def test_verify_theorem_catalog_minors(capsys):
     code, out, err = run(
         capsys, "verify-theorem", "--corpus", "catalog-minors,max-n=8", "--json"

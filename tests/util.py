@@ -2,12 +2,16 @@
 
 Everything here recomputes expectations from first principles (set
 enumeration, graph spanning trees, brute-force matchings) without calling
-the code paths under test.
+the code paths under test.  The reference order scan shares only
+``transversal_count`` with the package, and that is checked against
+enumeration in ``test_ordersearch``.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from latmat.ordersearch import transversal_count
 
 # K4 edge labels chosen so the triangles are exactly the four 3-element
 # circuits of the wheel builder: 0=ab 1=ac 2=bc 3=bd 4=ad 5=cd.
@@ -90,3 +94,52 @@ def p3_bases() -> set[frozenset[int]]:
         for c in itertools.combinations(range(6), 3)
         if frozenset(c) not in blocked
     }
+
+
+def brute_scan_path_orders(n: int, rank: int, bases, indep):
+    """Reference order scan: every permutation in lexicographic order,
+    reversals skipped, greedy endpoints recomputed from the independent
+    sets ``indep`` for each order.  Returns the first accepted
+    ``(order, intervals)`` or None, like ``ordersearch.scan_path_orders``.
+    """
+    if n == 0:
+        return (), ()
+    nb = len(bases)
+    for perm in itertools.permutations(range(n)):
+        if perm[0] > perm[-1]:
+            continue
+        a = []
+        got = 0
+        for i in range(n):
+            cand = got | (1 << perm[i])
+            if cand in indep:
+                got = cand
+                a.append(i)
+                if len(a) == rank:
+                    break
+        b = []
+        got = 0
+        for i in range(n - 1, -1, -1):
+            cand = got | (1 << perm[i])
+            if cand in indep:
+                got = cand
+                b.append(i)
+                if len(b) == rank:
+                    break
+        b.reverse()
+        if transversal_count(n, a, b) != nb:
+            continue
+        ok = True
+        for bm in bases:
+            j = 0
+            for i in range(n):
+                if (bm >> perm[i]) & 1:
+                    if not (a[j] <= i <= b[j]):
+                        ok = False
+                        break
+                    j += 1
+            if not ok:
+                break
+        if ok:
+            return perm, tuple(zip(a, b))
+    return None
