@@ -85,8 +85,10 @@ def _fundamental_masks(M: Matroid, pncs: tuple[int, ...]) -> tuple[int, ...]:
     for f in pncs:
         rf = ranks[f]
         for c in spanning:
-            meet = f & c
-            if meet.bit_count() == rf and M.is_independent(meet):
+            # c is not inside f, or the proper flat f would span M, so
+            # f & c is a proper subset of the circuit c and independent:
+            # it is a basis of f exactly when it has r(f) elements.
+            if (f & c).bit_count() == rf:
                 out.append(f)
                 break
     return tuple(out)

@@ -1,6 +1,8 @@
 """Finite matroids as explicit basis families on ground sets {0, ..., n-1}.
 
-Bases are stored internally as integer bitmasks (bit i = element i).  Every
+Bases are stored internally as integer bitmasks (bit i = element i); every
+rank, independence, circuit and closure query reads one derived table,
+``Matroid.rank_table``, of which ``Matroid.indep_masks`` is a view.  Every
 operation is a pure function and every value is immutable after
 construction, so matroids are safe to share across threads with no locking.
 
@@ -105,8 +107,9 @@ class Matroid:
 
     Construct through :func:`from_bases` (validates the family through its
     rank table) or the internal :meth:`_from_masks` (trusted constructors).
-    Equality and hashing compare the labelled basis family, not isomorphism
-    type.
+    Rank, independence, circuit and closure queries read :attr:`rank_table`,
+    of which :attr:`indep_masks` is a view.  Equality and hashing compare
+    the labelled basis family, not isomorphism type.
     """
 
     def __init__(self, n: int, masks: Iterable[int], _trusted: bool = False):
@@ -131,21 +134,15 @@ class Matroid:
     def num_bases(self) -> int:
         return len(self.basis_masks)
 
-    @cached_property
+    @property
     def indep_masks(self) -> frozenset[int]:
-        """All independent sets, as the downward closure of the bases."""
-        out = set()
-        for b in self.basis_masks:
-            sub = b
-            while True:
-                out.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & b
-        return frozenset(out)
+        """All independent sets, a view of the rank table: r(X) = |X|."""
+        return frozenset(
+            x for x, rx in enumerate(self.rank_table) if rx == x.bit_count()
+        )
 
     def is_independent(self, mask: int) -> bool:
-        return mask in self.indep_masks
+        return self.rank_table[mask] == mask.bit_count()
 
     @cached_property
     def rank_table(self) -> bytes:
@@ -192,21 +189,21 @@ class Matroid:
 
     @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
-        indep = self.indep_masks
+        """Minimal dependent sets: r(X) = |X| - 1 and every X - e keeps
+        that rank, so it is independent."""
+        ranks = self.rank_table
         out = []
         for x in range(1, 1 << self.n):
-            if x in indep:
+            rx = ranks[x]
+            if rx != x.bit_count() - 1:
                 continue
-            # minimal dependent: every one-element deletion is independent
             m = x
-            minimal = True
             while m:
                 low = m & -m
-                if (x ^ low) not in indep:
-                    minimal = False
+                if ranks[x ^ low] != rx:
                     break
                 m ^= low
-            if minimal:
+            else:
                 out.append(x)
         return tuple(out)
 
@@ -321,8 +318,7 @@ def uniform(r: int, n: int) -> Matroid:
 
 
 def rank_of(M: Matroid, X: ElementSetLike) -> int:
-    xm = _as_mask(M, X)
-    return max((b & xm).bit_count() for b in M.basis_masks)
+    return M.rank_table[_as_mask(M, X)]
 
 
 def closure(M: Matroid, X: ElementSetLike) -> frozenset[int]:
@@ -331,11 +327,11 @@ def closure(M: Matroid, X: ElementSetLike) -> frozenset[int]:
 
 
 def _closure_mask(M: Matroid, xm: int) -> int:
-    r = rank_of(M, xm)
+    ranks = M.rank_table
+    r = ranks[xm]
     out = xm
-    rest = M.full_mask & ~xm
-    for e in _bits(rest):
-        if rank_of(M, xm | (1 << e)) == r:
+    for e in _bits(M.full_mask & ~xm):
+        if ranks[xm | (1 << e)] == r:
             out |= 1 << e
     return out
 

@@ -268,9 +268,7 @@ def find_path_order(
     ML, kept, loops = _strip_loops(M)
     if ML.n == 0:
         return tuple(range(M.n)), IntervalPresentation(M.n, ())
-    found = ordersearch.scan_path_orders(
-        ML.n, ML.rank, ML.basis_masks, ML.rank_table
-    )
+    found = ordersearch.scan_path_orders(ML.n, ML.basis_masks, ML.rank_table)
     if found is None:
         return None
     perm, intervals = found
@@ -408,10 +406,13 @@ def is_lpm_char(M: Matroid) -> RecognitionResult:
     ML, kept, _loops = _strip_loops(M)
     for cmask in ML.component_masks:
         comp_elems = tuple(e for e in range(ML.n) if (cmask >> e) & 1)
-        masks = sorted(
-            {_compress(b & cmask, comp_elems) for b in ML.basis_masks}
-        )
-        Mi = Matroid._from_masks(len(comp_elems), masks)
+        if cmask == ML.full_mask:
+            Mi = ML  # connected: reuse its cached tables
+        else:
+            masks = sorted(
+                {_compress(b & cmask, comp_elems) for b in ML.basis_masks}
+            )
+            Mi = Matroid._from_masks(len(comp_elems), masks)
         hit = _check_component(Mi)
         if hit is not None:
             clause, flat_masks = hit

@@ -60,7 +60,6 @@ def _positions(mask: int) -> list[int]:
 
 def scan_path_orders(
     n: int,
-    rank: int,
     bases: Sequence[int],
     rank_table: bytes,
 ) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:

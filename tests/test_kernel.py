@@ -44,7 +44,12 @@ from latmat.kernel import (
     truncate,
     uniform,
 )
-from util import brute_minimal_dependent, p3_bases, spanning_trees_k4
+from util import (
+    brute_independent_sets,
+    brute_minimal_dependent,
+    p3_bases,
+    spanning_trees_k4,
+)
 
 
 def p3() -> Matroid:
@@ -397,6 +402,27 @@ def equal_size_families(draw):
     return n, sorted(family)
 
 
+def assert_table_queries_match_first_principles(M):
+    """Independence, circuits, rank and closure against the basis family."""
+    indep = brute_independent_sets(M.basis_masks)
+    assert M.indep_masks == indep
+    assert [M.is_independent(x) for x in range(1 << M.n)] == [
+        x in indep for x in range(1 << M.n)
+    ]
+    want = brute_minimal_dependent(M.n, M.bases)
+    assert M.circuit_masks == tuple(sorted(kernel.mask_of(c) for c in want))
+
+    def brute_rank(x):
+        return max((b & x).bit_count() for b in M.basis_masks)
+
+    for x in range(1 << M.n):
+        rx = brute_rank(x)
+        assert rank_of(M, x) == rx
+        assert closure(M, x) == {
+            e for e in range(M.n) if brute_rank(x | (1 << e)) == rx
+        }
+
+
 def first_exchange_failure(family):
     """(b1, b2, x) of the first failed exchange in sorted order, or None."""
     fset = set(family)
@@ -429,7 +455,9 @@ def test_from_bases_accepts_exactly_exchange_families(nf):
     n, family = nf
     failure = first_exchange_failure(family)
     if failure is None:
-        assert from_bases(n, family).basis_masks == tuple(family)
+        M = from_bases(n, family)
+        assert M.basis_masks == tuple(family)
+        assert_table_queries_match_first_principles(M)
         return
     with pytest.raises(AxiomViolation) as err:
         from_bases(n, family)
@@ -446,6 +474,11 @@ def test_from_bases_accepts_exactly_exchange_families(nf):
         f"exchange fails for x={x} between "
         f"{sorted(kernel.members(b1))} and {sorted(kernel.members(b2))}"
     )
+
+
+def test_table_queries_on_small_corpus(small_corpus):
+    for M in small_corpus:
+        assert_table_queries_match_first_principles(M)
 
 
 def test_operations_closed_under_validation(small_corpus):

@@ -7,7 +7,7 @@ from latmat.catalog import catalog_up_to
 from latmat.kernel import contract, delete, from_bases, uniform
 from latmat.lpm import realize
 from test_properties import random_presentations
-from util import brute_scan_path_orders, p3_bases
+from util import brute_independent_sets, brute_scan_path_orders, p3_bases
 
 
 def test_transversal_count_against_enumeration():
@@ -28,24 +28,26 @@ def test_transversal_count_against_enumeration():
 
 def test_scan_returns_lex_least():
     U = uniform(2, 4)
-    got = ordersearch.scan_path_orders(U.n, U.rank, U.basis_masks, U.rank_table)
+    got = ordersearch.scan_path_orders(U.n, U.basis_masks, U.rank_table)
     assert got == ((0, 1, 2, 3), ((0, 2), (1, 3)))
 
 
 def test_scan_rank_zero_and_empty():
     M = uniform(0, 0)
-    assert ordersearch.scan_path_orders(0, 0, M.basis_masks, M.rank_table) == ((), ())
+    assert ordersearch.scan_path_orders(0, M.basis_masks, M.rank_table) == ((), ())
 
 
 def test_scan_intervals_match_p3():
     M = from_bases(6, p3_bases())
-    got = ordersearch.scan_path_orders(M.n, M.rank, M.basis_masks, M.rank_table)
+    got = ordersearch.scan_path_orders(M.n, M.basis_masks, M.rank_table)
     assert got == ((0, 1, 2, 3, 4, 5), ((0, 2), (1, 4), (3, 5)))
 
 
 def _assert_scan_matches_brute_force(M):
-    got = ordersearch.scan_path_orders(M.n, M.rank, M.basis_masks, M.rank_table)
-    want = brute_scan_path_orders(M.n, M.rank, M.basis_masks, M.indep_masks)
+    got = ordersearch.scan_path_orders(M.n, M.basis_masks, M.rank_table)
+    want = brute_scan_path_orders(
+        M.n, M.rank, M.basis_masks, brute_independent_sets(M.basis_masks)
+    )
     assert got == want, M
 
 

@@ -1,8 +1,9 @@
-"""The benchmark's per-layer trace hooks still reach the package.
+"""The benchmark's per-layer trace hooks and set-up still reach the package.
 
-``perfbench/tracing.py`` wraps package attributes by name.  A renamed
-attribute would crash a traced benchmark run, and a call that bypasses the
-module attribute would silently count zero; both fail here instead.
+``perfbench/tracing.py`` wraps package attributes by name, and the catalog
+warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
+would crash a benchmark run, and a call that bypasses the module attribute
+would silently count zero; both fail here instead.
 """
 
 from __future__ import annotations
@@ -13,18 +14,18 @@ from pathlib import Path
 
 from latmat.catalog import wheel3
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_trace_hooks_count_every_layer():
-    tracing = _load_tracing()
+    tracing = _load(PERFBENCH / "tracing.py", "perfbench_tracing")
     keys = {hook[0] for hook in tracing.HOOKS} | {"kernel"}
     mods = {k: importlib.import_module("latmat." + k) for k in keys}
     tracer = tracing.Tracer(mods)
@@ -50,3 +51,13 @@ def test_trace_hooks_count_every_layer():
         "canonical.labeling",
     ):
         assert counts.get(name, 0) > 0, name
+
+
+def test_benchmark_catalog_warm_up_runs(monkeypatch):
+    """``warm_catalog`` reads catalog members' attributes by name, so a
+    renamed one fails here rather than only in a benchmark run."""
+    # run.py imports its sibling modules by their bare names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load(PERFBENCH / "run.py", "perfbench_run")
+    mods = {m: importlib.import_module("latmat." + m) for m in run.MODULES}
+    run.warm_catalog(mods, (6, 7, 8))

@@ -59,6 +59,19 @@ def brute_minimal_dependent(n: int, bases: set[frozenset[int]]) -> set[frozenset
     return out
 
 
+def brute_independent_sets(bases) -> frozenset[int]:
+    """Independent sets as bitmasks: every subset of every basis bitmask."""
+    out = set()
+    for b in bases:
+        sub = b
+        while True:
+            out.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & b
+    return frozenset(out)
+
+
 def has_distinct_reps(sets: list[set[int]], X) -> bool:
     """Brute-force system-of-distinct-representatives test."""
     X = tuple(X)
