@@ -238,7 +238,7 @@ class ExclusionReport:
 
 
 def verify_excluded_minor(
-    M: Matroid, max_n: int = 9, name: str = "?"
+    M: Matroid, max_n: int = lpm.ORACLE_MAX_N, name: str = "?"
 ) -> ExclusionReport:
     """Oracle check of minor-minimality at desk scale."""
     if M.n > max_n:

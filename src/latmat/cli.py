@@ -258,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="is the matroid a lattice path matroid?")
     p.add_argument("--method", required=True,
                    choices=["oracle", "flats", "minors"])
-    p.add_argument("--max-n", type=_oracle_cap, default=9,
+    p.add_argument("--max-n", type=_oracle_cap, default=lpm.ORACLE_MAX_N,
                    help=f"oracle ground-set cap, at most {kernel.MAX_GROUND} "
-                        "(default 9)")
+                        f"(default {lpm.ORACLE_MAX_N})")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_recognize)
@@ -277,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-catalog",
                        help="minor-minimality of every catalog member")
     p.add_argument("--max-size", type=int, default=8)
-    p.add_argument("--max-n", type=_oracle_cap, default=9,
+    p.add_argument("--max-n", type=_oracle_cap, default=lpm.ORACLE_MAX_N,
                    help=f"oracle ground-set cap, at most {kernel.MAX_GROUND} "
-                        "(default 9)")
+                        f"(default {lpm.ORACLE_MAX_N})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_catalog)
 

@@ -15,6 +15,7 @@ results use ``frozenset`` values.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import cached_property
 from typing import Iterable, NoReturn, Optional, Union
 
@@ -410,6 +411,22 @@ def _compress(mask: int, kept: tuple[int, ...]) -> int:
     return out
 
 
+def _bases_by_trace(M: Matroid, removed: int) -> dict[int, list[int]]:
+    """The bases of M grouped by their trace B & `removed`.
+
+    For disjoint D and C with union `removed`, let I be
+    ``_greedy_independent(M, C)``.  The group of I holds the bases that
+    survive into M / C \\ D: B - I runs over the minor's bases, as
+    :func:`_minor_masks` relabels them, and survivors differ on the kept
+    elements, so their number is the minor's basis count.  The group is
+    missing exactly when deleting D lowers the rank.
+    """
+    out: dict[int, list[int]] = defaultdict(list)
+    for b in M.basis_masks:
+        out[b & removed].append(b)
+    return out
+
+
 def _minor_masks(
     M: Matroid, dmask: int, cmask: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -419,6 +436,7 @@ def _minor_masks(
     if not kept:
         return 0, (0,)
     imask = _greedy_independent(M, cmask)
+    # the group of imask in _bases_by_trace(M, removed)
     survivors = [b for b in M.basis_masks if b & removed == imask]
     if survivors:
         out = sorted({_compress(b & ~imask, kept) for b in survivors})

@@ -36,6 +36,10 @@ from .kernel import (
 )
 
 
+# Ground-set bound of the exact oracle's exhaustive search by default.
+ORACLE_MAX_N = 9
+
+
 class LoopContraction(MatroidError):
     pass
 
@@ -247,7 +251,7 @@ def _strip_loops(M: Matroid) -> tuple[Matroid, tuple[int, ...], tuple[int, ...]]
 
 def find_path_order(
     M: Matroid,
-    max_n: int = 9,
+    max_n: int = ORACLE_MAX_N,
 ) -> Optional[tuple[tuple[int, ...], IntervalPresentation]]:
     """Exact oracle: the lexicographically least path order, if any.
 
@@ -459,7 +463,9 @@ def is_nested_via_pn(M: Matroid) -> bool:
 # unified front end and rendering
 
 
-def recognize(M: Matroid, method: str, max_n: int = 9) -> RecognitionResult:
+def recognize(
+    M: Matroid, method: str, max_n: int = ORACLE_MAX_N
+) -> RecognitionResult:
     """Run one of the three recognizers: 'oracle', 'flats', or 'minors'."""
     if method == "oracle":
         found = find_path_order(M, max_n=max_n)

@@ -153,6 +153,23 @@ def test_verify_theorem_catalog_minors(capsys):
     assert payload["total"] > 100
 
 
+def test_verify_theorem_nine_elements(capsys):
+    # the corpus cap is the oracle's exhaustive default of 9 elements
+    spec = ("random-sparse-paving,lpm-random,random-transversal,"
+            "duals-closure,count=60,max-n={},seed=5")
+    code, out, err = run(
+        capsys, "verify-theorem", "--corpus", spec.format(9), "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["disagreements"] == []
+    assert (payload["total"], payload["lpm"]) == (203, 175)
+    code, out, err = run(
+        capsys, "verify-theorem", "--corpus", spec.format(10), "--json"
+    )
+    assert code == 2 and "capped at 9 elements" in err and out == ""
+
+
 def test_verify_theorem_requires_seed(capsys):
     code, out, err = run(
         capsys, "verify-theorem", "--corpus", "lpm-random,count=5"

@@ -4,26 +4,33 @@ import itertools
 
 import pytest
 
-from latmat.catalog import e_n, p_n, whirl3, wheel3
+from latmat import corpus
+from latmat.catalog import catalog_up_to, e_n, p_n, whirl3, wheel3
 from latmat.kernel import (
     GroundTooLarge,
+    _bases_by_trace,
+    _greedy_independent,
     _minor_masks,
+    contract,
+    delete,
     direct_sum,
     dual,
     from_bases,
     is_isomorphic,
+    members,
     minor,
     uniform,
 )
 from latmat.lpm import IntervalPresentation, realize
 from latmat.minors import (
     MinorWitness,
+    _degree_multiset,
     find_catalog_minor,
     has_minor,
     is_lpm_via_excluded_minors,
     theorem_check,
 )
-from util import spanning_trees_k4
+from util import brute_find_catalog_minor, spanning_trees_k4
 
 
 def wheel():
@@ -87,6 +94,22 @@ def test_minor_witness_replay_detects_wrong_sets():
     ).mask_set == minor(W, good.delete, good.contract).mask_set
 
 
+def test_minor_witness_replay_rejects_false_certificates():
+    host = uniform(1, 2)
+    pattern = from_bases(2, [[0]])  # U1,1 + U0,1, not a minor of U1,2
+    for witness in (
+        # iso is not one-to-one
+        MinorWitness("x", frozenset(), frozenset(), {0: 0, 1: 0}),
+        # delete and contract overlap
+        MinorWitness("x", frozenset({0}), frozenset({0}), {0: 0}),
+        # iso misses element 1
+        MinorWitness("x", frozenset(), frozenset(), {0: 0}),
+        # element 5 is not in the host
+        MinorWitness("x", frozenset({5}), frozenset(), {0: 0, 1: 1}),
+    ):
+        assert witness.replay(host, pattern) is False, witness
+
+
 def test_theorem_check_single_members():
     rep = theorem_check([wheel3()], corpus_label="w3")
     assert rep.total == 1 and rep.lpm_count == 0 and rep.ok
@@ -96,7 +119,7 @@ def test_theorem_check_single_members():
 
 def test_theorem_check_caps_ground_size():
     with pytest.raises(GroundTooLarge):
-        theorem_check([uniform(2, 9)])
+        theorem_check([uniform(2, 10)])
 
 
 def test_theorem_check_json_stable():
@@ -136,7 +159,9 @@ def test_minor_transitivity_spot():
 
 def test_split_rank_is_rank_of_minor(small_corpus):
     # has_minor skips a split on r(E - delete) - r(contract) before building
-    # its bases; that must be the rank of host / contract \ delete
+    # its bases; that must be the rank of host / contract \ delete.  It then
+    # filters on the surviving bases: their number and their degrees over
+    # the kept elements must be the built minor's
     for host in small_corpus:
         ranks = host.rank_table
         full = host.full_mask
@@ -146,8 +171,90 @@ def test_split_rank_is_rank_of_minor(small_corpus):
                 cm = rm
                 while True:
                     dm = rm ^ cm
-                    _, masks = _minor_masks(host, dm, cm)
+                    new_n, masks = _minor_masks(host, dm, cm)
                     assert ranks[full ^ dm] - ranks[cm] == masks[0].bit_count()
+                    survivors = _bases_by_trace(host, rm).get(
+                        _greedy_independent(host, cm)
+                    )
+                    if survivors:
+                        assert len(survivors) == len(masks)
+                        assert _degree_multiset(
+                            members(full ^ rm), survivors
+                        ) == _degree_multiset(range(new_n), masks)
+                    else:
+                        assert ranks[full ^ dm] < host.rank
                     if cm == 0:
                         break
                     cm = (cm - 1) & rm
+
+
+def _witness_key(w):
+    return None if w is None else (w.pattern_name, w.delete, w.contract, w.iso)
+
+
+def assert_catalog_search_matches_brute_force(hosts):
+    for M in hosts:
+        assert _witness_key(find_catalog_minor(M)) == brute_find_catalog_minor(
+            M
+        ), M
+
+
+def test_catalog_search_matches_brute_force_on_small_corpus(small_corpus):
+    assert_catalog_search_matches_brute_force(small_corpus)
+
+
+def test_catalog_search_matches_brute_force_on_catalog_and_minors():
+    hosts = []
+    for entry in catalog_up_to(9):
+        M = entry.matroid
+        hosts.append(M)
+        for e in range(M.n):
+            hosts += [delete(M, (e,)), contract(M, (e,))]
+    assert_catalog_search_matches_brute_force(hosts)
+
+
+def test_catalog_search_matches_brute_force_on_sparse_paving():
+    # seed 9 reaches A4, so the passes of sizes 6 and 7 run to the end;
+    # seed 37 has hosts with no catalog minor at all
+    hosts = [
+        M
+        for seed in (9, 37)
+        for M in corpus.generate(corpus.parse_corpus_spec(
+            f"random-sparse-paving,count=10,max-n=10,seed={seed}"
+        ))
+        if M.n >= 9
+    ]
+    assert len(hosts) >= 8
+    assert_catalog_search_matches_brute_force(hosts)
+
+
+def test_multi_pattern_call_is_first_single_hit(small_corpus):
+    groups = [
+        [e.matroid for e in catalog_up_to(7) if e.matroid.n == size]
+        for size in (6, 7)
+    ]
+    # mixed ranks, and an isomorphic pair: the earlier one must win
+    groups.append([
+        uniform(1, 4),
+        direct_sum(uniform(1, 2), uniform(1, 2)),
+        uniform(2, 4),
+        dual(uniform(2, 4)),
+    ])
+    for M in small_corpus:
+        for group in groups:
+            if group[0].n > M.n:
+                continue
+            singles = [has_minor(M, p) for p in group]
+            multi = has_minor(M, *group)
+            hits = [(i, w) for i, w in enumerate(singles) if w is not None]
+            if not hits:
+                assert multi is None
+                continue
+            i, w = hits[0]
+            name = str(i) if len(group) > 1 else "?"
+            assert _witness_key(multi) == (name, w.delete, w.contract, w.iso)
+
+
+def test_has_minor_patterns_share_one_size():
+    with pytest.raises(ValueError):
+        has_minor(uniform(2, 6), uniform(2, 4), uniform(2, 5))

@@ -4,13 +4,17 @@ Everything here recomputes expectations from first principles (set
 enumeration, graph spanning trees, brute-force matchings) without calling
 the code paths under test.  The reference order scan shares only
 ``transversal_count`` with the package, and that is checked against
-enumeration in ``test_ordersearch``.
+enumeration in ``test_ordersearch``.  The reference catalog minor search
+shares the catalog, ``minor``, the rank table and the isomorphism test,
+each checked in its own test module, but none of the search's filters.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from latmat.catalog import catalog_up_to
+from latmat.kernel import canonical_form, is_isomorphic, minor
 from latmat.ordersearch import transversal_count
 
 # K4 edge labels chosen so the triangles are exactly the four 3-element
@@ -155,4 +159,50 @@ def brute_scan_path_orders(n: int, rank: int, bases, indep):
                 break
         if ok:
             return perm, tuple(zip(a, b))
+    return None
+
+
+def _degrees(n: int, masks) -> tuple[int, ...]:
+    return tuple(sorted(sum((b >> e) & 1 for b in masks) for e in range(n)))
+
+
+def brute_has_minor(host, pattern):
+    """Reference single-pattern search: every split in the search order
+    (removed set, contract size, contract set), skipped only when the
+    minor's rank r(E - delete) - r(contract) is wrong, then built and
+    filtered by basis count, degrees and canonical form.  Returns the first
+    ``(delete, contract, iso)`` as element sets, or None."""
+    k = host.n - pattern.n
+    ranks = host.rank_table
+    want_deg = _degrees(pattern.n, pattern.basis_masks)
+    for removed in itertools.combinations(range(host.n), k):
+        for csize in range(k + 1):
+            for cset in itertools.combinations(removed, csize):
+                contract = frozenset(cset)
+                delete = frozenset(removed) - contract
+                dm = sum(1 << e for e in delete)
+                cm = sum(1 << e for e in contract)
+                if ranks[host.full_mask ^ dm] - ranks[cm] != pattern.rank:
+                    continue
+                got = minor(host, delete, contract)
+                if got.num_bases != pattern.num_bases:
+                    continue
+                if _degrees(got.n, got.basis_masks) != want_deg:
+                    continue
+                if canonical_form(got) != canonical_form(pattern):
+                    continue
+                return delete, contract, is_isomorphic(got, pattern)
+    return None
+
+
+def brute_find_catalog_minor(M):
+    """Reference catalog search: one ``brute_has_minor`` call per catalog
+    member, in catalog order.  Returns ``(name, delete, contract, iso)`` for
+    the first member found, or None."""
+    if M.n < 6:
+        return None
+    for entry in catalog_up_to(M.n):
+        hit = brute_has_minor(M, entry.matroid)
+        if hit is not None:
+            return (entry.name, *hit)
     return None
