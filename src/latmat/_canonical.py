@@ -9,6 +9,11 @@ so far, collapsing of clone classes (elements interchangeable by a single
 transposition), and root-level orbit skipping driven by automorphisms
 discovered at the leaves.  Pruning never changes the computed form, only the
 work done.
+
+Set-up per family: the co-occurrence table (bases holding both e and f) is
+built in one pass over the bases, with the basis degrees on its diagonal,
+and clone classes are sought only among elements of equal degree, since a
+transposition fixing the family preserves degrees.
 """
 
 from __future__ import annotations
@@ -33,12 +38,16 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _clone_classes(n: int, masks, mask_set) -> list[int]:
-    """Union elements whose transposition fixes the whole family."""
+def _clone_classes(n: int, masks, mask_set, deg) -> list[int]:
+    """Union elements whose transposition fixes the whole family.
+
+    A transposition that fixes the family preserves basis degrees, so
+    pairs of unequal degree `deg` are never tested.
+    """
     parent = list(range(n))
     for e in range(n):
         for f in range(e + 1, n):
-            if _find(parent, e) == _find(parent, f):
+            if deg[e] != deg[f] or _find(parent, e) == _find(parent, f):
                 continue
             if all(_swap_bits(b, e, f) in mask_set for b in masks):
                 parent[_find(parent, f)] = _find(parent, e)
@@ -51,18 +60,19 @@ class _Search:
         self.masks = tuple(masks)
         self.mask_set = frozenset(masks)
         self.collect_all = collect_all
-        self.deg = [sum((b >> e) & 1 for b in masks) for e in range(n)]
-        self.cooc = [
-            [
-                sum(1 for b in masks if (b >> e) & 1 and (b >> f) & 1)
-                for f in range(n)
-            ]
-            for e in range(n)
-        ]
+        # cooc[e][f]: bases holding both e and f; the diagonal is the degree
+        self.cooc = [[0] * n for _ in range(n)]
+        for b in self.masks:
+            elems = [e for e in range(n) if (b >> e) & 1]
+            for e in elems:
+                row = self.cooc[e]
+                for f in elems:
+                    row[f] += 1
+        self.deg = [self.cooc[e][e] for e in range(n)]
         if collect_all:
             self.clone = list(range(n))  # clone skipping would lose leaves
         else:
-            self.clone = _clone_classes(n, self.masks, self.mask_set)
+            self.clone = _clone_classes(n, self.masks, self.mask_set, self.deg)
         self.best_prof: list[tuple[int, ...]] = []
         self.best_leaves: list[tuple[int, ...]] = []
         self.order: list[int] = []

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from . import lpm
 from .kernel import (
+    MAX_GROUND,
     GroundTooLarge,
     Matroid,
     canonical_form,
@@ -186,6 +187,8 @@ def catalog_up_to(m: int) -> list[CatalogEntry]:
     deduplicated up to isomorphism and sorted by (size, name)."""
     if m < 6:
         raise ValueError(f"the smallest excluded minor has 6 elements, got m={m}")
+    if m > MAX_GROUND:
+        raise GroundTooLarge(f"m={m} exceeds the cap of {MAX_GROUND}")
     return list(_catalog_up_to(m))
 
 

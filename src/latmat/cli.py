@@ -217,18 +217,28 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if report.ok else 1
 
 
-def _oracle_cap(text: str) -> int:
-    """``--max-n`` of the oracle: an integer from 0 to ``MAX_GROUND``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value <= kernel.MAX_GROUND:
-        raise argparse.ArgumentTypeError(
-            f"must be between 0 and the ground-set cap of {kernel.MAX_GROUND}, "
-            f"got {value}"
-        )
-    return value
+def _up_to_cap(least: int):
+    """An argparse type: an integer from `least` to ``MAX_GROUND``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not least <= value <= kernel.MAX_GROUND:
+            raise argparse.ArgumentTypeError(
+                f"must be between {least} and the ground-set cap of "
+                f"{kernel.MAX_GROUND}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+# --max-n of the oracle, and --max-size of verify-catalog, whose smallest
+# excluded minor has 6 elements
+_oracle_cap = _up_to_cap(0)
+_catalog_size = _up_to_cap(6)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-catalog",
                        help="minor-minimality of every catalog member")
-    p.add_argument("--max-size", type=int, default=8)
+    p.add_argument("--max-size", type=_catalog_size, default=8,
+                   help=f"largest catalog member, 6 to {kernel.MAX_GROUND} "
+                        "(default 8)")
     p.add_argument("--max-n", type=_oracle_cap, default=lpm.ORACLE_MAX_N,
                    help=f"oracle ground-set cap, at most {kernel.MAX_GROUND} "
                         f"(default {lpm.ORACLE_MAX_N})")

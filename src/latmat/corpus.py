@@ -25,7 +25,11 @@ re-implement elsewhere.  Draw protocols, in stream order:
 - ``duals-closure``: appends the dual of everything generated so far.
 
 Output is deduplicated by canonical form, keeping first occurrences in
-generation order.
+generation order.  Each isomorphism class is labelled once: an exact
+repeat of a basis family reuses the form computed for it, and a
+``duals-closure`` matroid reuses the form of the first dual whose primal had
+the same form as its own primal (isomorphic matroids have isomorphic
+duals).  Every kept matroid is the first of its class and labels itself.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .kernel import (
     Matroid,
     MatroidError,
     _bits,
+    _compress,
+    _greedy_independent,
     _minor_masks,
     canonical_form,
     dual,
@@ -249,21 +255,40 @@ def _gen_sparse_paving(rng: SplitMix64, count: int, max_n: int):
 
 
 def _gen_catalog_minors(max_n: int):
+    """Every delete/contract minor of the catalog members up to 8 elements
+    with at most `max_n` elements, first occurrences of each labelled
+    family in split order.
+
+    Splits share their work: the greedy basis of each contract set is
+    computed once per member, and per removed set the bases are grouped by
+    their trace on it with each kept part compressed once (see
+    :func:`kernel._bases_by_trace`).  A split whose group is missing lost
+    rank by the deletion and is built by :func:`_minor_masks`.
+    """
     out = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for entry in catalog.catalog_up_to(8):
         M = entry.matroid
+        greedy = [_greedy_independent(M, c) for c in range(1 << M.n)]
         for removed in range(1 << M.n):
+            new_n = M.n - removed.bit_count()
+            if new_n > max_n:
+                continue
+            kept = tuple(e for e in range(M.n) if not (removed >> e) & 1)
+            groups: dict[int, list[int]] = {}
+            for b in M.basis_masks:
+                groups.setdefault(b & removed, []).append(_compress(b, kept))
             sub = removed
             while True:
-                cmask = sub
-                dmask = removed ^ cmask
-                new_n, masks = _minor_masks(M, dmask, cmask)
-                if new_n <= max_n:
-                    key = (new_n, masks)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(Matroid._from_masks(new_n, masks))
+                survivors = groups.get(greedy[sub])
+                if survivors:
+                    masks = tuple(sorted(survivors))
+                else:
+                    masks = _minor_masks(M, removed ^ sub, sub)[1]
+                key = (new_n, masks)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(Matroid._from_masks(new_n, masks))
                 if sub == 0:
                     break
                 sub = (sub - 1) & removed
@@ -293,6 +318,7 @@ def generate_tagged(spec: CorpusSpec) -> list[tuple[str, Matroid]]:
     """(source, matroid) pairs, deduplicated by canonical form in order."""
     rng = SplitMix64(spec.seed if spec.seed is not None else 0)
     raw: list[tuple[str, Matroid]] = []
+    primal_of: dict[int, int] = {}  # position of a dual -> of its primal
     for g in spec.generators:
         if g == "random-transversal":
             raw.extend(
@@ -314,14 +340,29 @@ def generate_tagged(spec: CorpusSpec) -> list[tuple[str, Matroid]]:
                 for M in _gen_lpm_random(rng, spec.count, spec.max_n)
             )
         elif g == "duals-closure":
+            primal_of.update((len(raw) + i, i) for i in range(len(raw)))
             raw.extend(("duals-closure", dual(M)) for _, M in list(raw))
+    # One labeling per isomorphism class (see the module docstring).
+    family_forms: dict[tuple[int, tuple[int, ...]], bytes] = {}
+    dual_forms: dict[bytes, bytes] = {}
+    forms: list[bytes] = []
     seen: set[bytes] = set()
     out = []
-    for source, M in raw:
-        key = canonical_form(M)
-        if key in seen:
+    for i, (source, M) in enumerate(raw):
+        key = (M.n, M.basis_masks)
+        p = primal_of.get(i)
+        form = family_forms.get(key)
+        if form is None and p is not None:
+            form = dual_forms.get(forms[p])
+        if form is None:
+            form = canonical_form(M)
+        family_forms[key] = form
+        if p is not None:
+            dual_forms.setdefault(forms[p], form)
+        forms.append(form)
+        if form in seen:
             continue
-        seen.add(key)
+        seen.add(form)
         out.append((source, M))
     return out
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import itertools
 
+from latmat._canonical import _Search
+from latmat.catalog import catalog_up_to
 from latmat.corpus import CorpusSpec, SplitMix64, generate
 from latmat.kernel import (
     Matroid,
@@ -121,3 +123,25 @@ def test_loop_and_coloop_heavy_inputs():
     relab = from_bases(6, [{0, 1}])
     assert canonical_form(relab) == base
     assert canonical_form(uniform(0, 4)) == canonical_form(uniform(0, 4))
+
+
+def test_search_tables_match_first_principles(small_corpus):
+    """Degrees and co-occurrence counts by enumeration of the bases, and
+    clone classes by trying every transposition: e and f share a class
+    exactly when swapping them fixes the basis family (transpositions
+    fixing it compose, so this relation is already transitive)."""
+    pool = list(small_corpus) + [e.matroid for e in catalog_up_to(8)]
+    for M in pool:
+        search = _Search(M.n, M.basis_masks, collect_all=False)
+        for e in range(M.n):
+            assert search.deg[e] == sum(1 for b in M.bases if e in b)
+            for f in range(M.n):
+                assert search.cooc[e][f] == sum(
+                    1 for b in M.bases if e in b and f in b
+                )
+        for e, f in itertools.combinations(range(M.n), 2):
+            swap = {e: f, f: e}
+            fixed = M.bases == {
+                frozenset(swap.get(x, x) for x in b) for b in M.bases
+            }
+            assert (search.clone[e] == search.clone[f]) == fixed, (M, e, f)

@@ -21,6 +21,8 @@ from latmat.catalog import (
     whirl3,
 )
 from latmat.kernel import (
+    MAX_GROUND,
+    GroundTooLarge,
     canonical_form,
     circuits,
     components,
@@ -145,6 +147,8 @@ def test_catalog_up_to_lists():
     ]
     with pytest.raises(ValueError):
         catalog_up_to(5)
+    with pytest.raises(GroundTooLarge, match=f"cap of {MAX_GROUND}"):
+        catalog_up_to(MAX_GROUND + 1)
 
 
 def test_catalog_entry_shape_invariants():

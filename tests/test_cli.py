@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from latmat import corpus
 from latmat.cli import main
@@ -127,6 +130,12 @@ def test_verify_catalog_ten_elements_exact_oracle(capsys):
     assert all(e["passed"] for e in payload["entries"])
 
 
+def test_verify_catalog_max_size_out_of_range_exits_2(capsys):
+    for value in ("5", "13", "x"):
+        code, out, err = run(capsys, "verify-catalog", "--max-size", value)
+        assert code == 2 and "--max-size" in err and out == "", value
+
+
 def test_oracle_cap_out_of_range_exits_2(tmp_path, capsys):
     path = tmp_path / "u24.mat"
     path.write_text(matroid_to_text(uniform(2, 4)))
@@ -245,3 +254,27 @@ def test_usage_errors_exit_2(capsys):
     assert main(["recognize", "--method", "psychic", "x"]) == 2
     assert main([]) == 2
     assert main(["--version"]) == 0
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        pytest.param(
+            "catalog-minors,random-transversal,lpm-random,duals-closure,"
+            "count=600,max-n=8,seed=20260808",
+            "c1fd8b4924dd3cdc7a8070620e3294a17d2c03760317074e0f4c7282819d29de",
+            id="acceptance",
+        ),
+        pytest.param(
+            "random-sparse-paving,duals-closure,count=300,max-n=8,seed=20261017",
+            "814584be1d884ef6f69dccb7a5f7a44e3041d793abb2a64da7de9023746696a5",
+            id="reject",
+        ),
+    ],
+)
+def test_verify_theorem_json_bytes_are_pinned(capsys, spec, digest):
+    """Acceptance criterion 9 across commits: the report bytes of the two
+    benchmark specs never change."""
+    code, out, err = run(capsys, "verify-theorem", "--corpus", spec, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -20,7 +20,7 @@ from latmat.kernel import (
     uniform,
 )
 from latmat.lpm import is_lpm_char
-from util import brute_transversal_bases
+from util import brute_generate_tagged, brute_transversal_bases
 
 
 def test_splitmix64_reference_values():
@@ -161,3 +161,30 @@ def test_generate_tagged_sources():
     sources = {s for s, _ in tagged}
     assert sources <= {"random-transversal", "lpm-random", "duals-closure"}
     assert [M for _, M in tagged] == generate(spec)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            "catalog-minors,random-transversal,lpm-random,duals-closure,"
+            "count=600,max-n=8,seed=20260808",
+            id="acceptance",
+        ),
+        pytest.param(
+            "random-sparse-paving,duals-closure,count=300,max-n=8,seed=20261017",
+            id="reject",
+        ),
+        pytest.param(
+            "lpm-random,duals-closure,random-transversal,duals-closure,"
+            "count=80,max-n=7,seed=3",
+            id="two-closures",
+        ),
+        pytest.param("catalog-minors,max-n=5", id="catalog-max-n-5"),
+    ],
+)
+def test_generate_tagged_matches_brute_force(text):
+    spec = parse_corpus_spec(text)
+    got = [(s, M.n, M.basis_masks) for s, M in generate_tagged(spec)]
+    want = [(s, M.n, M.basis_masks) for s, M in brute_generate_tagged(spec)]
+    assert got == want

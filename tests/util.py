@@ -7,14 +7,25 @@ the code paths under test.  The reference order scan shares only
 enumeration in ``test_ordersearch``.  The reference catalog minor search
 shares the catalog, ``minor``, the rank table and the isomorphism test,
 each checked in its own test module, but none of the search's filters.
+The reference corpus generator shares the random generators, ``dual`` and
+``canonical_form`` with the package, but builds every catalog minor split
+by split and labels every generated matroid.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from latmat import corpus
 from latmat.catalog import catalog_up_to
-from latmat.kernel import canonical_form, is_isomorphic, minor
+from latmat.kernel import (
+    Matroid,
+    _minor_masks,
+    canonical_form,
+    dual,
+    is_isomorphic,
+    minor,
+)
 from latmat.ordersearch import transversal_count
 
 # K4 edge labels chosen so the triangles are exactly the four 3-element
@@ -206,3 +217,53 @@ def brute_find_catalog_minor(M):
         if hit is not None:
             return (entry.name, *hit)
     return None
+
+
+def brute_catalog_minors(max_n: int):
+    """Reference ``catalog-minors``: ``_minor_masks`` on every split of
+    every catalog member up to 8 elements, in split order (removed set
+    ascending, contract set descending within it), first occurrences of
+    each labelled family with at most `max_n` elements."""
+    out = []
+    seen = set()
+    for entry in catalog_up_to(8):
+        M = entry.matroid
+        for removed in range(1 << M.n):
+            sub = removed
+            while True:
+                new_n, masks = _minor_masks(M, removed ^ sub, sub)
+                if new_n <= max_n and (new_n, masks) not in seen:
+                    seen.add((new_n, masks))
+                    out.append(Matroid._from_masks(new_n, masks))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & removed
+    return out
+
+
+def brute_generate_tagged(spec):
+    """Reference ``corpus.generate_tagged``: the generators in spec order,
+    then the canonical form of every generated matroid, keeping the first
+    of each form."""
+    rng = corpus.SplitMix64(spec.seed if spec.seed is not None else 0)
+    raw = []
+    for g in spec.generators:
+        if g == "random-transversal":
+            got = corpus._gen_transversal(rng, spec.count, spec.max_n)
+        elif g == "random-sparse-paving":
+            got = corpus._gen_sparse_paving(rng, spec.count, spec.max_n)
+        elif g == "catalog-minors":
+            got = brute_catalog_minors(spec.max_n)
+        elif g == "lpm-random":
+            got = corpus._gen_lpm_random(rng, spec.count, spec.max_n)
+        else:
+            got = [dual(M) for _, M in raw]
+        raw.extend((g, M) for M in got)
+    seen = set()
+    out = []
+    for source, M in raw:
+        form = canonical_form(M)
+        if form not in seen:
+            seen.add(form)
+            out.append((source, M))
+    return out
