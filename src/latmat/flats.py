@@ -8,8 +8,10 @@ not); a pnc-flat is *reducible* when it is the intersection of two
 incomparable pnc-flats; a *fundamental flat* is a pnc-flat F for which some
 spanning circuit C makes F & C a basis of F.
 
-Everything here enumerates over all 2^n subsets, which the ground-set cap
-keeps tractable.  Results are plain frozensets; no caching across calls
+The flats come from one sweep over all 2^n subsets at once, on the byte
+lanes of ``kernel`` (a flat is a subset every outside element raises the
+rank of, read off the rank steps r(X + e) - r(X)); the ground-set cap keeps
+that tractable.  Results are plain frozensets; no caching across calls
 beyond the per-matroid tables.  Each caller enumerates the pnc-flats once
 with ``_pnc_masks`` and passes that list to ``_fundamental_masks`` and
 ``_reducible_masks``; connectivity of a restriction comes from
@@ -20,7 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import Matroid, MatroidError, _components_within, members
+from .kernel import (
+    Matroid,
+    MatroidError,
+    _components_within,
+    _lane_members,
+    _lanes,
+    _rank_steps,
+    members,
+)
 
 
 class HasLoops(MatroidError):
@@ -32,18 +42,13 @@ class NotPncFlat(MatroidError):
 
 
 def _flat_masks(M: Matroid) -> tuple[int, ...]:
-    ranks = M.rank_table
-    n = M.n
-    out = []
-    for x in range(1 << n):
-        rx = ranks[x]
-        if all(
-            ranks[x | (1 << e)] > rx
-            for e in range(n)
-            if not (x >> e) & 1
-        ):
-            out.append(x)
-    return tuple(out)
+    """Flats, ascending: the lanes X where every e outside X raises the
+    rank, the AND over e of (r(X + e) - r(X) | e in X)."""
+    ones, single = _lanes(M.n)
+    flat = ones
+    for s, step in zip(single, _rank_steps(M)):
+        flat &= step | s
+    return _lane_members(flat, M.n)
 
 
 def _is_cyclic_mask(M: Matroid, x: int) -> bool:

@@ -6,6 +6,15 @@ rank, independence, circuit and closure query reads one derived table,
 operation is a pure function and every value is immutable after
 construction, so matroids are safe to share across threads with no locking.
 
+The table, basis validation, circuits and flats come from whole-lattice
+sweeps rather than per-subset loops.  A lane set is one Python int of 2^n
+bytes, byte X (lane X) holding a small value for the subset with bitmask X;
+a shift by 8 * 2^e bits moves lane X to lane X + e, so one shift and one
+mask treat all 2^n subsets (see ``_lanes``).  Two invariants keep lanes
+apart: no carry, because a lane holds at most 12 (and ``_at_least`` adds
+at most 127 to it), and no borrow, because the rank steps
+r(X + e) - r(X) subtracted lane by lane are never negative.
+
 Ground sets are capped at 12 elements: all algorithms here are exponential
 and the cap keeps worst cases interactive.  Element subsets may be passed to
 any operation either as an iterable of element ids or as a bitmask int;
@@ -15,8 +24,9 @@ results use ``frozenset`` values.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, NoReturn, Optional, Union
 
 from . import _canonical
@@ -103,6 +113,54 @@ def _bits(mask: int):
         mask ^= low
 
 
+@cache
+def _lanes(n: int) -> tuple[int, tuple[int, ...]]:
+    """The lane constants of an n-element ground set (lanes as in the
+    module docstring), as ``(ones, single)``: ``ones`` holds 1 in every
+    lane, and ``single[e]`` holds 1 in the lanes of the sets holding e;
+    their sum is |X| in lane X."""
+    size = 1 << n
+    ones = int.from_bytes(b"\x01" * size, "little")
+    single = tuple(
+        int.from_bytes(
+            (bytes(1 << e) + b"\x01" * (1 << e)) * (size >> (e + 1)), "little"
+        )
+        for e in range(n)
+    )
+    return ones, single
+
+
+def _at_least(lanes: int, k: int, ones: int) -> int:
+    """1 in the lanes holding at least k, for lane values and k in 1..12:
+    adding 128 - k sets bit 7 of a lane exactly then, and never carries
+    into the next lane."""
+    return ((lanes + (128 - k) * ones) >> 7) & ones
+
+
+def _lane_members(lanes: int, n: int) -> tuple[int, ...]:
+    """The subsets X, ascending, whose lane holds 1 in a 0/1 lane set."""
+    data = lanes.to_bytes(1 << n, "little")
+    out = []
+    x = data.find(1)
+    while x >= 0:
+        out.append(x)
+        x = data.find(1, x + 1)
+    return tuple(out)
+
+
+def _rank_steps(M: "Matroid") -> list[int]:
+    """For each e, the lanes r(X + e) - r(X) for X not holding e, and 0 in
+    the lanes of sets holding e.  Rank is monotone, so each lane of the
+    subtraction is at least 0 and nothing borrows across lanes."""
+    ones, single = _lanes(M.n)
+    table = int.from_bytes(M.rank_table, "little")
+    out = []
+    for e, s in enumerate(single):
+        below = (ones ^ s) * 0xFF  # whole bytes of the lanes without e
+        out.append(((table >> (8 << e)) & below) - (table & below))
+    return out
+
+
 class Matroid:
     """A matroid given by its basis family.
 
@@ -149,30 +207,31 @@ class Matroid:
     def rank_table(self) -> bytes:
         """Rank of every subset, one byte per bitmask.
 
-        Dynamic programming over subsets: a set inside some basis has rank
-        |X|; any other set X has the largest rank among the X - e.  For
-        any family of equal-size sets, matroid or not, this is max |B & X|
-        over the family, since a set B attaining that maximum misses some e
-        in X and still attains it on X - e.  :func:`from_bases` relies on
-        this to validate an unchecked family through its table.
+        Built by whole-lattice sweeps over lanes (see :func:`_lanes`): n
+        sweeps close the bases downward into the independent sets, and for
+        each k <= rank, n sweeps close the independent k-sets upward into
+        the sets of rank at least k; the rank is the sum of those r 0/1
+        lane sets.  For any family of equal-size sets, matroid or not, this
+        is max |B & X| over the family, since the downward closure is then
+        the family's subsets.  :func:`from_bases` relies on this to
+        validate an unchecked family through its table.
         """
-        size = 1 << self.n
-        bits = [1 << e for e in range(self.n)]
-        inside = bytearray(size)
+        n = self.n
+        ones, single = _lanes(n)
+        inside = bytearray(1 << n)
         for b in self.basis_masks:
             inside[b] = 1
-        for x in range(size - 1, 0, -1):
-            if inside[x]:
-                for bit in bits:
-                    if x & bit:
-                        inside[x ^ bit] = 1
-        table = bytearray(size)
-        for x in range(1, size):
-            if inside[x]:
-                table[x] = x.bit_count()
-            else:
-                table[x] = max(table[x ^ bit] for bit in bits if x & bit)
-        return bytes(table)
+        indep = int.from_bytes(inside, "little")
+        for e, s in enumerate(single):
+            indep |= (indep & s) >> (8 << e)
+        sizes = sum(single)
+        table = 0
+        for k in range(1, self.rank + 1):
+            up = indep & _at_least(sizes, k, ones)
+            for e, s in enumerate(single):
+                up |= (up << (8 << e)) & s
+            table += up
+        return table.to_bytes(1 << n, "little")
 
     @cached_property
     def loops_mask(self) -> int:
@@ -190,23 +249,15 @@ class Matroid:
 
     @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
-        """Minimal dependent sets: r(X) = |X| - 1 and every X - e keeps
-        that rank, so it is independent."""
-        ranks = self.rank_table
-        out = []
-        for x in range(1, 1 << self.n):
-            rx = ranks[x]
-            if rx != x.bit_count() - 1:
-                continue
-            m = x
-            while m:
-                low = m & -m
-                if ranks[x ^ low] != rx:
-                    break
-                m ^= low
-            else:
-                out.append(x)
-        return tuple(out)
+        """Minimal dependent sets: dependent sets X whose every X - e is
+        independent, read off lanes where r(X) < |X|."""
+        ones, single = _lanes(self.n)
+        table = int.from_bytes(self.rank_table, "little")
+        dependent = _at_least(sum(single) - table, 1, ones)
+        above = 0
+        for e, s in enumerate(single):
+            above |= (dependent << (8 << e)) & s
+        return _lane_members(dependent ^ above, self.n)
 
     @cached_property
     def component_masks(self) -> tuple[int, ...]:
@@ -243,10 +294,11 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
     The family's rank table r(X) = max |B & X| (see
     :attr:`Matroid.rank_table`) is monotone and grows by at most one per
     element, so it is a matroid rank function, whose bases are then the
-    family, exactly when it is locally submodular: r(X + x) = r(X + y) =
-    r(X) forces r(X + x + y) = r(X).  The check reads that as "the elements
-    e outside X with r(X + e) = r(X) together add no rank to X", the same
-    condition by monotonicity, at n lookups per subset.
+    family, exactly when it is locally submodular: r(X + e) = r(X + f) =
+    r(X) forces r(X + e + f) = r(X).  The check runs on lanes (see
+    :func:`_lanes`), one sweep per pair {e, f}: it takes the step lanes
+    r(X + e) - r(X) of :func:`_rank_steps`, and fails where both steps are
+    0 at X but the step of f is 1 at X + e.
 
     Raises EmptyFamily, MixedCardinality, OutOfRange, GroundTooLarge, or
     AxiomViolation (with a witnessing pair) when the family is not the basis
@@ -264,15 +316,14 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
         if b.bit_count() != r:
             raise MixedCardinality("bases must share one cardinality")
     M = Matroid._from_masks(n, masks)
-    ranks = M.rank_table
-    bits = [1 << e for e in range(n)]
-    for x, rx in enumerate(ranks):
-        span = x
-        for bit in bits:
-            if not x & bit and ranks[x | bit] == rx:
-                span |= bit
-        if ranks[span] != rx:
-            _raise_exchange_violation(masks)
+    ones, single = _lanes(n)
+    steps = _rank_steps(M)
+    # lanes X with e outside X and r(X + e) = r(X)
+    spanned = [ones ^ s ^ d for s, d in zip(single, steps)]
+    for f in range(n):
+        for e in range(f):
+            if spanned[e] & spanned[f] & (steps[f] >> (8 << e)):
+                _raise_exchange_violation(masks)
     return M
 
 
@@ -677,9 +728,14 @@ def matroid_to_text(M: Matroid) -> str:
 
 
 def matroid_from_text(text: str) -> Matroid:
-    """Parse the matroid text format; the family is fully re-validated."""
-    rows = []
+    """Parse the matroid text format; the family is fully re-validated.
+
+    Each basis line is packed into a bitmask as it is read.  A line with an
+    element outside 0..n-1 stays a list, for :func:`from_bases` to report.
+    """
+    rows: list[Union[int, list[int]]] = []
     header = None
+    mixed = False
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -688,20 +744,26 @@ def matroid_from_text(text: str) -> Matroid:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "MATROID":
                 raise MatroidError(f"bad header line: {raw!r}")
-            header = (int(parts[1]), int(parts[2]))
+            header = n, r = int(parts[1]), int(parts[2])
+            if not 0 <= r <= n:
+                raise MatroidError(f"bad header line: {raw!r}")
+            # past the cap from_bases rejects n; pack no wider than the cap
+            bits = [1 << e for e in range(min(n, MAX_GROUND))]
             continue
-        row = tuple(int(t) for t in line.split())
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+        row = list(map(int, line.split()))
+        if not all(map(operator.lt, row, row[1:])):
             raise MatroidError(f"basis line not strictly increasing: {raw!r}")
-        rows.append(row)
+        mixed = mixed or len(row) != r
+        if 0 <= row[0] and row[-1] < len(bits):
+            rows.append(sum(map(bits.__getitem__, row)))
+        else:
+            rows.append(row)
     if header is None:
         raise MatroidError("missing MATROID header")
-    n, r = header
     if r == 0:
         if rows:
             raise MatroidError("rank 0 matroid admits no basis lines")
-        return from_bases(n, [frozenset()])
-    if any(len(row) != r for row in rows):
+        return from_bases(n, [0])
+    if mixed:
         raise MixedCardinality("basis line length differs from declared rank")
-    M = from_bases(n, rows)
-    return M
+    return from_bases(n, rows)

@@ -8,7 +8,12 @@ import pytest
 from latmat import corpus
 from latmat.cli import main
 from latmat.catalog import p_n, wheel3
-from latmat.kernel import matroid_from_text, matroid_to_text, uniform
+from latmat.kernel import (
+    is_connected,
+    matroid_from_text,
+    matroid_to_text,
+    uniform,
+)
 from latmat.lpm import IntervalPresentation, presentation_to_text, realize
 
 
@@ -278,3 +283,51 @@ def test_verify_theorem_json_bytes_are_pinned(capsys, spec, digest):
     code, out, err = run(capsys, "verify-theorem", "--corpus", spec, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _connected_lpm12():
+    """A seeded connected LPM on 12 elements: rank 7, 730 bases."""
+    spec = corpus.parse_corpus_spec("lpm-random,count=30,max-n=12,seed=42")
+    return next(
+        M for M in corpus.generate(spec) if M.n == 12 and is_connected(M)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        pytest.param(
+            ("info", "--json"),
+            (
+                "0fb8442e3d83605fd4b4fd3c1362429c277fa12075b76180fedb7625d2c4ead7",
+                "447829aaf2a2e7009fe2cb71c664398aa9c2ec4d6ca75069df27637050b0e2c4",
+            ),
+            id="info",
+        ),
+        pytest.param(
+            ("recognize", "--method", "flats", "--json"),
+            (
+                "7e5068235d68a7e80ea57605a3de6a7307e946b7b14e8bbc98b37a77fad6892a",
+                "68b76f1ee0d35f4fb5c0f561e609c7d923bc36bf18aeaeed2a15886961ae248f",
+            ),
+            id="flats",
+        ),
+    ],
+)
+def test_flats_json_bytes_at_twelve_elements_are_pinned(
+    tmp_path, capsys, argv, digests
+):
+    """The flat lattice read at the ground-set cap: A6 from ``gen`` and a
+    seeded LPM, each through the text format, keep their stdout bytes."""
+    a6 = tmp_path / "a6.mat"
+    code, out, err = run(capsys, "gen", "--family", "A6", "-o", str(a6))
+    assert code == 0
+    lpm12 = tmp_path / "lpm12.mat"
+    M = _connected_lpm12()
+    assert (M.rank, M.num_bases) == (7, 730)
+    lpm12.write_text(matroid_to_text(M))
+    got = []
+    for path in (a6, lpm12):
+        code, out, err = run(capsys, *argv, str(path))
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == digests

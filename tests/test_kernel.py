@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmat import kernel
+from latmat import corpus, flats, kernel
+from latmat.catalog import catalog_up_to
 from latmat.kernel import (
     AxiomViolation,
     EmptyFamily,
@@ -45,8 +46,12 @@ from latmat.kernel import (
     uniform,
 )
 from util import (
+    brute_circuit_masks,
+    brute_flat_masks,
     brute_independent_sets,
+    brute_locally_submodular,
     brute_minimal_dependent,
+    brute_rank_table,
     p3_bases,
     spanning_trees_k4,
 )
@@ -372,6 +377,23 @@ def test_text_errors():
         matroid_from_text("MATROID 3 2\n0 1\n2\n")
     with pytest.raises(AxiomViolation):
         matroid_from_text("MATROID 4 2\n0 1\n2 3\n")
+    # a declared rank outside 0..n is a bad header, not an empty family
+    for text in ("MATROID 3 -1\n", "MATROID 3 5\n", "MATROID 3 5\n0 1 2\n"):
+        with pytest.raises(kernel.MatroidError, match="bad header line"):
+            matroid_from_text(text)
+    # lines with elements out of range reach from_bases unpacked, and every
+    # line is parsed before any range is checked
+    for text, error, message in (
+        ("MATROID 3 2\n0 1\n0 5\n", OutOfRange, "element 5 not in 0..2"),
+        ("MATROID 3 2\n-1 2\n", OutOfRange, "element -1 not in 0..2"),
+        ("MATROID 3 2\n0 5\n2 1\n", kernel.MatroidError,
+         "basis line not strictly increasing: '2 1'"),
+        ("MATROID 3 2\n0 9\n0\n", MixedCardinality, "differs"),
+        ("MATROID 13 2\n0 12\n", GroundTooLarge, "n=13"),
+    ):
+        with pytest.raises(error) as err:
+            matroid_from_text(text)
+        assert message in str(err.value)
 
 
 # --- property-style checks ---------------------------------------------------
@@ -502,3 +524,76 @@ def test_ground_cap_on_growing_operations():
         free_extension(uniform(2, 12))
     with pytest.raises(GroundTooLarge):
         parallel_connection(uniform(3, 7), 0, uniform(3, 7), 0)
+
+
+# --- lane sweeps against the per-subset references, n = 8..12 ---------------
+
+
+def assert_lane_sweeps_match_references(n, family):
+    """Rank table, circuits, flats and validation of one equal-size family
+    against the per-subset loops of ``util``; a rejection must carry the
+    first failed exchange in sorted order."""
+    M = Matroid._from_masks(n, family)
+    ranks = M.rank_table
+    assert ranks == brute_rank_table(n, family)
+    assert M.circuit_masks == brute_circuit_masks(n, ranks)
+    assert flats._flat_masks(M) == brute_flat_masks(n, ranks)
+    if brute_locally_submodular(n, ranks):
+        assert from_bases(n, family).basis_masks == tuple(family)
+        return
+    with pytest.raises(AxiomViolation) as err:
+        from_bases(n, family)
+    b1, b2, x = first_exchange_failure(family)
+    assert str(err.value) == (
+        f"exchange fails for x={x} between "
+        f"{sorted(kernel.members(b1))} and {sorted(kernel.members(b2))}"
+    )
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_lane_sweeps_on_seeded_families(n):
+    # Random families of r-sets (almost never matroids), and U(r, n) less
+    # one r-set (sparse paving) or two sharing r - 1 elements (no matroid),
+    # so that every element's lanes, up to the shift by 2^11 bytes, decide
+    # some verdict.
+    rng = corpus.SplitMix64(8128 + n)
+    for _ in range(4):
+        r = rng.randint(1, n - 1)
+        family = {rng.next_u64() & ((1 << n) - 1) for _ in range(400)}
+        family = sorted(m for m in family if m.bit_count() == r)[:40]
+        assert_lane_sweeps_match_references(n, family or [(1 << r) - 1])
+    for close in (False, True, True):
+        r = rng.randint(2, n - 2)
+        pool = uniform(r, n).basis_masks
+        c = pool[rng.randrange(len(pool))]
+        inside = [e for e in range(n) if (c >> e) & 1]
+        outside = [e for e in range(n) if not (c >> e) & 1]
+        swap = (1 << inside[rng.randrange(r)]) | (1 << outside[rng.randrange(n - r)])
+        removed = {c, c ^ swap} if close else {c}
+        assert_lane_sweeps_match_references(
+            n, [b for b in pool if b not in removed]
+        )
+
+
+def test_lane_sweeps_on_matroids_up_to_twelve_elements():
+    spec = corpus.CorpusSpec(
+        ("random-sparse-paving", "lpm-random", "random-transversal"),
+        count=12,
+        max_n=12,
+        seed=2718,
+    )
+    big = [M for M in corpus.generate(spec) if M.n >= 8]
+    big += [e.matroid for e in catalog_up_to(12) if e.matroid.n >= 11]
+    assert {M.n for M in big} >= set(range(8, 13))
+    for M in big:
+        assert_lane_sweeps_match_references(M.n, list(M.basis_masks))
+
+
+def test_from_bases_rejects_u612_missing_two_close_bases():
+    # Two 6-sets sharing five elements are not both circuit-hyperplanes of
+    # a sparse paving matroid, so removing them breaks basis exchange.
+    pool = uniform(6, 12).basis_masks
+    removed = {0b000000111111, 0b000001011111}
+    family = [b for b in pool if b not in removed]
+    assert len(family) == 922
+    assert_lane_sweeps_match_references(12, family)

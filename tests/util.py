@@ -9,7 +9,10 @@ shares the catalog, ``minor``, the rank table and the isomorphism test,
 each checked in its own test module, but none of the search's filters.
 The reference corpus generator shares the random generators, ``dual`` and
 ``canonical_form`` with the package, but builds every catalog minor split
-by split and labels every generated matroid.
+by split and labels every generated matroid.  The subset-lattice
+references (rank table, local submodularity, circuits, flats) are the
+per-subset loops the package's lane sweeps replaced; they share nothing
+with the package but the table they are handed.
 """
 
 from __future__ import annotations
@@ -85,6 +88,71 @@ def brute_independent_sets(bases) -> frozenset[int]:
                 break
             sub = (sub - 1) & b
     return frozenset(out)
+
+
+def brute_rank_table(n: int, basis_masks) -> bytes:
+    """Reference rank table by dynamic programming over subsets: a set
+    inside some basis has rank |X|; any other set X has the largest rank
+    among the X - e.  For any equal-size family this is max |B & X|."""
+    size = 1 << n
+    bits = [1 << e for e in range(n)]
+    inside = bytearray(size)
+    for b in basis_masks:
+        inside[b] = 1
+    for x in range(size - 1, 0, -1):
+        if inside[x]:
+            for bit in bits:
+                if x & bit:
+                    inside[x ^ bit] = 1
+    table = bytearray(size)
+    for x in range(1, size):
+        if inside[x]:
+            table[x] = x.bit_count()
+        else:
+            table[x] = max(table[x ^ bit] for bit in bits if x & bit)
+    return bytes(table)
+
+
+def brute_locally_submodular(n: int, ranks: bytes) -> bool:
+    """Reference validation of a family's rank table: for every subset X,
+    the elements e outside X with r(X + e) = r(X) together add no rank."""
+    bits = [1 << e for e in range(n)]
+    for x, rx in enumerate(ranks):
+        span = x
+        for bit in bits:
+            if not x & bit and ranks[x | bit] == rx:
+                span |= bit
+        if ranks[span] != rx:
+            return False
+    return True
+
+
+def brute_circuit_masks(n: int, ranks: bytes) -> tuple[int, ...]:
+    """Reference circuits from a rank table: r(X) = |X| - 1 and every
+    X - e keeps that rank."""
+    out = []
+    for x in range(1, 1 << n):
+        rx = ranks[x]
+        if rx != x.bit_count() - 1:
+            continue
+        if all(ranks[x ^ (1 << e)] == rx for e in range(n) if (x >> e) & 1):
+            out.append(x)
+    return tuple(out)
+
+
+def brute_flat_masks(n: int, ranks: bytes) -> tuple[int, ...]:
+    """Reference flats from a rank table: every element outside X raises
+    the rank."""
+    out = []
+    for x in range(1 << n):
+        rx = ranks[x]
+        if all(
+            ranks[x | (1 << e)] > rx
+            for e in range(n)
+            if not (x >> e) & 1
+        ):
+            out.append(x)
+    return tuple(out)
 
 
 def has_distinct_reps(sets: list[set[int]], X) -> bool:
