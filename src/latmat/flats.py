@@ -183,20 +183,34 @@ class FlatsReport:
 
 
 def flats_report(M: Matroid) -> FlatsReport:
-    """Classify every flat; rows sorted by (size, elements)."""
+    """Classify every flat; rows sorted by (size, elements).
+
+    A proper flat's connectivity is read off what is already at hand: a
+    dependent one is connected exactly when it is a pnc-flat, an
+    independent one when it has at most one element.  Only the ground set
+    is checked against its circuits.
+    """
     ranks = M.rank_table
     pnc_list = _pnc_masks(M)
     pncs = set(pnc_list)
     fund = set(_fundamental_masks(M, pnc_list))
     red = _reducible_masks(pnc_list)
+    full = M.full_mask
     rows = []
     for x in sorted(_flat_masks(M), key=lambda m: (m.bit_count(), sorted(members(m)))):
+        nullity = x.bit_count() - ranks[x]
+        if x == full:
+            connected = _restriction_connected(M, x)
+        elif nullity:
+            connected = x in pncs  # a dependent proper flat
+        else:
+            connected = x.bit_count() <= 1  # no circuit joins two elements
         rows.append(
             FlatEntry(
                 flat=members(x),
                 rank=ranks[x],
-                nullity=x.bit_count() - ranks[x],
-                is_connected=_restriction_connected(M, x),
+                nullity=nullity,
+                is_connected=connected,
                 is_cyclic=_is_cyclic_mask(M, x),
                 is_pnc=x in pncs,
                 is_reducible=x in red,

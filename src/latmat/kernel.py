@@ -27,7 +27,7 @@ import itertools
 import operator
 from collections import defaultdict
 from functools import cache, cached_property
-from typing import Iterable, NoReturn, Optional, Union
+from typing import Collection, Iterable, NoReturn, Optional, Union
 
 from . import _canonical
 from ._canonical import _find
@@ -465,12 +465,9 @@ def _compress(mask: int, kept: tuple[int, ...]) -> int:
 def _bases_by_trace(M: Matroid, removed: int) -> dict[int, list[int]]:
     """The bases of M grouped by their trace B & `removed`.
 
-    For disjoint D and C with union `removed`, let I be
-    ``_greedy_independent(M, C)``.  The group of I holds the bases that
-    survive into M / C \\ D: B - I runs over the minor's bases, as
-    :func:`_minor_masks` relabels them, and survivors differ on the kept
-    elements, so their number is the minor's basis count.  The group is
-    missing exactly when deleting D lowers the rank.
+    Every minor on the kept elements, M / C \\ D with C | D = `removed`,
+    reads its bases off these groups through :func:`_surviving_bases`, so a
+    caller walking many splits of one removed set groups the bases once.
     """
     out: dict[int, list[int]] = defaultdict(list)
     for b in M.basis_masks:
@@ -478,29 +475,43 @@ def _bases_by_trace(M: Matroid, removed: int) -> dict[int, list[int]]:
     return out
 
 
+def _surviving_bases(
+    M: Matroid, by_trace: dict[int, list[int]], dmask: int, cmask: int
+) -> Collection[int]:
+    """Host masks whose kept parts are the bases of M / `cmask` \\ `dmask`,
+    one mask per basis; `by_trace` is ``_bases_by_trace(M, dmask | cmask)``.
+
+    The rule (Oxley, Matroid Theory, section 3.1): with I the greedy basis
+    of C and k = r(M) - r(E - D), the bases of M / C \\ D are B - (C | D)
+    for the bases B of M with B & C = I and |B & D| = k.  It holds for
+    every split, including those where deleting D lowers the rank (k > 0),
+    and always yields at least one basis: the empty set when nothing is
+    kept.
+    """
+    imask = _greedy_independent(M, cmask)
+    k = M.rank - M.rank_table[M.full_mask ^ dmask]
+    if k == 0:
+        # only trace I qualifies, and its bases differ on the kept elements
+        return by_trace[imask]
+    kept = M.full_mask ^ (dmask | cmask)
+    return {
+        b & kept
+        for trace, group in by_trace.items()
+        if trace & cmask == imask and (trace & dmask).bit_count() == k
+        for b in group
+    }
+
+
 def _minor_masks(
     M: Matroid, dmask: int, cmask: int
 ) -> tuple[int, tuple[int, ...]]:
-    """Bases of M with `cmask` contracted and `dmask` deleted, relabelled."""
+    """Ground size and sorted bases of M / `cmask` \\ `dmask`, relabelled by
+    the order-preserving compaction of the kept elements; the bases are
+    those of :func:`_surviving_bases`."""
     removed = dmask | cmask
     kept = tuple(e for e in range(M.n) if not (removed >> e) & 1)
-    if not kept:
-        return 0, (0,)
-    imask = _greedy_independent(M, cmask)
-    # the group of imask in _bases_by_trace(M, removed)
-    survivors = [b for b in M.basis_masks if b & removed == imask]
-    if survivors:
-        out = sorted({_compress(b & ~imask, kept) for b in survivors})
-        return len(kept), tuple(out)
-    # Deletion dropped the rank: rebuild from independence directly.
-    kept_mask = M.full_mask & ~removed
-    new_rank = rank_of(M, kept_mask | cmask) - rank_of(M, cmask)
-    out = []
-    for combo in itertools.combinations(kept, new_rank):
-        sm = mask_of(combo)
-        if M.is_independent(sm | imask):
-            out.append(_compress(sm, kept))
-    return len(kept), tuple(sorted(out))
+    survivors = _surviving_bases(M, _bases_by_trace(M, removed), dmask, cmask)
+    return len(kept), tuple(sorted({_compress(b, kept) for b in survivors}))
 
 
 def minor(M: Matroid, delete_set: ElementSetLike, contract_set: ElementSetLike) -> Matroid:

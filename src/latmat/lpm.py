@@ -33,6 +33,7 @@ from .kernel import (
     _bits,
     _compress,
     members,
+    restrict,
 )
 
 
@@ -67,6 +68,8 @@ class IntervalPresentation:
     order: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        if self.n < 0:
+            raise MatroidError(f"negative ground size n={self.n}")
         if self.n > MAX_GROUND:
             raise GroundTooLarge(f"n={self.n} exceeds the cap of {MAX_GROUND}")
         if not self.order:
@@ -410,13 +413,8 @@ def is_lpm_char(M: Matroid) -> RecognitionResult:
     ML, kept, _loops = _strip_loops(M)
     for cmask in ML.component_masks:
         comp_elems = tuple(e for e in range(ML.n) if (cmask >> e) & 1)
-        if cmask == ML.full_mask:
-            Mi = ML  # connected: reuse its cached tables
-        else:
-            masks = sorted(
-                {_compress(b & cmask, comp_elems) for b in ML.basis_masks}
-            )
-            Mi = Matroid._from_masks(len(comp_elems), masks)
+        # a connected ML is its own component: reuse its cached tables
+        Mi = ML if cmask == ML.full_mask else restrict(ML, cmask)
         hit = _check_component(Mi)
         if hit is not None:
             clause, flat_masks = hit
@@ -533,8 +531,11 @@ def presentation_from_text(text: str) -> IntervalPresentation:
         if line.startswith("ORDER"):
             order = tuple(int(t) for t in line.split()[1:])
             continue
-        a, b = line.split()
-        ivs.append((int(a), int(b)))
+        try:
+            a, b = map(int, line.split())
+        except ValueError:
+            raise MatroidError(f"bad interval line: {raw!r}") from None
+        ivs.append((a, b))
     if header is None:
         raise MatroidError("missing LPM header")
     n, r = header

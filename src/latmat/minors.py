@@ -25,8 +25,8 @@ from .kernel import (
     GroundTooLarge,
     Matroid,
     _bases_by_trace,
-    _greedy_independent,
     _minor_masks,
+    _surviving_bases,
     canonical_form,
     is_isomorphic,
     mask_of,
@@ -96,9 +96,12 @@ def has_minor(
 
     Each split meets its filters in order, each against the patterns still
     open: the rank of host / contract \\ delete, which is r(E - delete) -
-    r(contract); then the minor's basis count and degree multiset, read off
-    the host's bases that survive into it with no minor built (the bases
-    are grouped by their trace on the removed set once per removed set).
+    r(contract); then the minor's basis count and degree multiset, read
+    with no minor built off the host's bases that survive into it
+    (:func:`kernel._surviving_bases`: the bases B with B & contract = I, a
+    greedy basis of the contract set, and |B & delete| = r(E) -
+    r(E - delete), for every split, whether or not the deletion lowers the
+    rank; the bases are grouped by their trace once per removed set).
     Only a split that passes them all is built, relabelled to its canonical
     form and compared with each matching pattern; a hit carries an explicit
     bijection.
@@ -127,21 +130,15 @@ def has_minor(
             continue
         if rm != grouped_rm:
             grouped_rm, by_trace = rm, _bases_by_trace(host, rm)
-        survivors = by_trace.get(_greedy_independent(host, cm))
-        if survivors:
-            count = len(survivors)
-            if all(wants[i][0] != count for i in open_ids):
-                continue
-            key = (count, _degree_multiset(members(full ^ rm), survivors))
-        else:
-            # deletion lowered the rank: only the built minor has the counts
-            new_n, masks = _minor_masks(host, dm, cm)
-            key = (len(masks), _degree_multiset(range(new_n), masks))
+        survivors = _surviving_bases(host, by_trace, dm, cm)
+        count = len(survivors)
+        if all(wants[i][0] != count for i in open_ids):
+            continue
+        key = (count, _degree_multiset(members(full ^ rm), survivors))
         matching = [i for i in open_ids if wants[i] == key]
         if not matching:
             continue
-        if survivors:
-            new_n, masks = _minor_masks(host, dm, cm)
+        new_n, masks = _minor_masks(host, dm, cm)
         got = Matroid._from_masks(new_n, masks)
         got_canon = canonical_form(got)
         for i in matching:

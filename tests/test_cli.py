@@ -253,6 +253,14 @@ def test_error_paths(tmp_path, capsys):
     bad.write_text("MATROID 4 2\n0 1\n2 3\n")
     code, out, err = run(capsys, "info", str(bad))
     assert code == 2 and "exchange" in err
+    lpm = tmp_path / "bad.lpm"
+    lpm.write_text("LPM -1 0\n")
+    for verb in ("diagram", "realize"):
+        code, out, err = run(capsys, verb, str(lpm))
+        assert code == 2 and "negative" in err and out == ""
+    lpm.write_text("LPM 4 1\n0\n")
+    code, out, err = run(capsys, "diagram", str(lpm))
+    assert code == 2 and "bad interval line: '0'" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from latmat import flats
+from latmat.catalog import catalog_up_to
 from latmat.flats import (
     FlatsReport,
     HasLoops,
@@ -188,3 +189,15 @@ def test_flats_report_flags_match_enumerators(small_corpus):
         assert flagged("is_cyclic") == cyclic_flats(M)
         for e in entries:
             assert e.is_connected == _separator_free(M, e.flat), (M, e.flat)
+
+
+def test_flats_report_connected_flag_matches_circuits():
+    # the report reads a proper flat's connectivity off the pnc-flats and
+    # its independence; walking the circuits inside it must agree
+    for entry in catalog_up_to(10):
+        M = entry.matroid
+        for e in flats_report(M).entries:
+            fm = sum(1 << x for x in e.flat)
+            assert e.is_connected == flats._restriction_connected(M, fm), (
+                entry.name, e.flat,
+            )

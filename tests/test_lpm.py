@@ -64,6 +64,8 @@ def test_presentation_validation():
         IntervalPresentation(4, ((0, 4),))
     with pytest.raises(MatroidError):
         IntervalPresentation(3, ((0, 1),), (0, 1))  # bad order length
+    with pytest.raises(MatroidError, match="negative"):
+        IntervalPresentation(-1, ())
 
 
 def test_presentation_ground_cap():
@@ -374,3 +376,6 @@ def test_presentation_text_roundtrip():
         presentation_from_text("LPM 4 2\n0 1\n")
     with pytest.raises(MatroidError):
         presentation_from_text("NOPE\n")
+    for line in ("0", "0 1 2", "0 x"):
+        with pytest.raises(MatroidError, match="bad interval line"):
+            presentation_from_text(f"LPM 4 1\n{line}\n")

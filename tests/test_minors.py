@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from latmat import corpus
-from latmat.catalog import catalog_up_to, e_n, p_n, whirl3, wheel3
+from latmat.catalog import build_by_name, catalog_up_to, e_n, p_n, whirl3, wheel3
 from latmat.kernel import (
     GroundTooLarge,
     _bases_by_trace,
-    _greedy_independent,
     _minor_masks,
+    _surviving_bases,
     contract,
     delete,
     direct_sum,
@@ -30,7 +30,7 @@ from latmat.minors import (
     is_lpm_via_excluded_minors,
     theorem_check,
 )
-from util import brute_find_catalog_minor, spanning_trees_k4
+from util import brute_find_catalog_minor, brute_minor_masks, spanning_trees_k4
 
 
 def wheel():
@@ -71,6 +71,11 @@ def test_find_catalog_minor_examples():
     w_e4 = find_catalog_minor(e_n(4))
     assert w_e4 is not None and w_e4.pattern_name == "E4"
     assert w_e4.delete == frozenset() and w_e4.contract == frozenset()
+    # deleting the coloop 0 lowers the rank, and that split is the witness
+    w = find_catalog_minor(direct_sum(uniform(1, 1), build_by_name("B3,2")))
+    assert (w.pattern_name, w.delete, w.contract) == (
+        "B3,2", frozenset({0}), frozenset()
+    )
 
 
 def test_is_lpm_via_excluded_minors():
@@ -161,31 +166,44 @@ def test_split_rank_is_rank_of_minor(small_corpus):
     # has_minor skips a split on r(E - delete) - r(contract) before building
     # its bases; that must be the rank of host / contract \ delete.  It then
     # filters on the surviving bases: their number and their degrees over
-    # the kept elements must be the built minor's
+    # the kept elements must be the built minor's, whether or not the
+    # deletion lowered the rank
+    rank_drops = 0
     for host in small_corpus:
         ranks = host.rank_table
         full = host.full_mask
         for size in (1, 2):
             for removed in itertools.combinations(range(host.n), size):
                 rm = sum(1 << e for e in removed)
+                by_trace = _bases_by_trace(host, rm)
                 cm = rm
                 while True:
                     dm = rm ^ cm
                     new_n, masks = _minor_masks(host, dm, cm)
                     assert ranks[full ^ dm] - ranks[cm] == masks[0].bit_count()
-                    survivors = _bases_by_trace(host, rm).get(
-                        _greedy_independent(host, cm)
-                    )
-                    if survivors:
-                        assert len(survivors) == len(masks)
-                        assert _degree_multiset(
-                            members(full ^ rm), survivors
-                        ) == _degree_multiset(range(new_n), masks)
-                    else:
-                        assert ranks[full ^ dm] < host.rank
+                    survivors = _surviving_bases(host, by_trace, dm, cm)
+                    assert len(survivors) == len(masks)
+                    assert _degree_multiset(
+                        members(full ^ rm), survivors
+                    ) == _degree_multiset(range(new_n), masks)
+                    rank_drops += ranks[full ^ dm] < host.rank
                     if cm == 0:
                         break
                     cm = (cm - 1) & rm
+    assert rank_drops > 0
+
+
+def test_minor_masks_match_brute_force(small_corpus):
+    hosts = list(small_corpus) + [e.matroid for e in catalog_up_to(8)]
+    for M in hosts:
+        for removed in range(1 << M.n):
+            sub = removed
+            while True:
+                split = (M, removed ^ sub, sub)
+                assert _minor_masks(*split) == brute_minor_masks(*split), split
+                if sub == 0:
+                    break
+                sub = (sub - 1) & removed
 
 
 def _witness_key(w):

@@ -4,12 +4,14 @@ Everything here recomputes expectations from first principles (set
 enumeration, graph spanning trees, brute-force matchings) without calling
 the code paths under test.  The reference order scan shares only
 ``transversal_count`` with the package, and that is checked against
-enumeration in ``test_ordersearch``.  The reference catalog minor search
-shares the catalog, ``minor``, the rank table and the isomorphism test,
-each checked in its own test module, but none of the search's filters.
-The reference corpus generator shares the random generators, ``dual`` and
-``canonical_form`` with the package, but builds every catalog minor split
-by split and labels every generated matroid.  The subset-lattice
+enumeration in ``test_ordersearch``.  The reference minor is the
+r'-subset scan the package's one basis rule replaced, sharing only the
+rank table.  The reference catalog minor search shares the catalog, the
+rank table and the isomorphism test, each checked in its own test module,
+but none of the search's filters.  The reference corpus generator shares
+the random generators, ``dual`` and ``canonical_form`` with the package,
+but builds every catalog minor split by split with the reference minor
+and labels every generated matroid.  The subset-lattice
 references (rank table, local submodularity, circuits, flats) are the
 per-subset loops the package's lane sweeps replaced; they share nothing
 with the package but the table they are handed.
@@ -23,11 +25,9 @@ from latmat import corpus
 from latmat.catalog import catalog_up_to
 from latmat.kernel import (
     Matroid,
-    _minor_masks,
     canonical_form,
     dual,
     is_isomorphic,
-    minor,
 )
 from latmat.ordersearch import transversal_count
 
@@ -245,12 +245,35 @@ def _degrees(n: int, masks) -> tuple[int, ...]:
     return tuple(sorted(sum((b >> e) & 1 for b in masks) for e in range(n)))
 
 
+def brute_minor_masks(M, dmask: int, cmask: int):
+    """Reference ``kernel._minor_masks``: with I a greedily grown basis of
+    the contract set and r' = r(E - D) - r(C), every r'-subset S of the
+    kept elements with S | I independent, relabelled by the order-preserving
+    compaction of the kept elements.  Returns ``(n', sorted masks)``."""
+    ranks = M.rank_table
+    removed = dmask | cmask
+    kept = [e for e in range(M.n) if not (removed >> e) & 1]
+    imask = 0
+    for e in range(M.n):
+        grown = imask | (1 << e)
+        if (cmask >> e) & 1 and ranks[grown] == grown.bit_count():
+            imask = grown
+    new_rank = ranks[M.full_mask ^ dmask] - ranks[cmask]
+    out = []
+    for combo in itertools.combinations(range(len(kept)), new_rank):
+        indep = imask | sum(1 << kept[i] for i in combo)
+        if ranks[indep] == indep.bit_count():
+            out.append(sum(1 << i for i in combo))
+    return len(kept), tuple(sorted(out))
+
+
 def brute_has_minor(host, pattern):
     """Reference single-pattern search: every split in the search order
     (removed set, contract size, contract set), skipped only when the
-    minor's rank r(E - delete) - r(contract) is wrong, then built and
-    filtered by basis count, degrees and canonical form.  Returns the first
-    ``(delete, contract, iso)`` as element sets, or None."""
+    minor's rank r(E - delete) - r(contract) is wrong, then built by
+    ``brute_minor_masks`` and filtered by basis count, degrees and
+    canonical form.  Returns the first ``(delete, contract, iso)`` as
+    element sets, or None."""
     k = host.n - pattern.n
     ranks = host.rank_table
     want_deg = _degrees(pattern.n, pattern.basis_masks)
@@ -263,7 +286,7 @@ def brute_has_minor(host, pattern):
                 cm = sum(1 << e for e in contract)
                 if ranks[host.full_mask ^ dm] - ranks[cm] != pattern.rank:
                     continue
-                got = minor(host, delete, contract)
+                got = Matroid._from_masks(*brute_minor_masks(host, dm, cm))
                 if got.num_bases != pattern.num_bases:
                     continue
                 if _degrees(got.n, got.basis_masks) != want_deg:
@@ -288,7 +311,7 @@ def brute_find_catalog_minor(M):
 
 
 def brute_catalog_minors(max_n: int):
-    """Reference ``catalog-minors``: ``_minor_masks`` on every split of
+    """Reference ``catalog-minors``: ``brute_minor_masks`` on every split of
     every catalog member up to 8 elements, in split order (removed set
     ascending, contract set descending within it), first occurrences of
     each labelled family with at most `max_n` elements."""
@@ -299,7 +322,7 @@ def brute_catalog_minors(max_n: int):
         for removed in range(1 << M.n):
             sub = removed
             while True:
-                new_n, masks = _minor_masks(M, removed ^ sub, sub)
+                new_n, masks = brute_minor_masks(M, removed ^ sub, sub)
                 if new_n <= max_n and (new_n, masks) not in seen:
                     seen.add((new_n, masks))
                     out.append(Matroid._from_masks(new_n, masks))
