@@ -46,7 +46,7 @@ from .kernel import (
     _bits,
     _compress,
     _greedy_independent,
-    _minor_masks,
+    _minor_masks,  # unused here; perfbench/tracing.py wraps corpus._minor_masks
     canonical_form,
     dual,
     mask_of,
@@ -196,6 +196,8 @@ def transversal_matroid(n: int, sets: list[int]) -> Matroid:
     """Partial transversals of a set system, independence via matchings."""
     import itertools
 
+    if n > MAX_GROUND:
+        raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
     full = (1 << n) - 1
     r = _matching_rank(sets, full)
     masks = [
@@ -263,7 +265,9 @@ def _gen_catalog_minors(max_n: int):
     computed once per member, and per removed set the bases are grouped by
     their trace on it with each kept part compressed once (see
     :func:`kernel._bases_by_trace`).  A split whose group is missing lost
-    rank by the deletion and is built by :func:`_minor_masks`.
+    rank by the deletion and is skipped: deleting a coloop equals
+    contracting it, so its minor came from a larger contract set of the
+    same removed set, which the walk visits first.
     """
     out = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
@@ -282,13 +286,10 @@ def _gen_catalog_minors(max_n: int):
             while True:
                 survivors = groups.get(greedy[sub])
                 if survivors:
-                    masks = tuple(sorted(survivors))
-                else:
-                    masks = _minor_masks(M, removed ^ sub, sub)[1]
-                key = (new_n, masks)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Matroid._from_masks(new_n, masks))
+                    key = (new_n, tuple(sorted(survivors)))
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(Matroid._from_masks(*key))
                 if sub == 0:
                     break
                 sub = (sub - 1) & removed

@@ -15,7 +15,8 @@ that tractable.  Results are plain frozensets; no caching across calls
 beyond the per-matroid tables.  Each caller enumerates the pnc-flats once
 with ``_pnc_masks`` and passes that list to ``_fundamental_masks`` and
 ``_reducible_masks``; connectivity of a restriction comes from
-``kernel._components_within``.
+``kernel._components_within``, which reads the fundamental circuits of one
+basis off the rank table.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _is_cyclic_mask(M: Matroid, x: int) -> bool:
 
 
 def _restriction_connected(M: Matroid, x: int) -> bool:
-    """Connectivity of M restricted to x, via circuits lying inside x."""
+    """Connectivity of M restricted to x, via one basis of x."""
     return len(_components_within(M, x)) <= 1
 
 
@@ -188,7 +189,7 @@ def flats_report(M: Matroid) -> FlatsReport:
     A proper flat's connectivity is read off what is already at hand: a
     dependent one is connected exactly when it is a pnc-flat, an
     independent one when it has at most one element.  Only the ground set
-    is checked against its circuits.
+    asks :func:`_restriction_connected`.
     """
     ranks = M.rank_table
     pnc_list = _pnc_masks(M)

@@ -30,7 +30,6 @@ from functools import cache, cached_property
 from typing import Collection, Iterable, NoReturn, Optional, Union
 
 from . import _canonical
-from ._canonical import _find
 
 MAX_GROUND = 12
 
@@ -261,7 +260,7 @@ class Matroid:
 
     @cached_property
     def component_masks(self) -> tuple[int, ...]:
-        """Finest direct-sum decomposition, via shared-circuit transitivity."""
+        """Finest direct-sum decomposition (see :func:`_components_within`)."""
         return _components_within(self, self.full_mask)
 
     @cached_property
@@ -401,23 +400,30 @@ def spanning_circuits(M: Matroid) -> frozenset[frozenset[int]]:
     )
 
 
+def _merge_overlapping(masks: Iterable[int]) -> tuple[int, ...]:
+    """Unions of the chains of overlapping masks, sorted by least element."""
+    classes: list[int] = []
+    for m in masks:
+        joined = [c for c in classes if c & m]  # disjoint: their sum is their union
+        classes = [c for c in classes if not c & m] + [m | sum(joined)]
+    return tuple(sorted(classes, key=lambda c: c & -c))
+
+
 def _components_within(M: Matroid, x: int) -> tuple[int, ...]:
-    """Components of M restricted to x, sorted by least element: two
-    elements share one when a chain of circuits inside x joins them."""
-    parent = list(range(M.n))
-    for c in M.circuit_masks:
-        if c & ~x:
-            continue
-        es = list(_bits(c))
-        for e in es[1:]:
-            ra, rb = _find(parent, es[0]), _find(parent, e)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, int] = {}
-    for e in _bits(x):
-        r = _find(parent, e)
-        groups[r] = groups.get(r, 0) | (1 << e)
-    return tuple(sorted(groups.values(), key=lambda m: m & -m))
+    """Components of M restricted to x, sorted by least element: for a basis
+    B of x, the overlap classes of B's singletons and of the fundamental
+    circuits {f in B + e : r(B + e - f) = |B|} of the e in x - B (Krogdahl,
+    Discrete Math. 1977; Oxley, Matroid Theory, 4.1).  Reads no circuits."""
+    ranks = M.rank_table
+    basis = _greedy_independent(M, x)
+    k = basis.bit_count()
+    circuits = [1 << b for b in _bits(basis)]
+    for e in _bits(x & ~basis):
+        swap = basis | (1 << e)
+        circuits.append(
+            sum(1 << f for f in _bits(swap) if ranks[swap ^ (1 << f)] == k)
+        )
+    return _merge_overlapping(circuits)
 
 
 def is_connected(M: Matroid) -> bool:
@@ -738,6 +744,14 @@ def matroid_to_text(M: Matroid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: list[str], what: str, raw: str) -> list[int]:
+    """The tokens of one text line as ints, else a bad-line error naming it."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise MatroidError(f"bad {what} line: {raw!r}") from None
+
+
 def matroid_from_text(text: str) -> Matroid:
     """Parse the matroid text format; the family is fully re-validated.
 
@@ -755,13 +769,13 @@ def matroid_from_text(text: str) -> Matroid:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "MATROID":
                 raise MatroidError(f"bad header line: {raw!r}")
-            header = n, r = int(parts[1]), int(parts[2])
+            header = n, r = _ints(parts[1:], "header", raw)
             if not 0 <= r <= n:
                 raise MatroidError(f"bad header line: {raw!r}")
             # past the cap from_bases rejects n; pack no wider than the cap
             bits = [1 << e for e in range(min(n, MAX_GROUND))]
             continue
-        row = list(map(int, line.split()))
+        row = _ints(line.split(), "basis", raw)
         if not all(map(operator.lt, row, row[1:])):
             raise MatroidError(f"basis line not strictly increasing: {raw!r}")
         mixed = mixed or len(row) != r

@@ -24,7 +24,6 @@ from typing import Optional
 
 from . import flats as _flats
 from . import ordersearch
-from ._canonical import _find
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
@@ -32,6 +31,8 @@ from .kernel import (
     MatroidError,
     _bits,
     _compress,
+    _ints,
+    _merge_overlapping,
     members,
     restrict,
 )
@@ -295,38 +296,23 @@ def _chain_partition(fund: tuple[int, ...]):
     every cross pair incomparable.  Returns the components and, when some
     component is not a chain, a comparability path whose endpoints are
     incomparable: a certificate that one chain must hold both."""
-    k = len(fund)
-    parent = list(range(k))
-
-    def comparable(i, j):
-        m = fund[i] & fund[j]
-        return m == fund[i] or m == fund[j]
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if comparable(i, j):
-                ra, rb = _find(parent, i), _find(parent, j)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(_find(parent, i), []).append(i)
-    comps = sorted(groups.values(), key=lambda g: min(fund[i] for i in g))
-    bad_path = None
+    # near[i]: the flats comparable with flat i, itself included
+    near = [
+        sum(1 << j for j, g in enumerate(fund) if f & g in (f, g)) for f in fund
+    ]
+    comps = sorted(
+        (list(_bits(c)) for c in _merge_overlapping(near)),
+        key=lambda g: min(fund[i] for i in g),
+    )
     for g in comps:
-        for x in range(len(g)):
-            for y in range(x + 1, len(g)):
-                if not comparable(g[x], g[y]):
-                    bad_path = _comparability_path(fund, g, g[x], g[y], comparable)
-                    break
-            if bad_path:
-                break
-        if bad_path:
-            break
-    return comps, bad_path
+        for i in g:
+            far = [j for j in g if not (near[i] >> j) & 1]
+            if far:
+                return comps, _comparability_path(near, g, i, far[0])
+    return comps, None
 
 
-def _comparability_path(fund, comp, src, dst, comparable):
+def _comparability_path(near, comp, src, dst):
     """Shortest path from src to dst along comparable pairs (BFS)."""
     from collections import deque
 
@@ -341,7 +327,7 @@ def _comparability_path(fund, comp, src, dst, comparable):
                 cur = prev[cur]
             return tuple(reversed(path))
         for other in comp:
-            if other not in prev and comparable(cur, other):
+            if other not in prev and (near[cur] >> other) & 1:
                 prev[other] = cur
                 queue.append(other)
     raise AssertionError("endpoints share a comparability component")
@@ -526,16 +512,15 @@ def presentation_from_text(text: str) -> IntervalPresentation:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "LPM":
                 raise MatroidError(f"bad header line: {raw!r}")
-            header = (int(parts[1]), int(parts[2]))
+            header = _ints(parts[1:], "header", raw)
             continue
         if line.startswith("ORDER"):
-            order = tuple(int(t) for t in line.split()[1:])
+            order = tuple(_ints(line.split()[1:], "ORDER", raw))
             continue
-        try:
-            a, b = map(int, line.split())
-        except ValueError:
-            raise MatroidError(f"bad interval line: {raw!r}") from None
-        ivs.append((a, b))
+        iv = _ints(line.split(), "interval", raw)
+        if len(iv) != 2:
+            raise MatroidError(f"bad interval line: {raw!r}")
+        ivs.append(tuple(iv))
     if header is None:
         raise MatroidError("missing LPM header")
     n, r = header

@@ -258,9 +258,21 @@ def test_error_paths(tmp_path, capsys):
     for verb in ("diagram", "realize"):
         code, out, err = run(capsys, verb, str(lpm))
         assert code == 2 and "negative" in err and out == ""
-    lpm.write_text("LPM 4 1\n0\n")
-    code, out, err = run(capsys, "diagram", str(lpm))
-    assert code == 2 and "bad interval line: '0'" in err
+    for text, message in (
+        ("LPM 4 1\n0\n", "bad interval line: '0'"),
+        ("LPM x 1\n0 1\n", "bad header line: 'LPM x 1'"),
+        ("LPM 4 1\n0 1\nORDER 0 1 a 3\n", "bad ORDER line: 'ORDER 0 1 a 3'"),
+    ):
+        lpm.write_text(text)
+        code, out, err = run(capsys, "diagram", str(lpm))
+        assert code == 2 and message in err and out == ""
+    for text, message in (
+        ("MATROID x 1\n0\n", "bad header line: 'MATROID x 1'"),
+        ("MATROID 3 1\n0\nx\n", "bad basis line: 'x'"),
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, "info", str(bad))
+        assert code == 2 and message in err and out == ""
 
 
 def test_usage_errors_exit_2(capsys):

@@ -12,6 +12,7 @@ from latmat.corpus import (
     transversal_matroid,
 )
 from latmat.kernel import (
+    MAX_GROUND,
     GroundTooLarge,
     MatroidError,
     canonical_form,
@@ -64,6 +65,9 @@ def test_spec_past_ground_cap():
     with pytest.raises(GroundTooLarge):
         CorpusSpec(("catalog-minors",), max_n=13)
     assert parse_corpus_spec("catalog-minors,max-n=12").max_n == 12
+    with pytest.raises(GroundTooLarge, match=f"cap of {MAX_GROUND}"):
+        transversal_matroid(13, [1, 2, 4])
+    assert transversal_matroid(12, [1, 2, 4]).n == 12
 
 
 def test_spec_rejects_undrawable_sizes():

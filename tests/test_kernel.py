@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmat import corpus, flats, kernel
-from latmat.catalog import catalog_up_to
+from latmat.catalog import a_n, catalog_up_to
 from latmat.kernel import (
     AxiomViolation,
     EmptyFamily,
@@ -47,6 +47,7 @@ from latmat.kernel import (
 )
 from util import (
     brute_circuit_masks,
+    brute_components_within,
     brute_flat_masks,
     brute_independent_sets,
     brute_locally_submodular,
@@ -174,6 +175,19 @@ def test_connectivity_corner_cases():
     two_loops = from_bases(2, [frozenset()])
     assert not is_connected(two_loops)
     assert components(two_loops) == (frozenset({0}), frozenset({1}))
+
+
+def test_components_within_match_circuit_reference(small_corpus):
+    hosts = list(small_corpus) + [e.matroid for e in catalog_up_to(10)]
+    hosts += [a_n(6), uniform(6, 12)]
+    for entry in catalog_up_to(8):
+        for s in (uniform(0, 1), uniform(1, 1), uniform(1, 2)):
+            hosts.append(direct_sum(s, entry.matroid))
+    for M in hosts:
+        for x in flats._flat_masks(M) + (M.full_mask,):
+            assert kernel._components_within(M, x) == brute_components_within(
+                M, x
+            ), (M, x)
 
 
 # --- minors -----------------------------------------------------------------
@@ -381,6 +395,15 @@ def test_text_errors():
     for text in ("MATROID 3 -1\n", "MATROID 3 5\n", "MATROID 3 5\n0 1 2\n"):
         with pytest.raises(kernel.MatroidError, match="bad header line"):
             matroid_from_text(text)
+    # a token that is not an integer names its line
+    for text, message in (
+        ("MATROID x 1\n0\n", "bad header line: 'MATROID x 1'"),
+        ("MATROID 3 1.0\n0\n", "bad header line: 'MATROID 3 1.0'"),
+        ("MATROID 3 2\n0 1\n0 x  # y\n", "bad basis line: '0 x  # y'"),
+    ):
+        with pytest.raises(kernel.MatroidError) as err:
+            matroid_from_text(text)
+        assert str(err.value) == message
     # lines with elements out of range reach from_bases unpacked, and every
     # line is parsed before any range is checked
     for text, error, message in (

@@ -24,6 +24,7 @@ from latmat.lpm import (
     LoopContraction,
     LoopDeletion,
     NotConnected,
+    _chain_partition,
     contract_presentation,
     delete_terminal_presentation,
     diagram,
@@ -292,6 +293,16 @@ def test_is_lpm_char_chain_path_witness():
     assert not (seq[0] <= seq[-1] or seq[-1] <= seq[0])
 
 
+def test_chain_partition_path_joins_least_incomparable_pair():
+    # components sorted by least flat; the path runs from the first flat
+    # with an incomparable partner to the first such partner
+    assert _chain_partition((1, 3, 2, 6)) == ([[0, 1, 2, 3]], (0, 1, 2))
+    assert _chain_partition((16, 48, 6, 2, 3, 1)) == (
+        [[2, 3, 4, 5], [0, 1]], (2, 3, 4),
+    )
+    assert _chain_partition((1, 3, 16)) == ([[0, 1], [2]], None)
+
+
 def test_is_lpm_char_componentwise_and_loops():
     disconnected = realize(IntervalPresentation(4, ((0, 1), (2, 3))))
     assert is_lpm_char(disconnected).verdict
@@ -379,3 +390,10 @@ def test_presentation_text_roundtrip():
     for line in ("0", "0 1 2", "0 x"):
         with pytest.raises(MatroidError, match="bad interval line"):
             presentation_from_text(f"LPM 4 1\n{line}\n")
+    for text, message in (
+        ("LPM x 1\n0 1\n", "bad header line: 'LPM x 1'"),
+        ("LPM 4 1\n0 1\nORDER 0 1 a 3\n", "bad ORDER line: 'ORDER 0 1 a 3'"),
+    ):
+        with pytest.raises(MatroidError) as err:
+            presentation_from_text(text)
+        assert str(err.value) == message

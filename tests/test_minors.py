@@ -19,6 +19,7 @@ from latmat.kernel import (
     is_isomorphic,
     members,
     minor,
+    rank_of,
     uniform,
 )
 from latmat.lpm import IntervalPresentation, realize
@@ -228,7 +229,15 @@ def test_catalog_search_matches_brute_force_on_catalog_and_minors():
         hosts.append(M)
         for e in range(M.n):
             hosts += [delete(M, (e,)), contract(M, (e,))]
-    assert_catalog_search_matches_brute_force(hosts)
+    # beside a coloop, the first witness may delete it: a split whose
+    # deletion lowers the rank, which the search must not skip
+    coloop_sums = [direct_sum(uniform(1, 1), e.matroid) for e in catalog_up_to(8)]
+    assert_catalog_search_matches_brute_force(hosts + coloop_sums)
+    assert any(
+        rank_of(M, set(range(M.n)) - w.delete) < M.rank
+        for M in coloop_sums
+        for w in [find_catalog_minor(M)]
+    )
 
 
 def test_catalog_search_matches_brute_force_on_sparse_paving():

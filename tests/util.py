@@ -14,7 +14,9 @@ but builds every catalog minor split by split with the reference minor
 and labels every generated matroid.  The subset-lattice
 references (rank table, local submodularity, circuits, flats) are the
 per-subset loops the package's lane sweeps replaced; they share nothing
-with the package but the table they are handed.
+with the package but the table they are handed.  The reference components
+of a restriction join the circuits inside it, where the package reads the
+fundamental circuits of one basis off the rank table.
 """
 
 from __future__ import annotations
@@ -153,6 +155,29 @@ def brute_flat_masks(n: int, ranks: bytes) -> tuple[int, ...]:
         ):
             out.append(x)
     return tuple(out)
+
+
+def brute_components_within(M, x: int) -> tuple[int, ...]:
+    """Reference components of M restricted to x, sorted by least element:
+    a union-find joining the elements of every circuit inside x."""
+    parent = list(range(M.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for c in M.circuit_masks:
+        if c & ~x:
+            continue
+        es = [e for e in range(M.n) if (c >> e) & 1]
+        for e in es[1:]:
+            parent[find(e)] = find(es[0])
+    groups: dict[int, int] = {}
+    for e in range(M.n):
+        if (x >> e) & 1:
+            groups[find(e)] = groups.get(find(e), 0) | (1 << e)
+    return tuple(sorted(groups.values(), key=lambda m: m & -m))
 
 
 def has_distinct_reps(sets: list[set[int]], X) -> bool:
