@@ -474,6 +474,9 @@ def _bases_by_trace(M: Matroid, removed: int) -> dict[int, list[int]]:
     Every minor on the kept elements, M / C \\ D with C | D = `removed`,
     reads its bases off these groups through :func:`_surviving_bases`, so a
     caller walking many splits of one removed set groups the bases once.
+    The traces are exactly the C within `removed` that are independent
+    with `removed` - C coindependent, and for those the group of C is the
+    bases of M / C \\ (`removed` - C).
     """
     out: dict[int, list[int]] = defaultdict(list)
     for b in M.basis_masks:

@@ -503,7 +503,7 @@ def presentation_to_text(P: IntervalPresentation) -> str:
 def presentation_from_text(text: str) -> IntervalPresentation:
     header = None
     ivs: list[tuple[int, int]] = []
-    order: tuple[int, ...] = ()
+    order: Optional[tuple[int, ...]] = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -515,6 +515,8 @@ def presentation_from_text(text: str) -> IntervalPresentation:
             header = _ints(parts[1:], "header", raw)
             continue
         if line.startswith("ORDER"):
+            if order is not None:
+                raise MatroidError(f"repeated ORDER line: {raw!r}")
             order = tuple(_ints(line.split()[1:], "ORDER", raw))
             continue
         iv = _ints(line.split(), "interval", raw)
@@ -526,4 +528,4 @@ def presentation_from_text(text: str) -> IntervalPresentation:
     n, r = header
     if len(ivs) != r:
         raise MatroidError(f"expected {r} interval lines, found {len(ivs)}")
-    return IntervalPresentation(n, tuple(ivs), order)
+    return IntervalPresentation(n, tuple(ivs), order or ())

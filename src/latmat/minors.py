@@ -1,12 +1,12 @@
 """Minor containment up to isomorphism and the recognizer-equivalence check.
 
-``has_minor`` walks every delete/contract split of the right co-size once
-for any number of patterns of one size, prunes with cheap invariants in
-order (the minor's rank off the host's rank table, then its basis count and
-degree multiset off the host's surviving bases), builds only the splits that
-pass, and certifies hits with an explicit bijection.  The witness is the one
-a pattern-by-pattern search returns.  ``find_catalog_minor`` makes one such
-pass per catalog size, smallest first.  ``theorem_check`` runs the three
+``has_minor`` walks, once for any number of patterns of one size, the
+splits of the right co-size with an independent contract set and a
+coindependent delete set (read off the host's bases grouped by trace),
+prunes by basis count and degree multiset, builds only the splits that
+pass, and certifies hits with an explicit bijection.  ``find_catalog_minor``
+makes one pass per catalog size, smallest first, on each connected
+component of at least 6 elements.  ``theorem_check`` runs the three
 recognizers (order-scan oracle, flat-structure test, catalog search) over a
 corpus and reports any disagreement; on the theory this package implements,
 the report must come back empty.
@@ -25,13 +25,15 @@ from .kernel import (
     GroundTooLarge,
     Matroid,
     _bases_by_trace,
+    _bits,
+    _greedy_independent,
     _minor_masks,
-    _surviving_bases,
     canonical_form,
     is_isomorphic,
     mask_of,
     members,
     minor,
+    restrict,
 )
 
 
@@ -70,120 +72,117 @@ def _degree_multiset(elements: Iterable[int], masks) -> tuple[int, ...]:
     return tuple(sorted(sum((b >> e) & 1 for b in masks) for e in elements))
 
 
-def _splits(n: int, k: int):
-    """Every (removed, contract) mask pair with k elements removed, in
-    search order: removed set, then contract size, then contract set.  The
-    delete set is removed ^ contract."""
-    for removed in itertools.combinations(range(n), k):
-        rm = mask_of(removed)
-        for csize in range(k + 1):
-            for cset in itertools.combinations(removed, csize):
-                yield rm, mask_of(cset)
-
-
 def has_minor(
     host: Matroid, pattern: Matroid, *more: Matroid
 ) -> Optional[MinorWitness]:
     """First delete/contract split exposing a pattern, or None.
 
-    All patterns must have one ground-set size.  One pass walks every split
-    with |delete| + |contract| = n_host - n_pattern, and the witness is the
-    one a pattern-by-pattern search would return: the first split exposing
-    the earliest pattern that has any.  A hit on a pattern therefore retires
-    every later one, and the pass ends when the first pattern hits.  Its
-    ``pattern_name`` is "?" for one pattern, else the exposed pattern's
-    position among the arguments ("0", "1", ...).
-
-    Each split meets its filters in order, each against the patterns still
-    open: the rank of host / contract \\ delete, which is r(E - delete) -
-    r(contract); then the minor's basis count and degree multiset, read
-    with no minor built off the host's bases that survive into it
-    (:func:`kernel._surviving_bases`: the bases B with B & contract = I, a
-    greedy basis of the contract set, and |B & delete| = r(E) -
-    r(E - delete), for every split, whether or not the deletion lowers the
-    rank; the bases are grouped by their trace once per removed set).
-    Only a split that passes them all is built, relabelled to its canonical
-    form and compared with each matching pattern; a hit carries an explicit
-    bijection.
+    All patterns must have one ground-set size.  For each removed set of
+    n_host - n_pattern elements, the splits with C independent and the
+    rest coindependent expose every minor (Oxley, Matroid Theory, Lemma
+    3.3.2); these C are the traces of the host's bases on the removed set
+    (:func:`kernel._bases_by_trace`), and the bases of trace C, less the
+    removed set, are the minor's.  The C are walked by size, then in
+    combination order; a pattern of rank r is sought among those of size
+    r(host) - r.  A split whose basis count and degree multiset match an
+    open pattern is built and compared by canonical form; a hit carries an
+    explicit bijection.  The witness is the first split exposing the
+    earliest pattern that has any, so a hit retires every later pattern and
+    the pass ends when the first one hits.  Its ``pattern_name`` is "?" for
+    one pattern, else the exposed pattern's position ("0", "1", ...).
     """
     patterns = (pattern,) + more
     if host.n > MAX_GROUND or pattern.n > host.n:
         raise GroundTooLarge(f"need |E(pattern)| <= |E(host)| <= {MAX_GROUND}")
     if any(p.n != pattern.n for p in more):
         raise ValueError("has_minor patterns must share one ground-set size")
-    ranks = host.rank_table
-    full = host.full_mask
     wants = [
         (p.num_bases, _degree_multiset(range(p.n), p.basis_masks))
         for p in patterns
     ]
-    # rank -> positions of the patterns of that rank still open
-    open_by_rank: dict[int, list[int]] = {}
+    # contract size -> positions of the patterns of that co-rank still open
+    open_by_size: dict[int, list[int]] = {}
     for i, p in enumerate(patterns):
-        open_by_rank.setdefault(p.rank, []).append(i)
+        open_by_size.setdefault(host.rank - p.rank, []).append(i)
     found = None
-    grouped_rm = by_trace = None
-    for rm, cm in _splits(host.n, host.n - pattern.n):
-        dm = rm ^ cm
-        open_ids = open_by_rank.get(ranks[full ^ dm] - ranks[cm])
-        if open_ids is None:
-            continue
-        if rm != grouped_rm:
-            grouped_rm, by_trace = rm, _bases_by_trace(host, rm)
-        survivors = _surviving_bases(host, by_trace, dm, cm)
-        count = len(survivors)
-        if all(wants[i][0] != count for i in open_ids):
-            continue
-        key = (count, _degree_multiset(members(full ^ rm), survivors))
-        matching = [i for i in open_ids if wants[i] == key]
-        if not matching:
-            continue
-        new_n, masks = _minor_masks(host, dm, cm)
-        got = Matroid._from_masks(new_n, masks)
-        got_canon = canonical_form(got)
-        for i in matching:
-            if canonical_form(patterns[i]) == got_canon:
-                break
-        else:
-            continue
-        found = i, dm, cm, is_isomorphic(got, patterns[i])
-        open_by_rank = {
-            r: kept for r, ids in open_by_rank.items()
-            if (kept := [j for j in ids if j < i])
-        }
-        if not open_by_rank:
+    for removed in itertools.combinations(range(host.n), host.n - pattern.n):
+        rm = mask_of(removed)
+        by_trace = _bases_by_trace(host, rm)
+        wanted = [c for c in by_trace if c.bit_count() in open_by_size]
+        for cm in sorted(wanted, key=lambda c: (c.bit_count(), [*_bits(c)])):
+            open_ids = open_by_size.get(cm.bit_count(), ())
+            survivors = by_trace[cm]
+            count = len(survivors)
+            if all(wants[i][0] != count for i in open_ids):
+                continue
+            key = (count, _degree_multiset(members(host.full_mask ^ rm), survivors))
+            matching = [i for i in open_ids if wants[i] == key]
+            if not matching:
+                continue
+            new_n, masks = _minor_masks(host, rm ^ cm, cm)
+            got = Matroid._from_masks(new_n, masks)
+            got_canon = canonical_form(got)
+            for i in matching:
+                if canonical_form(patterns[i]) == got_canon:
+                    break
+            else:
+                continue
+            found = MinorWitness(
+                str(i) if more else "?", members(rm ^ cm), members(cm),
+                is_isomorphic(got, patterns[i]),
+            )
+            open_by_size = {
+                size: kept for size, ids in open_by_size.items()
+                if (kept := [j for j in ids if j < i])
+            }
+        if not open_by_size:
             break
-    if found is None:
-        return None
-    i, dm, cm, iso = found
-    return MinorWitness(
-        str(i) if more else "?",
-        frozenset(members(dm)), frozenset(members(cm)), iso,
-    )
+    return found
 
 
 def find_catalog_minor(M: Matroid) -> Optional[MinorWitness]:
     """Search the excluded-minor catalog, smallest patterns first.
 
-    One :func:`has_minor` pass per pattern size, with that size's patterns
-    in catalog order, so the witness is the first split exposing the first
-    catalog member that is a minor at all.
+    Every catalog member is connected, and a connected minor of a direct
+    sum is a minor of one summand (Oxley, Matroid Theory, 4.2), so for each
+    pattern size one :func:`has_minor` pass, with that size's patterns in
+    catalog order, searches each component of at least 6 elements by least
+    element (M itself when connected).  The witness is the first hit, lifted
+    to M: the component's sets mapped onto its elements, a greedy basis of
+    the other components contracted and the rest of them deleted, which
+    keeps the compaction order and so the iso.
     """
     if M.n > MAX_GROUND:
         raise GroundTooLarge(
             f"minor search capped at {MAX_GROUND} elements, got {M.n}"
         )
-    if M.n < 6:
+    parts = [
+        (M if c == M.full_mask else restrict(M, c), c)
+        for c in M.component_masks
+        if c.bit_count() >= 6
+    ]
+    if not parts:
         return None
-    for _, group in itertools.groupby(
-        catalog.catalog_up_to(M.n), key=lambda entry: entry.matroid.n
+    for size, group in itertools.groupby(
+        catalog.catalog_up_to(max(part.n for part, _ in parts)),
+        key=lambda entry: entry.matroid.n,
     ):
         group = list(group)
-        witness = has_minor(M, *(entry.matroid for entry in group))
-        if witness is not None:
+        for part, cmask in parts:
+            if part.n < size:
+                continue
+            witness = has_minor(part, *(entry.matroid for entry in group))
+            if witness is None:
+                continue
             entry = group[int(witness.pattern_name) if len(group) > 1 else 0]
+            elements = [*_bits(cmask)]
+            basis = _greedy_independent(M, M.full_mask ^ cmask)
             return MinorWitness(
-                entry.name, witness.delete, witness.contract, witness.iso
+                entry.name,
+                frozenset(elements[e] for e in witness.delete)
+                | members(M.full_mask ^ cmask ^ basis),
+                frozenset(elements[e] for e in witness.contract) | members(basis),
+                witness.iso,
             )
     return None
 

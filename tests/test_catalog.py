@@ -29,6 +29,7 @@ from latmat.kernel import (
     delete,
     dual,
     free_coextension,
+    is_connected,
     is_isomorphic,
     rank_of,
     uniform,
@@ -173,6 +174,15 @@ def test_catalog_entry_shape_invariants():
             assert M.n == 7 and M.rank == 3
         elif entry.family == "R4":
             assert M.n == 7 and M.rank == 4
+
+
+def test_catalog_members_connected():
+    # the catalog search looks for members one connected component at a
+    # time, which finds every member only if each is connected
+    entries = catalog_up_to(MAX_GROUND)
+    assert len(entries) == 28
+    for entry in entries:
+        assert is_connected(entry.matroid), entry.name
 
 
 def test_catalog_members_pairwise_nonisomorphic():

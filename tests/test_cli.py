@@ -9,6 +9,7 @@ from latmat import corpus
 from latmat.cli import main
 from latmat.catalog import p_n, wheel3
 from latmat.kernel import (
+    direct_sum,
     is_connected,
     matroid_from_text,
     matroid_to_text,
@@ -223,6 +224,12 @@ def test_recognize_minors_json_bytes(tmp_path, capsys):
         (np8, '{"method":"minors","verdict":false,"witness":{"contract":[5,6],'
          '"delete":[],"iso":{"0":0,"1":5,"2":3,"3":4,"4":1,"5":2},'
          '"kind":"excluded-minor","pattern":"A3"}}\n'),
+        # disconnected: W3 is found on its component, and the coloop 0, a
+        # basis of the other component, is contracted
+        (direct_sum(uniform(1, 1), wheel3()),
+         '{"method":"minors","verdict":false,"witness":{"contract":[0],'
+         '"delete":[],"iso":{"0":0,"1":1,"2":2,"3":3,"4":4,"5":5},'
+         '"kind":"excluded-minor","pattern":"W3"}}\n'),
     )
     for M, expected in cases:
         path = tmp_path / "m.mat"
@@ -262,6 +269,8 @@ def test_error_paths(tmp_path, capsys):
         ("LPM 4 1\n0\n", "bad interval line: '0'"),
         ("LPM x 1\n0 1\n", "bad header line: 'LPM x 1'"),
         ("LPM 4 1\n0 1\nORDER 0 1 a 3\n", "bad ORDER line: 'ORDER 0 1 a 3'"),
+        ("LPM 4 1\n0 1\nORDER 0 1 2 3\nORDER 3 2 1 0\n",
+         "repeated ORDER line: 'ORDER 3 2 1 0'"),
     ):
         lpm.write_text(text)
         code, out, err = run(capsys, "diagram", str(lpm))

@@ -393,6 +393,8 @@ def test_presentation_text_roundtrip():
     for text, message in (
         ("LPM x 1\n0 1\n", "bad header line: 'LPM x 1'"),
         ("LPM 4 1\n0 1\nORDER 0 1 a 3\n", "bad ORDER line: 'ORDER 0 1 a 3'"),
+        ("LPM 4 1\n0 1\nORDER 0 1 2 3\nORDER 3 2 1 0\n",
+         "repeated ORDER line: 'ORDER 3 2 1 0'"),
     ):
         with pytest.raises(MatroidError) as err:
             presentation_from_text(text)

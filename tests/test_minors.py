@@ -22,7 +22,12 @@ from latmat.kernel import (
     rank_of,
     uniform,
 )
-from latmat.lpm import IntervalPresentation, realize
+from latmat.lpm import (
+    IntervalPresentation,
+    find_path_order,
+    is_lpm_char,
+    realize,
+)
 from latmat.minors import (
     MinorWitness,
     _degree_multiset,
@@ -31,7 +36,12 @@ from latmat.minors import (
     is_lpm_via_excluded_minors,
     theorem_check,
 )
-from util import brute_find_catalog_minor, brute_minor_masks, spanning_trees_k4
+from util import (
+    brute_find_catalog_minor,
+    brute_has_minor,
+    brute_minor_masks,
+    spanning_trees_k4,
+)
 
 
 def wheel():
@@ -67,15 +77,17 @@ def test_has_minor_size_guard():
 def test_find_catalog_minor_examples():
     w = find_catalog_minor(direct_sum(wheel3(), uniform(1, 1)))
     assert w is not None and w.pattern_name == "W3"
-    assert w.delete == frozenset({6}) and w.contract == frozenset()
+    # the component W3 is searched alone; the coloop 6 is its own basis
+    assert w.delete == frozenset() and w.contract == frozenset({6})
     assert find_catalog_minor(p_n(4)) is None
     w_e4 = find_catalog_minor(e_n(4))
     assert w_e4 is not None and w_e4.pattern_name == "E4"
     assert w_e4.delete == frozenset() and w_e4.contract == frozenset()
-    # deleting the coloop 0 lowers the rank, and that split is the witness
+    # the lifted witness contracts the coloop 0 rather than deleting it,
+    # which would lower the rank
     w = find_catalog_minor(direct_sum(uniform(1, 1), build_by_name("B3,2")))
     assert (w.pattern_name, w.delete, w.contract) == (
-        "B3,2", frozenset({0}), frozenset()
+        "B3,2", frozenset(), frozenset({0})
     )
 
 
@@ -149,7 +161,9 @@ def test_minor_search_at_ten_elements():
     host = direct_sum(wheel3(), uniform(2, 4))
     w = find_catalog_minor(host)
     assert w is not None and w.pattern_name == "W3"
-    assert w.delete == frozenset({6, 7, 8, 9}) and w.contract == frozenset()
+    # a greedy basis {6, 7} of the U2,4 component is contracted, the rest
+    # deleted
+    assert w.delete == frozenset({8, 9}) and w.contract == frozenset({6, 7})
     lpm_host = direct_sum(p_n(2), uniform(3, 6))
     assert is_lpm_via_excluded_minors(lpm_host)
 
@@ -164,11 +178,9 @@ def test_minor_transitivity_spot():
 
 
 def test_split_rank_is_rank_of_minor(small_corpus):
-    # has_minor skips a split on r(E - delete) - r(contract) before building
-    # its bases; that must be the rank of host / contract \ delete.  It then
-    # filters on the surviving bases: their number and their degrees over
-    # the kept elements must be the built minor's, whether or not the
-    # deletion lowered the rank
+    # host / contract \ delete has rank r(E - delete) - r(contract), and
+    # the surviving bases have the built minor's number and degrees over
+    # the kept elements, whether or not the deletion lowered the rank
     rank_drops = 0
     for host in small_corpus:
         ranks = host.rank_table
@@ -207,6 +219,45 @@ def test_minor_masks_match_brute_force(small_corpus):
                 sub = (sub - 1) & removed
 
 
+def test_trace_keys_are_independent_coindependent_splits(small_corpus):
+    # has_minor walks the traces B & removed of the host's bases: they must
+    # be exactly the contract sets C of the removed set with C independent
+    # and removed - C coindependent
+    hosts = list(small_corpus) + [e.matroid for e in catalog_up_to(8)]
+    for M in hosts:
+        ranks = M.rank_table
+        for removed in range(1 << M.n):
+            want = set()
+            sub = removed
+            while True:
+                if (
+                    ranks[sub] == sub.bit_count()
+                    and ranks[M.full_mask ^ removed ^ sub] == M.rank
+                ):
+                    want.add(sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & removed
+            assert set(_bases_by_trace(M, removed)) == want, (M, removed)
+
+
+def test_has_minor_matches_brute_force_on_small_patterns(small_corpus):
+    # patterns of at most 4 elements leave up to 5 removed elements, so one
+    # removed set often has several contract sets of one size exposing the
+    # pattern; the witness must take the first in combination order
+    patterns = [
+        uniform(1, 2), uniform(1, 3), uniform(2, 3), uniform(1, 4),
+        uniform(2, 4), uniform(3, 4), direct_sum(uniform(1, 2), uniform(1, 2)),
+    ]
+    for M in small_corpus:
+        for p in patterns:
+            if p.n > M.n:
+                continue
+            w = has_minor(M, p)
+            got = None if w is None else (w.delete, w.contract, w.iso)
+            assert got == brute_has_minor(M, p), (M, p)
+
+
 def _witness_key(w):
     return None if w is None else (w.pattern_name, w.delete, w.contract, w.iso)
 
@@ -229,15 +280,22 @@ def test_catalog_search_matches_brute_force_on_catalog_and_minors():
         hosts.append(M)
         for e in range(M.n):
             hosts += [delete(M, (e,)), contract(M, (e,))]
-    # beside a coloop, the first witness may delete it: a split whose
-    # deletion lowers the rank, which the search must not skip
-    coloop_sums = [direct_sum(uniform(1, 1), e.matroid) for e in catalog_up_to(8)]
-    assert_catalog_search_matches_brute_force(hosts + coloop_sums)
-    assert any(
-        rank_of(M, set(range(M.n)) - w.delete) < M.rank
-        for M in coloop_sums
-        for w in [find_catalog_minor(M)]
-    )
+    # beside a loop, a coloop or a U1,2, the search runs on the catalog
+    # member's component and lifts the witness: the other component's
+    # greedy basis is contracted and the rest of it deleted
+    sums = [
+        direct_sum(small, e.matroid)
+        for small in (uniform(0, 1), uniform(1, 1), uniform(1, 2))
+        for e in catalog_up_to(8)
+    ]
+    assert_catalog_search_matches_brute_force(hosts + sums)
+    # every witness contracts an independent set and deletes a
+    # coindependent one (Oxley, Lemma 3.3.2)
+    for M in hosts + sums:
+        w = find_catalog_minor(M)
+        if w is not None:
+            assert rank_of(M, w.contract) == len(w.contract), M
+            assert rank_of(M, set(range(M.n)) - w.delete) == M.rank, M
 
 
 def test_catalog_search_matches_brute_force_on_sparse_paving():
@@ -253,6 +311,22 @@ def test_catalog_search_matches_brute_force_on_sparse_paving():
     ]
     assert len(hosts) >= 8
     assert_catalog_search_matches_brute_force(hosts)
+
+
+def test_three_recognizers_agree_to_ten_elements():
+    # past theorem_check's cap: the oracle is called with max_n=10
+    hosts = corpus.generate(corpus.parse_corpus_spec(
+        "random-transversal,lpm-random,random-sparse-paving,duals-closure,"
+        "count=30,max-n=10,seed=7"
+    ))
+    assert len(hosts) == 123 and sum(M.n >= 10 for M in hosts) == 21
+    accepted = 0
+    for M in hosts:
+        oracle = find_path_order(M, max_n=10) is not None
+        char = is_lpm_char(M).verdict
+        assert oracle == char == (find_catalog_minor(M) is None), M
+        accepted += oracle
+    assert accepted == 102
 
 
 def test_multi_pattern_call_is_first_single_hit(small_corpus):

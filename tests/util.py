@@ -8,7 +8,10 @@ enumeration in ``test_ordersearch``.  The reference minor is the
 r'-subset scan the package's one basis rule replaced, sharing only the
 rank table.  The reference catalog minor search shares the catalog, the
 rank table and the isomorphism test, each checked in its own test module,
-but none of the search's filters.  The reference corpus generator shares
+but none of the search's filters: it splits the host into components with
+the reference components below, and walks every split of each component,
+keeping those with an independent contract set and a coindependent delete
+set by their ranks.  The reference corpus generator shares
 the random generators, ``dual`` and ``canonical_form`` with the package,
 but builds every catalog minor split by split with the reference minor
 and labels every generated matroid.  The subset-lattice
@@ -294,9 +297,10 @@ def brute_minor_masks(M, dmask: int, cmask: int):
 
 def brute_has_minor(host, pattern):
     """Reference single-pattern search: every split in the search order
-    (removed set, contract size, contract set), skipped only when the
-    minor's rank r(E - delete) - r(contract) is wrong, then built by
-    ``brute_minor_masks`` and filtered by basis count, degrees and
+    (removed set, contract size, contract set), skipped unless the contract
+    set is independent and the delete set coindependent (r(C) = |C| and
+    r(E - D) = r(E)) and the minor's rank r(E) - |C| is the pattern's, then
+    built by ``brute_minor_masks`` and filtered by basis count, degrees and
     canonical form.  Returns the first ``(delete, contract, iso)`` as
     element sets, or None."""
     k = host.n - pattern.n
@@ -309,7 +313,9 @@ def brute_has_minor(host, pattern):
                 delete = frozenset(removed) - contract
                 dm = sum(1 << e for e in delete)
                 cm = sum(1 << e for e in contract)
-                if ranks[host.full_mask ^ dm] - ranks[cm] != pattern.rank:
+                if ranks[cm] != csize or ranks[host.full_mask ^ dm] != host.rank:
+                    continue
+                if host.rank - csize != pattern.rank:
                     continue
                 got = Matroid._from_masks(*brute_minor_masks(host, dm, cm))
                 if got.num_bases != pattern.num_bases:
@@ -323,15 +329,50 @@ def brute_has_minor(host, pattern):
 
 
 def brute_find_catalog_minor(M):
-    """Reference catalog search: one ``brute_has_minor`` call per catalog
-    member, in catalog order.  Returns ``(name, delete, contract, iso)`` for
-    the first member found, or None."""
-    if M.n < 6:
+    """Reference catalog search, one connected component at a time: for
+    each catalog size, smallest first, each component of
+    ``brute_components_within`` with that many elements or more, by least
+    element, and in it one ``brute_has_minor`` call per catalog member of
+    that size, in catalog order.  A hit on a component's restriction is
+    lifted to M: its sets mapped onto the component's elements, a greedy
+    basis of the other components contracted and the rest of them deleted.
+    Returns ``(name, delete, contract, iso)`` for the first hit, or None."""
+    ranks = M.rank_table
+    full = (1 << M.n) - 1
+    comps = [c for c in brute_components_within(M, full) if c.bit_count() >= 6]
+    if not comps:
         return None
-    for entry in catalog_up_to(M.n):
-        hit = brute_has_minor(M, entry.matroid)
-        if hit is not None:
-            return (entry.name, *hit)
+    entries = catalog_up_to(max(c.bit_count() for c in comps))
+    for size in sorted({entry.matroid.n for entry in entries}):
+        for comp in comps:
+            if comp.bit_count() < size:
+                continue
+            part = Matroid._from_masks(*brute_minor_masks(M, full ^ comp, 0))
+            found = next((
+                (entry.name, *hit)
+                for entry in entries
+                if entry.matroid.n == size
+                for hit in [brute_has_minor(part, entry.matroid)]
+                if hit is not None
+            ), None)
+            if found is None:
+                continue
+            name, delete, contract, iso = found
+            elements = [e for e in range(M.n) if (comp >> e) & 1]
+            basis = 0
+            for e in range(M.n):
+                grown = basis | (1 << e)
+                if not (comp >> e) & 1 and ranks[grown] == grown.bit_count():
+                    basis = grown
+            rest = [e for e in range(M.n) if not (comp >> e) & 1]
+            return (
+                name,
+                frozenset(elements[e] for e in delete)
+                | {e for e in rest if not (basis >> e) & 1},
+                frozenset(elements[e] for e in contract)
+                | {e for e in rest if (basis >> e) & 1},
+                iso,
+            )
     return None
 
 
