@@ -106,6 +106,8 @@ class CorpusSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        if not self.generators:
+            raise MatroidError("corpus spec names no generator")
         for g in self.generators:
             if g not in GENERATORS:
                 raise MatroidError(f"unknown corpus generator {g!r}")
@@ -265,9 +267,11 @@ def _gen_catalog_minors(max_n: int):
     computed once per member, and per removed set the bases are grouped by
     their trace on it with each kept part compressed once (see
     :func:`kernel._bases_by_trace`).  A split whose group is missing lost
-    rank by the deletion and is skipped: deleting a coloop equals
-    contracting it, so its minor came from a larger contract set of the
-    same removed set, which the walk visits first.
+    rank by the deletion and is skipped: its normal trace T
+    (:func:`kernel._split_trace`) is the greedy basis of its contract set
+    plus some deleted elements, a larger independent contract set of the
+    same removed set, and the walk reads the same minor off the group of T
+    at the split contracting T.
     """
     out = []
     seen: set[tuple[int, tuple[int, ...]]] = set()

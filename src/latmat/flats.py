@@ -8,15 +8,15 @@ not); a pnc-flat is *reducible* when it is the intersection of two
 incomparable pnc-flats; a *fundamental flat* is a pnc-flat F for which some
 spanning circuit C makes F & C a basis of F.
 
-The flats come from one sweep over all 2^n subsets at once, on the byte
-lanes of ``kernel`` (a flat is a subset every outside element raises the
-rank of, read off the rank steps r(X + e) - r(X)); the ground-set cap keeps
-that tractable.  Results are plain frozensets; no caching across calls
-beyond the per-matroid tables.  Each caller enumerates the pnc-flats once
-with ``_pnc_masks`` and passes that list to ``_fundamental_masks`` and
-``_reducible_masks``; connectivity of a restriction comes from
+The flats are the kernel's cached ``Matroid.flat_masks``, one sweep over
+all 2^n subsets at once on its byte lanes; the ground-set cap keeps that
+tractable.  Results are plain frozensets; no caching across calls beyond
+the per-matroid tables.  Each caller enumerates the pnc-flats once with
+``_pnc_masks`` and passes that list to ``_fundamental_masks`` and
+``_reducible_masks``; connectivity of a proper flat comes from
 ``kernel._components_within``, which reads the fundamental circuits of one
-basis off the rank table.
+basis off the rank table, and that of the ground set from the cached
+``Matroid.component_masks``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from .kernel import (
     Matroid,
     MatroidError,
     _components_within,
-    _lane_members,
-    _lanes,
-    _rank_steps,
+    is_connected,
     members,
 )
 
@@ -40,16 +38,6 @@ class HasLoops(MatroidError):
 
 class NotPncFlat(MatroidError):
     pass
-
-
-def _flat_masks(M: Matroid) -> tuple[int, ...]:
-    """Flats, ascending: the lanes X where every e outside X raises the
-    rank, the AND over e of (r(X + e) - r(X) | e in X)."""
-    ones, single = _lanes(M.n)
-    flat = ones
-    for s, step in zip(single, _rank_steps(M)):
-        flat &= step | s
-    return _lane_members(flat, M.n)
 
 
 def _is_cyclic_mask(M: Matroid, x: int) -> bool:
@@ -64,20 +52,15 @@ def _is_cyclic_mask(M: Matroid, x: int) -> bool:
     return True
 
 
-def _restriction_connected(M: Matroid, x: int) -> bool:
-    """Connectivity of M restricted to x, via one basis of x."""
-    return len(_components_within(M, x)) <= 1
-
-
 def _pnc_masks(M: Matroid) -> tuple[int, ...]:
     ranks = M.rank_table
     out = []
-    for x in _flat_masks(M):
+    for x in M.flat_masks:
         if x == M.full_mask:
             continue
         if ranks[x] >= x.bit_count():  # independent = trivial
             continue
-        if _restriction_connected(M, x):
+        if len(_components_within(M, x)) <= 1:
             out.append(x)
     return tuple(out)
 
@@ -114,12 +97,12 @@ def _reducible_masks(pncs: tuple[int, ...]) -> frozenset[int]:
 
 def all_flats(M: Matroid) -> frozenset[frozenset[int]]:
     """Every closure-closed subset, including the empty flat and the ground set."""
-    return frozenset(members(x) for x in _flat_masks(M))
+    return frozenset(members(x) for x in M.flat_masks)
 
 
 def cyclic_flats(M: Matroid) -> frozenset[frozenset[int]]:
     return frozenset(
-        members(x) for x in _flat_masks(M) if _is_cyclic_mask(M, x)
+        members(x) for x in M.flat_masks if _is_cyclic_mask(M, x)
     )
 
 
@@ -159,7 +142,7 @@ def connected_flats_signature(M: Matroid) -> list[tuple[frozenset[int], int]]:
     ranks = M.rank_table
     masks = list(_pnc_masks(M))
     full = M.full_mask
-    if ranks[full] < full.bit_count() and _restriction_connected(M, full):
+    if ranks[full] < full.bit_count() and is_connected(M):
         masks.append(full)
     out = [(members(x), ranks[x]) for x in masks]
     out.sort(key=lambda fr: (len(fr[0]), sorted(fr[0])))
@@ -188,8 +171,8 @@ def flats_report(M: Matroid) -> FlatsReport:
 
     A proper flat's connectivity is read off what is already at hand: a
     dependent one is connected exactly when it is a pnc-flat, an
-    independent one when it has at most one element.  Only the ground set
-    asks :func:`_restriction_connected`.
+    independent one when it has at most one element, and the ground set's
+    is the cached :func:`kernel.is_connected`.
     """
     ranks = M.rank_table
     pnc_list = _pnc_masks(M)
@@ -198,10 +181,10 @@ def flats_report(M: Matroid) -> FlatsReport:
     red = _reducible_masks(pnc_list)
     full = M.full_mask
     rows = []
-    for x in sorted(_flat_masks(M), key=lambda m: (m.bit_count(), sorted(members(m)))):
+    for x in sorted(M.flat_masks, key=lambda m: (m.bit_count(), sorted(members(m)))):
         nullity = x.bit_count() - ranks[x]
         if x == full:
-            connected = _restriction_connected(M, x)
+            connected = is_connected(M)
         elif nullity:
             connected = x in pncs  # a dependent proper flat
         else:

@@ -27,7 +27,7 @@ import itertools
 import operator
 from collections import defaultdict
 from functools import cache, cached_property
-from typing import Collection, Iterable, NoReturn, Optional, Union
+from typing import Iterable, NoReturn, Optional, Union
 
 from . import _canonical
 
@@ -259,6 +259,16 @@ class Matroid:
         return _lane_members(dependent ^ above, self.n)
 
     @cached_property
+    def flat_masks(self) -> tuple[int, ...]:
+        """Flats, ascending: the lanes X where every e outside X raises the
+        rank, the AND over e of (r(X + e) - r(X) | e in X)."""
+        ones, single = _lanes(self.n)
+        flat = ones
+        for s, step in zip(single, _rank_steps(self)):
+            flat &= step | s
+        return _lane_members(flat, self.n)
+
+    @cached_property
     def component_masks(self) -> tuple[int, ...]:
         """Finest direct-sum decomposition (see :func:`_components_within`)."""
         return _components_within(self, self.full_mask)
@@ -471,12 +481,11 @@ def _compress(mask: int, kept: tuple[int, ...]) -> int:
 def _bases_by_trace(M: Matroid, removed: int) -> dict[int, list[int]]:
     """The bases of M grouped by their trace B & `removed`.
 
-    Every minor on the kept elements, M / C \\ D with C | D = `removed`,
-    reads its bases off these groups through :func:`_surviving_bases`, so a
-    caller walking many splits of one removed set groups the bases once.
     The traces are exactly the C within `removed` that are independent
-    with `removed` - C coindependent, and for those the group of C is the
-    bases of M / C \\ (`removed` - C).
+    with `removed` - C coindependent, and for those the group of C, less
+    `removed`, is the bases of M / C \\ (`removed` - C).  Every split of
+    `removed` has one such trace (:func:`_split_trace`), so a caller
+    walking many splits of one removed set groups the bases once.
     """
     out: dict[int, list[int]] = defaultdict(list)
     for b in M.basis_masks:
@@ -484,43 +493,33 @@ def _bases_by_trace(M: Matroid, removed: int) -> dict[int, list[int]]:
     return out
 
 
-def _surviving_bases(
-    M: Matroid, by_trace: dict[int, list[int]], dmask: int, cmask: int
-) -> Collection[int]:
-    """Host masks whose kept parts are the bases of M / `cmask` \\ `dmask`,
-    one mask per basis; `by_trace` is ``_bases_by_trace(M, dmask | cmask)``.
-
-    The rule (Oxley, Matroid Theory, section 3.1): with I the greedy basis
-    of C and k = r(M) - r(E - D), the bases of M / C \\ D are B - (C | D)
-    for the bases B of M with B & C = I and |B & D| = k.  It holds for
-    every split, including those where deleting D lowers the rank (k > 0),
-    and always yields at least one basis: the empty set when nothing is
-    kept.
-    """
-    imask = _greedy_independent(M, cmask)
-    k = M.rank - M.rank_table[M.full_mask ^ dmask]
-    if k == 0:
-        # only trace I qualifies, and its bases differ on the kept elements
-        return by_trace[imask]
-    kept = M.full_mask ^ (dmask | cmask)
-    return {
-        b & kept
-        for trace, group in by_trace.items()
-        if trace & cmask == imask and (trace & dmask).bit_count() == k
-        for b in group
-    }
+def _split_trace(M: Matroid, dmask: int, cmask: int) -> int:
+    """The trace T with M / `cmask` \\ `dmask` = M / T \\ (R - T), for
+    R = C | D, T independent and R - T coindependent (Oxley, Matroid
+    Theory, Lemma 3.3.2): T = I | (D - J), with I the greedy basis of C and
+    J a greedy maximal subset of D with r(E - J) = r(M).  The elements of
+    D - J are coloops of M \\ J, so deleting them is contracting them, and
+    C - I are loops of M / I."""
+    ranks = M.rank_table
+    spanning = M.full_mask  # E - J
+    for e in _bits(dmask):
+        if ranks[spanning ^ (1 << e)] == M.rank:
+            spanning ^= 1 << e
+    return _greedy_independent(M, cmask) | (dmask & spanning)
 
 
 def _minor_masks(
     M: Matroid, dmask: int, cmask: int
 ) -> tuple[int, tuple[int, ...]]:
     """Ground size and sorted bases of M / `cmask` \\ `dmask`, relabelled by
-    the order-preserving compaction of the kept elements; the bases are
-    those of :func:`_surviving_bases`."""
+    the order-preserving compaction of the kept elements: the bases B of M
+    with B & (C | D) equal to :func:`_split_trace`, less C | D."""
     removed = dmask | cmask
+    trace = _split_trace(M, dmask, cmask)
     kept = tuple(e for e in range(M.n) if not (removed >> e) & 1)
-    survivors = _surviving_bases(M, _bases_by_trace(M, removed), dmask, cmask)
-    return len(kept), tuple(sorted({_compress(b, kept) for b in survivors}))
+    return len(kept), tuple(sorted(
+        _compress(b, kept) for b in M.basis_masks if b & removed == trace
+    ))
 
 
 def minor(M: Matroid, delete_set: ElementSetLike, contract_set: ElementSetLike) -> Matroid:

@@ -73,8 +73,9 @@ class IntervalPresentation:
             raise MatroidError(f"negative ground size n={self.n}")
         if self.n > MAX_GROUND:
             raise GroundTooLarge(f"n={self.n} exceeds the cap of {MAX_GROUND}")
-        if not self.order:
-            object.__setattr__(self, "order", tuple(range(self.n)))
+        object.__setattr__(
+            self, "order", tuple(int(e) for e in self.order or range(self.n))
+        )
         object.__setattr__(
             self, "intervals", tuple((int(a), int(b)) for a, b in self.intervals)
         )

@@ -220,20 +220,14 @@ def theorem_check(
 ) -> TheoremReport:
     """Oracle vs structural vs catalog verdicts over a corpus.
 
-    The corpus is capped at the oracle's exhaustive default of
-    ``lpm.ORACLE_MAX_N`` elements.
+    Every recognizer runs up to the ground-set cap ``MAX_GROUND``.
     """
     total = 0
     lpm_count = 0
     disagreements = []
     for M in corpus:
-        if M.n > lpm.ORACLE_MAX_N:
-            raise GroundTooLarge(
-                "theorem_check corpus is capped at "
-                f"{lpm.ORACLE_MAX_N} elements, got {M.n}"
-            )
         total += 1
-        v_oracle = lpm.find_path_order(M) is not None
+        v_oracle = lpm.find_path_order(M, max_n=MAX_GROUND) is not None
         v_char = lpm.is_lpm_char(M).verdict
         v_minor = is_lpm_via_excluded_minors(M)
         if v_oracle:

@@ -169,7 +169,8 @@ def test_verify_theorem_catalog_minors(capsys):
 
 
 def test_verify_theorem_nine_elements(capsys):
-    # the corpus cap is the oracle's exhaustive default of 9 elements
+    # past the oracle's default of 9 elements, the corpus cap is the
+    # ground-set cap
     spec = ("random-sparse-paving,lpm-random,random-transversal,"
             "duals-closure,count=60,max-n={},seed=5")
     code, out, err = run(
@@ -180,9 +181,9 @@ def test_verify_theorem_nine_elements(capsys):
     assert payload["disagreements"] == []
     assert (payload["total"], payload["lpm"]) == (203, 175)
     code, out, err = run(
-        capsys, "verify-theorem", "--corpus", spec.format(10), "--json"
+        capsys, "verify-theorem", "--corpus", spec.format(13), "--json"
     )
-    assert code == 2 and "capped at 9 elements" in err and out == ""
+    assert code == 2 and "exceeds the cap of 12" in err and out == ""
 
 
 def test_verify_theorem_requires_seed(capsys):
@@ -282,6 +283,9 @@ def test_error_paths(tmp_path, capsys):
         bad.write_text(text)
         code, out, err = run(capsys, "info", str(bad))
         assert code == 2 and message in err and out == ""
+    for spec in ("seed=7", ""):
+        code, out, err = run(capsys, "verify-theorem", "--corpus", spec, "--json")
+        assert code == 2 and "names no generator" in err and out == ""
 
 
 def test_usage_errors_exit_2(capsys):

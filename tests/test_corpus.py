@@ -57,6 +57,11 @@ def test_parse_corpus_spec():
         parse_corpus_spec("lpm-random,count=5")  # randomized without seed
     with pytest.raises(MatroidError):
         parse_corpus_spec("lpm-random,seed=1,fuel=9")
+    for text in ("", "seed=7", "count=5,max-n=6"):
+        with pytest.raises(MatroidError, match="names no generator"):
+            parse_corpus_spec(text)
+    with pytest.raises(MatroidError, match="names no generator"):
+        CorpusSpec(())
 
 
 def test_spec_past_ground_cap():

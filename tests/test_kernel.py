@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmat import corpus, flats, kernel
+from latmat import corpus, kernel
 from latmat.catalog import a_n, catalog_up_to
 from latmat.kernel import (
     AxiomViolation,
@@ -184,7 +184,7 @@ def test_components_within_match_circuit_reference(small_corpus):
         for s in (uniform(0, 1), uniform(1, 1), uniform(1, 2)):
             hosts.append(direct_sum(s, entry.matroid))
     for M in hosts:
-        for x in flats._flat_masks(M) + (M.full_mask,):
+        for x in M.flat_masks + (M.full_mask,):
             assert kernel._components_within(M, x) == brute_components_within(
                 M, x
             ), (M, x)
@@ -560,7 +560,7 @@ def assert_lane_sweeps_match_references(n, family):
     ranks = M.rank_table
     assert ranks == brute_rank_table(n, family)
     assert M.circuit_masks == brute_circuit_masks(n, ranks)
-    assert flats._flat_masks(M) == brute_flat_masks(n, ranks)
+    assert M.flat_masks == brute_flat_masks(n, ranks)
     if brute_locally_submodular(n, ranks):
         assert from_bases(n, family).basis_masks == tuple(family)
         return

@@ -69,6 +69,15 @@ def test_presentation_validation():
         IntervalPresentation(-1, ())
 
 
+def test_presentation_order_is_a_tuple():
+    P = IntervalPresentation(3, [[0, 1]], [0, 1, 2])
+    assert P.order == (0, 1, 2) and P.intervals == ((0, 1),)
+    assert P == IntervalPresentation(3, ((0, 1),))
+    assert hash(P) == hash(IntervalPresentation(3, ((0, 1),)))
+    assert presentation_to_text(P) == "LPM 3 1\n0 1\n"
+    assert IntervalPresentation(3, (), [2, 0, 1]).order == (2, 0, 1)
+
+
 def test_presentation_ground_cap():
     assert IntervalPresentation(12, ((0, 6), (1, 11))).n == 12
     with pytest.raises(GroundTooLarge):

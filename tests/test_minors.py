@@ -10,7 +10,7 @@ from latmat.kernel import (
     GroundTooLarge,
     _bases_by_trace,
     _minor_masks,
-    _surviving_bases,
+    _split_trace,
     contract,
     delete,
     direct_sum,
@@ -135,11 +135,6 @@ def test_theorem_check_single_members():
     assert rep2.total == 1 and rep2.lpm_count == 1 and rep2.ok
 
 
-def test_theorem_check_caps_ground_size():
-    with pytest.raises(GroundTooLarge):
-        theorem_check([uniform(2, 10)])
-
-
 def test_theorem_check_json_stable():
     rep = theorem_check([wheel3(), uniform(2, 4)], corpus_label="pair")
     a = rep.to_json()
@@ -179,8 +174,9 @@ def test_minor_transitivity_spot():
 
 def test_split_rank_is_rank_of_minor(small_corpus):
     # host / contract \ delete has rank r(E - delete) - r(contract), and
-    # the surviving bases have the built minor's number and degrees over
-    # the kept elements, whether or not the deletion lowered the rank
+    # the bases in the group of the split's trace have the built minor's
+    # number and degrees over the kept elements, whether or not the
+    # deletion lowered the rank
     rank_drops = 0
     for host in small_corpus:
         ranks = host.rank_table
@@ -194,7 +190,7 @@ def test_split_rank_is_rank_of_minor(small_corpus):
                     dm = rm ^ cm
                     new_n, masks = _minor_masks(host, dm, cm)
                     assert ranks[full ^ dm] - ranks[cm] == masks[0].bit_count()
-                    survivors = _surviving_bases(host, by_trace, dm, cm)
+                    survivors = by_trace[_split_trace(host, dm, cm)]
                     assert len(survivors) == len(masks)
                     assert _degree_multiset(
                         members(full ^ rm), survivors
@@ -222,12 +218,14 @@ def test_minor_masks_match_brute_force(small_corpus):
 def test_trace_keys_are_independent_coindependent_splits(small_corpus):
     # has_minor walks the traces B & removed of the host's bases: they must
     # be exactly the contract sets C of the removed set with C independent
-    # and removed - C coindependent
+    # and removed - C coindependent, and _minor_masks reads every split
+    # through one of them
     hosts = list(small_corpus) + [e.matroid for e in catalog_up_to(8)]
     for M in hosts:
         ranks = M.rank_table
         for removed in range(1 << M.n):
             want = set()
+            split_traces = set()
             sub = removed
             while True:
                 if (
@@ -235,10 +233,12 @@ def test_trace_keys_are_independent_coindependent_splits(small_corpus):
                     and ranks[M.full_mask ^ removed ^ sub] == M.rank
                 ):
                     want.add(sub)
+                split_traces.add(_split_trace(M, removed ^ sub, sub))
                 if sub == 0:
                     break
                 sub = (sub - 1) & removed
             assert set(_bases_by_trace(M, removed)) == want, (M, removed)
+            assert split_traces <= want, (M, removed)
 
 
 def test_has_minor_matches_brute_force_on_small_patterns(small_corpus):
@@ -314,7 +314,6 @@ def test_catalog_search_matches_brute_force_on_sparse_paving():
 
 
 def test_three_recognizers_agree_to_ten_elements():
-    # past theorem_check's cap: the oracle is called with max_n=10
     hosts = corpus.generate(corpus.parse_corpus_spec(
         "random-transversal,lpm-random,random-sparse-paving,duals-closure,"
         "count=30,max-n=10,seed=7"
@@ -327,6 +326,17 @@ def test_three_recognizers_agree_to_ten_elements():
         assert oracle == char == (find_catalog_minor(M) is None), M
         accepted += oracle
     assert accepted == 102
+
+
+def test_theorem_check_to_twelve_elements():
+    spec = corpus.parse_corpus_spec(
+        "random-transversal,lpm-random,random-sparse-paving,duals-closure,"
+        "count=40,max-n=12,seed=7"
+    )
+    hosts = corpus.generate(spec)
+    assert sum(M.n == 12 for M in hosts) == 17
+    report = theorem_check(hosts, corpus_label=spec.label)
+    assert (report.total, report.lpm_count, report.disagreements) == (154, 127, ())
 
 
 def test_multi_pattern_call_is_first_single_hit(small_corpus):

@@ -3,15 +3,18 @@
 ``perfbench/tracing.py`` wraps package attributes by name, and the catalog
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
-would silently count zero; both fail here instead.
+would silently count zero; both fail here instead.  A module binding kept
+only for a hook is the one import the package may leave unused.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import latmat
 from latmat.catalog import wheel3
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -61,3 +64,30 @@ def test_benchmark_catalog_warm_up_runs(monkeypatch):
     run = _load(PERFBENCH / "run.py", "perfbench_run")
     mods = {m: importlib.import_module("latmat." + m) for m in run.MODULES}
     run.warm_catalog(mods, (6, 7, 8))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Names imported by a package module and never read in it, apart from
+    ``__future__`` imports, the names ``__init__`` re-exports through
+    ``__all__`` and the bindings the trace hooks wrap."""
+    tracing = _load(PERFBENCH / "tracing.py", "perfbench_tracing")
+    hooked = {(module, attr) for module, attr, _, _ in tracing.HOOKS}
+    unused = []
+    for path in sorted(Path(latmat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(latmat.__all__)
+        unused += [
+            f"{path.stem}.{name}"
+            for name in sorted(imported - read)
+            if (path.stem, name) not in hooked
+        ]
+    assert unused == []
