@@ -178,10 +178,6 @@ def build_by_name(name: str) -> Matroid:
     return builder(p1)
 
 
-def family_names() -> list[str]:
-    return list(_FIXED) + list(_BUILDERS)
-
-
 def catalog_up_to(m: int) -> list[CatalogEntry]:
     """All excluded-minor family members with at most m elements,
     deduplicated up to isomorphism and sorted by (size, name)."""

@@ -34,6 +34,7 @@ duals).  Every kept matroid is the first of its class and labels itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -196,8 +197,6 @@ def _matching_rank(sets: list[int], xmask: int) -> int:
 
 def transversal_matroid(n: int, sets: list[int]) -> Matroid:
     """Partial transversals of a set system, independence via matchings."""
-    import itertools
-
     if n > MAX_GROUND:
         raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
     full = (1 << n) - 1
@@ -237,8 +236,6 @@ def _distinct_subset(rng: SplitMix64, n: int, r: int) -> int:
 
 
 def _gen_sparse_paving(rng: SplitMix64, count: int, max_n: int):
-    import itertools
-
     out = []
     for _ in range(count):
         n = rng.randint(3, max_n)

@@ -28,6 +28,7 @@ from .kernel import (
     MatroidError,
     _components_within,
     is_connected,
+    mask_of,
     members,
 )
 
@@ -112,8 +113,6 @@ def pnc_flats(M: Matroid) -> frozenset[frozenset[int]]:
 
 def reducible(M: Matroid, F) -> bool:
     """Is the pnc-flat F an intersection of two incomparable pnc-flats?"""
-    from .kernel import mask_of
-
     fm = mask_of(F, M.n)
     pncs = _pnc_masks(M)
     if fm not in pncs:

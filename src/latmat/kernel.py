@@ -658,9 +658,14 @@ def parallel_connection(M1: Matroid, x1: int, M2: Matroid, x2: int) -> Matroid:
 def relax(M: Matroid, X: ElementSetLike) -> Matroid:
     """Turn a circuit-hyperplane into a basis."""
     xm = _as_mask(M, X)
-    if xm not in M.circuit_masks:
+    ranks = M.rank_table
+    size = xm.bit_count()
+    # a circuit: r(X) = |X| - 1 = r(X - e) for every e in X
+    if ranks[xm] != size - 1 or any(
+        ranks[xm ^ (1 << e)] != size - 1 for e in _bits(xm)
+    ):
         raise NotCircuitHyperplane(f"{sorted(members(xm))} is not a circuit")
-    if rank_of(M, xm) != M.rank - 1 or _closure_mask(M, xm) != xm:
+    if ranks[xm] != M.rank - 1 or _closure_mask(M, xm) != xm:
         raise NotCircuitHyperplane(f"{sorted(members(xm))} is not a hyperplane")
     return Matroid._from_masks(M.n, sorted(M.mask_set | {xm}))
 

@@ -19,6 +19,7 @@ Three recognizers live here or are reachable from here:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +31,6 @@ from .kernel import (
     Matroid,
     MatroidError,
     _bits,
-    _compress,
     _ints,
     _merge_overlapping,
     members,
@@ -244,14 +244,14 @@ def fundamental_flats_from_presentation(
 
 
 def _strip_loops(M: Matroid) -> tuple[Matroid, tuple[int, ...], tuple[int, ...]]:
-    """The loopless part, the labels it keeps, and the loops.  A loopless M
-    is returned itself, so its cached tables serve the caller."""
+    """The loopless part (the kernel restriction to the non-loops), the
+    labels it keeps in ascending order, and the loops in ascending order.
+    A loopless M is returned itself, so its cached tables serve the
+    caller."""
     if M.loops_mask == 0:
         return M, tuple(range(M.n)), ()
-    loops = tuple(sorted(members(M.loops_mask)))
-    kept = tuple(e for e in range(M.n) if e not in loops)
-    masks = sorted({_compress(b, kept) for b in M.basis_masks})
-    return Matroid._from_masks(len(kept), masks), kept, loops
+    kept = M.full_mask & ~M.loops_mask
+    return restrict(M, kept), tuple(_bits(kept)), tuple(_bits(M.loops_mask))
 
 
 def find_path_order(
@@ -275,8 +275,6 @@ def find_path_order(
     if M.n > max_n:
         raise GroundTooLarge(f"oracle capped at {max_n} elements, got {M.n}")
     ML, kept, loops = _strip_loops(M)
-    if ML.n == 0:
-        return tuple(range(M.n)), IntervalPresentation(M.n, ())
     found = ordersearch.scan_path_orders(ML.n, ML.basis_masks, ML.rank_table)
     if found is None:
         return None
@@ -315,8 +313,6 @@ def _chain_partition(fund: tuple[int, ...]):
 
 def _comparability_path(near, comp, src, dst):
     """Shortest path from src to dst along comparable pairs (BFS)."""
-    from collections import deque
-
     prev = {src: None}
     queue = deque([src])
     while queue:
@@ -395,23 +391,22 @@ def _check_component(Mi: Matroid):
 
 
 def is_lpm_char(M: Matroid) -> RecognitionResult:
-    """Structural recognizer: loops stripped, then each connected component
-    is tested against the four-clause flat characterization."""
-    ML, kept, _loops = _strip_loops(M)
-    for cmask in ML.component_masks:
-        comp_elems = tuple(e for e in range(ML.n) if (cmask >> e) & 1)
-        # a connected ML is its own component: reuse its cached tables
-        Mi = ML if cmask == ML.full_mask else restrict(ML, cmask)
+    """Structural recognizer: each connected component that is not a loop
+    (M itself when connected) is tested against the four-clause flat
+    characterization."""
+    for c in M.component_masks:
+        if c & M.loops_mask:
+            continue
+        Mi = M if c == M.full_mask else restrict(M, c)
         hit = _check_component(Mi)
         if hit is not None:
             clause, flat_masks = hit
+            elements = [*_bits(c)]
             orig = tuple(
-                frozenset(kept[comp_elems[e]] for e in _bits(fm))
-                for fm in flat_masks
+                frozenset(elements[e] for e in _bits(fm)) for fm in flat_masks
             )
-            comp_orig = frozenset(kept[comp_elems[e]] for e in range(Mi.n))
             return RecognitionResult(
-                False, "flats", ClauseViolation(clause, comp_orig, orig)
+                False, "flats", ClauseViolation(clause, members(c), orig)
             )
     return RecognitionResult(True, "flats")
 
@@ -509,18 +504,20 @@ def presentation_from_text(text: str) -> IntervalPresentation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        parts = line.split()
         if header is None:
-            parts = line.split()
             if len(parts) != 3 or parts[0] != "LPM":
                 raise MatroidError(f"bad header line: {raw!r}")
             header = _ints(parts[1:], "header", raw)
             continue
-        if line.startswith("ORDER"):
+        if parts[0] == "ORDER":
             if order is not None:
                 raise MatroidError(f"repeated ORDER line: {raw!r}")
-            order = tuple(_ints(line.split()[1:], "ORDER", raw))
+            if len(parts) == 1:
+                raise MatroidError(f"ORDER line lists no elements: {raw!r}")
+            order = tuple(_ints(parts[1:], "ORDER", raw))
             continue
-        iv = _ints(line.split(), "interval", raw)
+        iv = _ints(parts, "interval", raw)
         if len(iv) != 2:
             raise MatroidError(f"bad interval line: {raw!r}")
         ivs.append(tuple(iv))

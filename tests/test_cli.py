@@ -272,6 +272,8 @@ def test_error_paths(tmp_path, capsys):
         ("LPM 4 1\n0 1\nORDER 0 1 a 3\n", "bad ORDER line: 'ORDER 0 1 a 3'"),
         ("LPM 4 1\n0 1\nORDER 0 1 2 3\nORDER 3 2 1 0\n",
          "repeated ORDER line: 'ORDER 3 2 1 0'"),
+        ("LPM 3 1\n0 2\nORDERING 2 1 0\n", "bad interval line: 'ORDERING 2 1 0'"),
+        ("LPM 3 1\n0 2\nORDER\n", "ORDER line lists no elements: 'ORDER'"),
     ):
         lpm.write_text(text)
         code, out, err = run(capsys, "diagram", str(lpm))

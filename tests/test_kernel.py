@@ -318,8 +318,17 @@ def test_relax_examples():
     relaxed = relax(W, rim)
     assert relaxed.num_bases == 17
     assert relax(p3(), {0, 1, 2}).num_bases == 19
-    with pytest.raises(NotCircuitHyperplane):
+    with pytest.raises(NotCircuitHyperplane, match="is not a hyperplane"):
         relax(uniform(2, 4), {0, 1, 2})
+    loopy = from_bases(3, [{0, 1}])  # {0, 2}: a hyperplane, rank |X| - 1
+    for M, X in (
+        (uniform(2, 4), {0, 1}),  # a basis
+        (uniform(2, 4), set()),
+        (uniform(2, 4), {0, 1, 2, 3}),
+        (loopy, {0, 2}),  # holds the circuit {2}
+    ):
+        with pytest.raises(NotCircuitHyperplane, match="is not a circuit"):
+            relax(M, X)
 
 
 # --- simplify, isomorphism, canonical forms ----------------------------------

@@ -241,6 +241,9 @@ def test_find_path_order_with_loops():
     order, pres = find_path_order(M)
     assert order == (0, 1, 2)
     assert pres.n == 3 and realize(pres) == M
+    for n in (0, 3):  # no non-loop: the identity order and no intervals
+        order, pres = find_path_order(uniform(0, n))
+        assert order == tuple(range(n)) and pres == IntervalPresentation(n, ())
 
 
 def test_find_path_order_disconnected():
@@ -319,6 +322,25 @@ def test_is_lpm_char_componentwise_and_loops():
     assert is_lpm_char(loopy).verdict
     bad = from_bases(7, [b | {6} for b in spanning_trees_k4()])  # wheel + coloop
     assert not is_lpm_char(bad).verdict
+
+
+def test_is_lpm_char_maps_a_component_witness_to_host_labels():
+    # W3 on 1, 2, 3, 5, 6, 8; loops 0 (before it) and 4 (inside it); U1,2
+    # on 7, 9: the host fails on W3's own clause, in the host's labels
+    labels = (1, 2, 3, 5, 6, 8)
+    host = from_bases(10, [
+        {labels[e] for e in b} | {u}
+        for b in spanning_trees_k4()
+        for u in (7, 9)
+    ])
+    own = is_lpm_char(wheel()).witness
+    res = is_lpm_char(host)
+    assert not res.verdict
+    assert res.witness == ClauseViolation(
+        own.clause,
+        frozenset(labels),
+        tuple(frozenset(labels[e] for e in f) for f in own.flats),
+    )
 
 
 # --- nested -----------------------------------------------------------------------
@@ -404,6 +426,8 @@ def test_presentation_text_roundtrip():
         ("LPM 4 1\n0 1\nORDER 0 1 a 3\n", "bad ORDER line: 'ORDER 0 1 a 3'"),
         ("LPM 4 1\n0 1\nORDER 0 1 2 3\nORDER 3 2 1 0\n",
          "repeated ORDER line: 'ORDER 3 2 1 0'"),
+        ("LPM 3 1\n0 2\nORDERING 2 1 0\n", "bad interval line: 'ORDERING 2 1 0'"),
+        ("LPM 3 1\n0 2\nORDER\n", "ORDER line lists no elements: 'ORDER'"),
     ):
         with pytest.raises(MatroidError) as err:
             presentation_from_text(text)

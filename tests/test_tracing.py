@@ -91,3 +91,20 @@ def test_no_module_imports_a_name_it_never_uses():
             if (path.stem, name) not in hooked
         ]
     assert unused == []
+
+
+def test_function_local_imports_only_break_the_minors_cycle():
+    """Imports sit at module level, except where ``lpm`` reaches ``minors``
+    and ``catalog``: ``minors`` imports ``lpm``, so those two functions
+    import it when called."""
+    local = set()
+    for path in sorted(Path(latmat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        local |= {
+            f"{path.stem}.{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    assert local <= {"lpm.recognize", "lpm.is_nested_via_pn"}
