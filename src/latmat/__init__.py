@@ -5,10 +5,10 @@ Subpackages by concern:
 - :mod:`latmat.kernel` -- matroid values, axioms, minors, duality, sums,
   parallel connection, isomorphism, text format;
 - :mod:`latmat.flats` -- flat enumeration and classification;
-- :mod:`latmat.lpm` -- interval presentations and the three recognizers;
-- :mod:`latmat.catalog` -- the excluded-minor families and their verifier;
-- :mod:`latmat.minors` -- minor containment and the recognizer-equivalence
-  check;
+- :mod:`latmat.lpm` -- interval presentations, the three recognizers, the
+  check that they agree and the catalog verifier;
+- :mod:`latmat.catalog` -- the excluded-minor families;
+- :mod:`latmat.minors` -- minor containment and the catalog search;
 - :mod:`latmat.corpus` -- deterministic test-corpus generation;
 - :mod:`latmat.cli` -- the ``latmat`` command line tool.
 """

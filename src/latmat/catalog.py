@@ -17,6 +17,7 @@ Families (element count / rank):
 Helper families ``P{n}`` (truncated direct sum of two circuits) and
 ``Pprime{n}`` (truncated parallel connection of two circuits) are exposed
 for construction and nestedness tests but are not excluded minors.
+:func:`latmat.lpm.verify_excluded_minor` checks each member's minimality.
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import lpm
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
     Matroid,
     canonical_form,
-    contract,
-    delete,
     direct_sum,
     dual,
     free_extension,
@@ -218,34 +216,3 @@ def _catalog_up_to(m: int) -> tuple[CatalogEntry, ...]:
         seen.add(key)
         out.append(entry)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class ExclusionReport:
-    """verify_excluded_minor evidence: the matroid itself must be outside
-    the class while every single-element deletion and contraction is inside."""
-
-    name: str
-    outside_class: bool
-    per_element: tuple[tuple[int, bool, bool], ...]  # (e, delete ok, contract ok)
-
-    @property
-    def passed(self) -> bool:
-        return self.outside_class and all(
-            d and c for _, d, c in self.per_element
-        )
-
-
-def verify_excluded_minor(
-    M: Matroid, max_n: int = lpm.ORACLE_MAX_N, name: str = "?"
-) -> ExclusionReport:
-    """Oracle check of minor-minimality at desk scale."""
-    if M.n > max_n:
-        raise GroundTooLarge(f"oracle capped at {max_n} elements, got {M.n}")
-    outside = lpm.find_path_order(M, max_n=max_n) is None
-    rows = []
-    for e in range(M.n):
-        del_ok = lpm.find_path_order(delete(M, (e,)), max_n=max_n) is not None
-        con_ok = lpm.find_path_order(contract(M, (e,)), max_n=max_n) is not None
-        rows.append((e, del_ok, con_ok))
-    return ExclusionReport(name, outside, tuple(rows))

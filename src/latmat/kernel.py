@@ -240,13 +240,6 @@ class Matroid:
         return self.full_mask & ~used
 
     @cached_property
-    def coloops_mask(self) -> int:
-        common = self.full_mask
-        for b in self.basis_masks:
-            common &= b
-        return common
-
-    @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
         """Minimal dependent sets: dependent sets X whose every X - e is
         independent, read off lanes where r(X) < |X|."""
@@ -614,45 +607,24 @@ def parallel_connection(M1: Matroid, x1: int, M2: Matroid, x2: int) -> Matroid:
     """
     if x1 < 0 or x1 >= M1.n or x2 < 0 or x2 >= M2.n:
         raise OutOfRange("basepoint outside ground set")
-    loop1 = (M1.loops_mask >> x1) & 1
-    loop2 = (M2.loops_mask >> x2) & 1
-    if loop1 and loop2:
+    if (M1.loops_mask >> x1) & (M2.loops_mask >> x2) & 1:
         raise LoopBasepoint("basepoint is a loop on both sides")
     n = M1.n + M2.n - 1
     if n > MAX_GROUND:
         raise GroundTooLarge(f"parallel connection has {n} > {MAX_GROUND} elements")
-    # new label for M2 element e (e != x2)
-    relabel2 = {}
-    nxt = M1.n
-    for e in range(M2.n):
-        if e != x2:
-            relabel2[e] = nxt
-            nxt += 1
-
-    def lift2(mask: int, with_base: bool) -> int:
-        out = (1 << x1) if with_base else 0
-        for e in _bits(mask & ~(1 << x2)):
-            out |= 1 << relabel2[e]
-        return out
-
-    xbit1 = 1 << x1
-    xbit2 = 1 << x2
-    b1_with = [b for b in M1.basis_masks if b & xbit1]
-    b1_without = [b for b in M1.basis_masks if not b & xbit1]
-    b2_with = [b for b in M2.basis_masks if b & xbit2]
-    b2_without = [b for b in M2.basis_masks if not b & xbit2]
-    out = set()
-    for b1 in b1_with:
-        for b2 in b2_with:
-            out.add(b1 | lift2(b2, True))
-    # basepoint absent: one side a basis, the other a basis minus basepoint
-    for b1 in b1_without:
-        for b2 in b2_with:
-            out.add(b1 | lift2(b2 ^ xbit2, False))
-    for b1 in b1_with:
-        for b2 in b2_without:
-            out.add((b1 ^ xbit1) | lift2(b2, False))
-    return Matroid._from_masks(n, sorted(out))
+    # M2's bases in the glued labels: x2 becomes x1, the rest follow M1's
+    lifted = [
+        sum(1 << (x1 if e == x2 else M1.n + e - (e > x2)) for e in _bits(b2))
+        for b2 in M2.basis_masks
+    ]
+    base = 1 << x1
+    # B1 | B2 holds the basepoint only when both parts do
+    return Matroid._from_masks(n, sorted({
+        (b1 | b2) ^ ((b1 ^ b2) & base)
+        for b1 in M1.basis_masks
+        for b2 in lifted
+        if (b1 | b2) & base
+    }))
 
 
 def relax(M: Matroid, X: ElementSetLike) -> Matroid:

@@ -6,7 +6,7 @@ order of the ground set, with both endpoint sequences strictly increasing
 the position tuples x_1 < ... < x_r with x_i in [a_i, b_i], read back
 through the order.  Positions not covered by any interval carry loops.
 
-Three recognizers live here or are reachable from here:
+This is the one module that knows all three recognizers:
 
 - ``find_path_order`` -- the exact oracle; searches the ground-set orders,
   prefix by prefix, for one whose forced candidate presentation realizes
@@ -15,16 +15,20 @@ Three recognizers live here or are reachable from here:
   of each connected component (four clauses, reported by id).
 - ``minors.is_lpm_via_excluded_minors`` -- catalog search, in
   :mod:`latmat.minors`.
+
+``theorem_check`` runs all three over a corpus and reports any disagreement,
+and ``verify_excluded_minor`` checks a catalog member with the oracle.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
+from . import catalog, minors, ordersearch
 from . import flats as _flats
-from . import ordersearch
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
@@ -33,6 +37,8 @@ from .kernel import (
     _bits,
     _ints,
     _merge_overlapping,
+    contract,
+    delete,
     members,
     restrict,
 )
@@ -429,8 +435,6 @@ def is_nested(M: Matroid) -> bool:
 
 def is_nested_via_pn(M: Matroid) -> bool:
     """Nestedness by excluded minors: no truncated double-circuit minor."""
-    from . import catalog, minors  # local import; minors imports this module
-
     for k in range(2, M.rank + 1):
         if 2 * k > M.n:
             break
@@ -455,13 +459,109 @@ def recognize(
     if method == "flats":
         return is_lpm_char(M)
     if method == "minors":
-        from . import minors
-
         witness = minors.find_catalog_minor(M)
         if witness is None:
             return RecognitionResult(True, "minors")
         return RecognitionResult(False, "minors", witness)
     raise ValueError(f"unknown method {method!r}")
+
+
+# ---------------------------------------------------------------------------
+# the three-way check and the catalog verifier
+
+
+@dataclass(frozen=True)
+class TheoremReport:
+    corpus_label: str
+    total: int
+    lpm_count: int
+    non_lpm_count: int
+    disagreements: tuple[dict, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.disagreements
+
+    def to_json(self) -> str:
+        payload = {
+            "corpus": self.corpus_label,
+            "total": self.total,
+            "lpm": self.lpm_count,
+            "non_lpm": self.non_lpm_count,
+            "disagreements": list(self.disagreements),
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def theorem_check(
+    corpus: Iterable[Matroid],
+    corpus_label: str = "",
+) -> TheoremReport:
+    """Oracle vs structural vs catalog verdicts over a corpus.
+
+    Every recognizer runs up to the ground-set cap ``MAX_GROUND``.
+    """
+    total = 0
+    lpm_count = 0
+    disagreements = []
+    for M in corpus:
+        total += 1
+        v_oracle = find_path_order(M, max_n=MAX_GROUND) is not None
+        v_char = is_lpm_char(M).verdict
+        v_minor = minors.is_lpm_via_excluded_minors(M)
+        if v_oracle:
+            lpm_count += 1
+        if not (v_oracle == v_char == v_minor):
+            disagreements.append(
+                {
+                    "n": M.n,
+                    "rank": M.rank,
+                    "bases": sorted(sorted(b) for b in M.bases),
+                    "oracle": v_oracle,
+                    "characterization": v_char,
+                    "excluded_minor": v_minor,
+                }
+            )
+    return TheoremReport(
+        corpus_label=corpus_label,
+        total=total,
+        lpm_count=lpm_count,
+        non_lpm_count=total - lpm_count,
+        disagreements=tuple(disagreements),
+    )
+
+
+@dataclass(frozen=True)
+class ExclusionReport:
+    """verify_excluded_minor evidence: the matroid itself must be outside
+    the class while every single-element deletion and contraction is inside."""
+
+    name: str
+    outside_class: bool
+    per_element: tuple[tuple[int, bool, bool], ...]  # (e, delete ok, contract ok)
+
+    @property
+    def minors_in_class(self) -> bool:
+        return all(d and c for _, d, c in self.per_element)
+
+    @property
+    def passed(self) -> bool:
+        return self.outside_class and self.minors_in_class
+
+
+def verify_excluded_minor(
+    M: Matroid, max_n: int = ORACLE_MAX_N, name: str = "?"
+) -> ExclusionReport:
+    """Oracle check of minor-minimality at desk scale."""
+    if M.n > max_n:
+        raise GroundTooLarge(f"oracle capped at {max_n} elements, got {M.n}")
+    outside = find_path_order(M, max_n=max_n) is None
+    rows = []
+    for e in range(M.n):
+        del_ok = find_path_order(delete(M, (e,)), max_n=max_n) is not None
+        con_ok = find_path_order(contract(M, (e,)), max_n=max_n) is not None
+        rows.append((e, del_ok, con_ok))
+    return ExclusionReport(name, outside, tuple(rows))
 
 
 def diagram(P: IntervalPresentation) -> str:

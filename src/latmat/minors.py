@@ -1,4 +1,4 @@
-"""Minor containment up to isomorphism and the recognizer-equivalence check.
+"""Minor containment up to isomorphism and the excluded-minor recognizer.
 
 ``has_minor`` walks, once for any number of patterns of one size, the
 splits of the right co-size with an independent contract set and a
@@ -6,20 +6,16 @@ coindependent delete set (read off the host's bases grouped by trace),
 prunes by basis count and degree multiset, builds only the splits that
 pass, and certifies hits with an explicit bijection.  ``find_catalog_minor``
 makes one pass per catalog size, smallest first, on each connected
-component of at least 6 elements.  ``theorem_check`` runs the three
-recognizers (order-scan oracle, flat-structure test, catalog search) over a
-corpus and reports any disagreement; on the theory this package implements,
-the report must come back empty.
+component of at least 6 elements.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import catalog, lpm
+from . import catalog
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
@@ -189,64 +185,3 @@ def find_catalog_minor(M: Matroid) -> Optional[MinorWitness]:
 
 def is_lpm_via_excluded_minors(M: Matroid) -> bool:
     return find_catalog_minor(M) is None
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    corpus_label: str
-    total: int
-    lpm_count: int
-    non_lpm_count: int
-    disagreements: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-    def to_json(self) -> str:
-        payload = {
-            "corpus": self.corpus_label,
-            "total": self.total,
-            "lpm": self.lpm_count,
-            "non_lpm": self.non_lpm_count,
-            "disagreements": list(self.disagreements),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def theorem_check(
-    corpus: Iterable[Matroid],
-    corpus_label: str = "",
-) -> TheoremReport:
-    """Oracle vs structural vs catalog verdicts over a corpus.
-
-    Every recognizer runs up to the ground-set cap ``MAX_GROUND``.
-    """
-    total = 0
-    lpm_count = 0
-    disagreements = []
-    for M in corpus:
-        total += 1
-        v_oracle = lpm.find_path_order(M, max_n=MAX_GROUND) is not None
-        v_char = lpm.is_lpm_char(M).verdict
-        v_minor = is_lpm_via_excluded_minors(M)
-        if v_oracle:
-            lpm_count += 1
-        if not (v_oracle == v_char == v_minor):
-            disagreements.append(
-                {
-                    "n": M.n,
-                    "rank": M.rank,
-                    "bases": sorted(sorted(b) for b in M.bases),
-                    "oracle": v_oracle,
-                    "characterization": v_char,
-                    "excluded_minor": v_minor,
-                }
-            )
-    return TheoremReport(
-        corpus_label=corpus_label,
-        total=total,
-        lpm_count=lpm_count,
-        non_lpm_count=total - lpm_count,
-        disagreements=tuple(disagreements),
-    )

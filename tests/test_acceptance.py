@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from latmat import corpus, flats, minors
+from latmat import corpus, flats
 from latmat.catalog import (
     a_n,
     b_nk,
@@ -19,7 +19,6 @@ from latmat.catalog import (
     e_n,
     p_n,
     p_prime_n,
-    verify_excluded_minor,
     wheel3,
     whirl3,
 )
@@ -45,6 +44,8 @@ from latmat.lpm import (
     is_nested_via_pn,
     presentation_connected,
     realize,
+    theorem_check,
+    verify_excluded_minor,
 )
 from latmat.kernel import contract
 from test_properties import random_presentations
@@ -65,7 +66,7 @@ def theorem_run():
     spec = corpus.parse_corpus_spec(ACCEPT_SPEC)
     t0 = time.perf_counter()
     tagged = corpus.generate_tagged(spec)
-    report = minors.theorem_check(
+    report = theorem_check(
         [m for _, m in tagged], corpus_label=spec.label
     )
     elapsed = time.perf_counter() - t0
@@ -223,7 +224,7 @@ def test_criterion_9_reproducibility(theorem_run):
     spec, _, report, _ = theorem_run
     spec2 = corpus.parse_corpus_spec(ACCEPT_SPEC)
     matroids2 = corpus.generate(spec2)
-    report2 = minors.theorem_check(matroids2, corpus_label=spec2.label)
+    report2 = theorem_check(matroids2, corpus_label=spec2.label)
     assert report.to_json().encode() == report2.to_json().encode()
     print("criterion 9: PASS - same-seed reruns produce byte-identical "
           "JSON reports")

@@ -16,7 +16,6 @@ from latmat.catalog import (
     p_prime_n,
     r3,
     r4,
-    verify_excluded_minor,
     wheel3,
     whirl3,
 )
@@ -34,6 +33,7 @@ from latmat.kernel import (
     rank_of,
     uniform,
 )
+from latmat.lpm import verify_excluded_minor
 from util import p3_bases, spanning_trees_k4
 
 
@@ -203,7 +203,7 @@ def test_build_by_name():
 
 def test_verify_excluded_minor():
     rep = verify_excluded_minor(wheel3(), name="W3")
-    assert rep.passed and rep.outside_class
+    assert rep.passed and rep.outside_class and rep.minors_in_class
     rep_p3 = verify_excluded_minor(p_n(3), name="P3")
     assert not rep_p3.passed and not rep_p3.outside_class
     assert verify_excluded_minor(r3(), name="R3").passed

@@ -27,6 +27,7 @@ from latmat.lpm import (
     find_path_order,
     is_lpm_char,
     realize,
+    theorem_check,
 )
 from latmat.minors import (
     MinorWitness,
@@ -34,7 +35,6 @@ from latmat.minors import (
     find_catalog_minor,
     has_minor,
     is_lpm_via_excluded_minors,
-    theorem_check,
 )
 from util import (
     brute_find_catalog_minor,

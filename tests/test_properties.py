@@ -40,6 +40,7 @@ from latmat.lpm import (
     is_nested_via_pn,
     presentation_connected,
     realize,
+    theorem_check,
 )
 
 
@@ -378,7 +379,7 @@ def test_oracle_closed_under_duality_and_reversal(small_corpus):
 
 
 def test_three_recognizers_agree(small_corpus):
-    report = minors.theorem_check(small_corpus, corpus_label="property-suite")
+    report = theorem_check(small_corpus, corpus_label="property-suite")
     assert report.ok, report.disagreements
 
 

@@ -4,15 +4,20 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.
+only for a hook is the one import the package may leave unused.  Two
+more tests pin the package's import structure: every import sits at module
+level, and the internal import graph has no cycle.
 """
 
 from __future__ import annotations
 
 import ast
+import graphlib
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import latmat
 from latmat.catalog import wheel3
@@ -93,10 +98,8 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_function_local_imports_only_break_the_minors_cycle():
-    """Imports sit at module level, except where ``lpm`` reaches ``minors``
-    and ``catalog``: ``minors`` imports ``lpm``, so those two functions
-    import it when called."""
+def test_no_function_local_imports():
+    """Every import in the package sits at module level."""
     local = set()
     for path in sorted(Path(latmat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -107,4 +110,43 @@ def test_function_local_imports_only_break_the_minors_cycle():
             for node in ast.walk(func)
             if isinstance(node, (ast.Import, ast.ImportFrom))
         }
-    assert local <= {"lpm.recognize", "lpm.is_nested_via_pn"}
+    assert local == set()
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Dotted names a module imports anywhere in it, each spelled from the
+    package root: ``from .kernel import x`` gives ``latmat.kernel`` and
+    ``from . import lpm`` gives ``latmat.lpm``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ("latmat." if node.level else "") + (node.module or "")
+            if base.rstrip(".") == "latmat":
+                names |= {f"latmat.{alias.name}" for alias in node.names}
+            else:
+                names.add(base)
+    return names
+
+
+def test_internal_import_graph_is_acyclic():
+    """``lpm`` is the one module that knows all three recognizers: it
+    imports ``catalog`` and ``minors``, and neither imports it back, at
+    module level or inside a function."""
+    paths = sorted(Path(latmat.__file__).parent.glob("*.py"))
+    stems = {path.stem for path in paths}
+    graph = {
+        path.stem: {
+            name.split(".")[1]
+            for name in _package_imports(path)
+            if name.startswith("latmat.")
+        } & stems
+        for path in paths
+    }
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert {"catalog", "minors"} <= graph["lpm"]
+    assert "lpm" not in graph["catalog"] | graph["minors"]
