@@ -12,22 +12,18 @@ work done.
 
 Set-up per family: the co-occurrence table (bases holding both e and f) is
 built in one pass over the bases, with the basis degrees on its diagonal,
-and clone classes are sought only among elements of equal degree, since a
-transposition fixing the family preserves degrees.
+and clone classes come from one bit-lane test per pair of elements: the
+family as one int with a bit per subset, whose lanes holding e but not f,
+shifted onto those holding f but not e, must match (see
+``_clone_classes``).  The catalog search and the catalog-minors corpus
+read the same classes to walk only clone-minimal splits.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import comb
-
-
-def _swap_bits(mask: int, e: int, f: int) -> int:
-    be = (mask >> e) & 1
-    bf = (mask >> f) & 1
-    if be == bf:
-        return mask
-    return mask ^ ((1 << e) | (1 << f))
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -38,27 +34,67 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _clone_classes(n: int, masks, mask_set, deg) -> list[int]:
-    """Union elements whose transposition fixes the whole family.
+@cache
+def _element_lanes(n: int) -> tuple[int, ...]:
+    """``lanes[e]`` has bit X set iff e is in X, for the 2^n subsets X of
+    an n-element ground set: 2^e clear bits then 2^e set ones, repeated."""
+    every = (1 << (1 << n)) - 1
+    return tuple(
+        (((1 << (1 << e)) - 1) << (1 << e)) * (every // ((1 << (2 << e)) - 1))
+        for e in range(n)
+    )
 
-    A transposition that fixes the family preserves basis degrees, so
-    pairs of unequal degree `deg` are never tested.
+
+def _clone_classes(n: int, masks) -> list[int]:
+    """The least member of each element's clone class.
+
+    Elements e < f are clones when swapping them fixes the family.  With
+    the family as one int F (bit X set iff X is in it), the swap fixes the
+    sets holding both or neither and moves each X holding e but not f to
+    X - e + f = X + 2^f - 2^e, so it fixes F exactly when the lanes of F
+    holding e but not f, shifted up by 2^f - 2^e, are those holding f but
+    not e.  Transpositions fixing the family compose, so the relation is
+    transitive and f need only be tested against least members below it.
     """
-    parent = list(range(n))
-    for e in range(n):
-        for f in range(e + 1, n):
-            if deg[e] != deg[f] or _find(parent, e) == _find(parent, f):
-                continue
-            if all(_swap_bits(b, e, f) in mask_set for b in masks):
-                parent[_find(parent, f)] = _find(parent, e)
-    return [_find(parent, e) for e in range(n)]
+    family = 0
+    for b in masks:
+        family |= 1 << b
+    holding = [family & lane for lane in _element_lanes(n)]
+    least = list(range(n))
+    for f in range(1, n):
+        for e in range(f):
+            if least[e] == e and (holding[e] & ~holding[f]) << (
+                (1 << f) - (1 << e)
+            ) == holding[f] & ~holding[e]:
+                least[f] = e
+                break
+    return least
+
+
+def _clone_steps(n: int, masks) -> tuple[tuple[int, int], ...]:
+    """``(bit of f, bit of e)`` for each element f and its next-lower
+    clone e, from :func:`_clone_classes`.  A set is *clone-minimal*, holding
+    the lowest members of each clone class, iff it holds e wherever it
+    holds f (see :func:`_clone_minimal`)."""
+    least = _clone_classes(n, masks)
+    last: dict[int, int] = {}
+    steps = []
+    for f in range(n):
+        if least[f] in last:
+            steps.append((1 << f, 1 << last[least[f]]))
+        last[least[f]] = f
+    return tuple(steps)
+
+
+def _clone_minimal(mask: int, steps: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the set `mask` is clone-minimal for :func:`_clone_steps`."""
+    return all(mask & lower for upper, lower in steps if mask & upper)
 
 
 class _Search:
     def __init__(self, n: int, masks, collect_all: bool):
         self.n = n
         self.masks = tuple(masks)
-        self.mask_set = frozenset(masks)
         self.collect_all = collect_all
         # cooc[e][f]: bases holding both e and f; the diagonal is the degree
         self.cooc = [[0] * n for _ in range(n)]
@@ -72,7 +108,7 @@ class _Search:
         if collect_all:
             self.clone = list(range(n))  # clone skipping would lose leaves
         else:
-            self.clone = _clone_classes(n, self.masks, self.mask_set, self.deg)
+            self.clone = _clone_classes(n, self.masks)
         self.best_prof: list[tuple[int, ...]] = []
         self.best_leaves: list[tuple[int, ...]] = []
         self.order: list[int] = []

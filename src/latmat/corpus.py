@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog, lpm
+from ._canonical import _clone_minimal, _clone_steps
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
@@ -269,15 +270,24 @@ def _gen_catalog_minors(max_n: int):
     plus some deleted elements, a larger independent contract set of the
     same removed set, and the walk reads the same minor off the group of T
     at the split contracting T.
+
+    Only the clone-minimal removed sets are walked: those holding, in each
+    clone class of the member (:func:`_canonical._clone_classes`), its
+    lowest elements.  Swapping a clone in a removed set for a lower one
+    outside it gives a smaller removed set with isomorphic minors, so the
+    first removed set reaching each isomorphism class is clone-minimal:
+    the walk emits fewer labelled families, but the first of each
+    isomorphism class is the one the full walk emits first.
     """
     out = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for entry in catalog.catalog_up_to(8):
         M = entry.matroid
         greedy = [_greedy_independent(M, c) for c in range(1 << M.n)]
+        steps = _clone_steps(M.n, M.basis_masks)
         for removed in range(1 << M.n):
             new_n = M.n - removed.bit_count()
-            if new_n > max_n:
+            if new_n > max_n or not _clone_minimal(removed, steps):
                 continue
             kept = tuple(e for e in range(M.n) if not (removed >> e) & 1)
             groups: dict[int, list[int]] = {}

@@ -4,7 +4,14 @@
 splits of the right co-size with an independent contract set and a
 coindependent delete set (read off the host's bases grouped by trace),
 prunes by basis count and degree multiset, builds only the splits that
-pass, and certifies hits with an explicit bijection.  ``find_catalog_minor``
+pass, and certifies hits with an explicit bijection.  It walks only the
+clone-minimal splits: clones are elements whose swap fixes the host's
+bases (:func:`_canonical._clone_classes`), and a split whose removed or
+contract set holds some element without its next-lower clone is skipped.
+Swapping clones maps a split to one with an isomorphic minor, and trading
+a clone for a lower one gives a set earlier in the walk, so the first
+split exposing each pattern is clone-minimal and every witness is the one
+the full walk finds.  ``find_catalog_minor``
 makes one pass per catalog size, smallest first, on each connected
 component of at least 6 elements.
 """
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import catalog
+from ._canonical import _clone_minimal, _clone_steps
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
@@ -86,6 +94,11 @@ def has_minor(
     earliest pattern that has any, so a hit retires every later pattern and
     the pass ends when the first one hits.  Its ``pattern_name`` is "?" for
     one pattern, else the exposed pattern's position ("0", "1", ...).
+
+    The host's clone classes are computed once per call, and the walk
+    skips every removed set, and within a kept one every trace, that is not
+    clone-minimal (see the module docstring).  The first split exposing a
+    pattern is clone-minimal, so the witness is the full walk's.
     """
     patterns = (pattern,) + more
     if host.n > MAX_GROUND or pattern.n > host.n:
@@ -100,11 +113,17 @@ def has_minor(
     open_by_size: dict[int, list[int]] = {}
     for i, p in enumerate(patterns):
         open_by_size.setdefault(host.rank - p.rank, []).append(i)
+    steps = _clone_steps(host.n, host.basis_masks)
     found = None
     for removed in itertools.combinations(range(host.n), host.n - pattern.n):
         rm = mask_of(removed)
+        if not _clone_minimal(rm, steps):
+            continue
         by_trace = _bases_by_trace(host, rm)
-        wanted = [c for c in by_trace if c.bit_count() in open_by_size]
+        wanted = [
+            c for c in by_trace
+            if c.bit_count() in open_by_size and _clone_minimal(c, steps)
+        ]
         for cm in sorted(wanted, key=lambda c: (c.bit_count(), [*_bits(c)])):
             open_ids = open_by_size.get(cm.bit_count(), ())
             survivors = by_trace[cm]

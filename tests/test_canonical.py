@@ -6,17 +6,24 @@ from __future__ import annotations
 
 import itertools
 
-from latmat._canonical import _Search
+from latmat._canonical import (
+    _clone_classes,
+    _clone_minimal,
+    _clone_steps,
+    _Search,
+)
 from latmat.catalog import catalog_up_to
 from latmat.corpus import CorpusSpec, SplitMix64, generate
 from latmat.kernel import (
     Matroid,
+    _bits,
     automorphisms,
     canonical_form,
     from_bases,
     is_isomorphic,
     uniform,
 )
+from util import brute_clone_classes, is_clone_minimal
 
 
 def brute_isomorphic(M1, M2) -> bool:
@@ -145,3 +152,27 @@ def test_search_tables_match_first_principles(small_corpus):
                 frozenset(swap.get(x, x) for x in b) for b in M.bases
             }
             assert (search.clone[e] == search.clone[f]) == fixed, (M, e, f)
+
+
+def test_clone_classes_match_swap_test(small_corpus):
+    """The lane test gives the swap test's classes, each element mapped to
+    the least member of its class, and the steps to each next-lower clone
+    accept exactly the clone-minimal sets."""
+    pool = list(small_corpus) + [e.matroid for e in catalog_up_to(12)] + [
+        uniform(6, 12), uniform(0, 3), from_bases(6, [{4, 5}]),
+    ]
+    nontrivial = 0
+    for M in pool:
+        ref = brute_clone_classes(M.n, M.basis_masks)
+        got = _clone_classes(M.n, M.basis_masks)
+        assert got == [
+            min(f for f in range(M.n) if ref[f] == ref[e]) for e in range(M.n)
+        ], M
+        nontrivial += got != list(range(M.n))
+        if M.n <= 8:
+            steps = _clone_steps(M.n, M.basis_masks)
+            for s in range(1 << M.n):
+                assert _clone_minimal(s, steps) == is_clone_minimal(
+                    ref, set(_bits(s))
+                ), (M, s)
+    assert nontrivial >= 100

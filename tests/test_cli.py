@@ -7,7 +7,7 @@ import pytest
 
 from latmat import corpus
 from latmat.cli import main
-from latmat.catalog import p_n, wheel3
+from latmat.catalog import build_by_name, p_n, wheel3
 from latmat.kernel import (
     direct_sum,
     is_connected,
@@ -115,6 +115,34 @@ def test_minor_verb(tmp_path, capsys):
     host2.write_text(matroid_to_text(uniform(2, 4)))
     code, out, err = run(capsys, "minor", "--pattern", str(pattern2), str(host2))
     assert code == 1 and "not found" in out
+
+
+@pytest.mark.parametrize(
+    "pattern, host, code, stdout",
+    [
+        pytest.param(
+            uniform(2, 4), uniform(3, 6), 0,
+            "minor: delete [1] contract [0]\niso: 0->0 1->1 2->2 3->3\n",
+            id="U2,4-in-U3,6",
+        ),
+        pytest.param(
+            wheel3(), direct_sum(build_by_name("B3,2"), uniform(1, 1)), 1,
+            "minor: not found\n",
+            id="W3-in-B3,2+U1,1",
+        ),
+    ],
+)
+def test_minor_verb_on_symmetric_hosts(
+    tmp_path, capsys, pattern, host, code, stdout
+):
+    """Hosts whose elements fall into large clone classes keep the stdout
+    bytes of the walk over every split."""
+    ppath, hpath = tmp_path / "pattern.mat", tmp_path / "host.mat"
+    ppath.write_text(matroid_to_text(pattern))
+    hpath.write_text(matroid_to_text(host))
+    assert run(capsys, "minor", "--pattern", str(ppath), str(hpath))[:2] == (
+        code, stdout
+    )
 
 
 def test_verify_catalog_small(capsys):

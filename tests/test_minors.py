@@ -37,9 +37,11 @@ from latmat.minors import (
     is_lpm_via_excluded_minors,
 )
 from util import (
+    brute_clone_classes,
     brute_find_catalog_minor,
     brute_has_minor,
     brute_minor_masks,
+    is_clone_minimal,
     spanning_trees_k4,
 )
 
@@ -241,16 +243,34 @@ def test_trace_keys_are_independent_coindependent_splits(small_corpus):
             assert split_traces <= want, (M, removed)
 
 
+def symmetric_hosts():
+    """Clone-rich hosts of at most 9 elements, where the search skips most
+    splits: B3,2 and C5,2 (three clone classes each), U3,6 (one class),
+    U1,2 beside R3, and W3 with a parallel copy 6 of element 0, whose
+    first W3 witness deletes 0 and keeps its copy."""
+    w3 = wheel3()
+    doubled = from_bases(7, [set(b) for b in w3.bases] + [
+        set(b) - {0} | {6} for b in w3.bases if 0 in b
+    ])
+    return [
+        build_by_name("B3,2"), build_by_name("C5,2"), uniform(3, 6),
+        direct_sum(uniform(1, 2), build_by_name("R3")), doubled,
+    ]
+
+
+def small_patterns():
+    return [
+        uniform(1, 2), uniform(1, 3), uniform(2, 3), uniform(1, 4),
+        uniform(2, 4), uniform(3, 4), direct_sum(uniform(1, 2), uniform(1, 2)),
+    ]
+
+
 def test_has_minor_matches_brute_force_on_small_patterns(small_corpus):
     # patterns of at most 4 elements leave up to 5 removed elements, so one
     # removed set often has several contract sets of one size exposing the
     # pattern; the witness must take the first in combination order
-    patterns = [
-        uniform(1, 2), uniform(1, 3), uniform(2, 3), uniform(1, 4),
-        uniform(2, 4), uniform(3, 4), direct_sum(uniform(1, 2), uniform(1, 2)),
-    ]
-    for M in small_corpus:
-        for p in patterns:
+    for M in list(small_corpus) + symmetric_hosts():
+        for p in small_patterns():
             if p.n > M.n:
                 continue
             w = has_minor(M, p)
@@ -296,6 +316,36 @@ def test_catalog_search_matches_brute_force_on_catalog_and_minors():
         if w is not None:
             assert rank_of(M, w.contract) == len(w.contract), M
             assert rank_of(M, set(range(M.n)) - w.delete) == M.rank, M
+
+
+def test_catalog_search_matches_brute_force_on_symmetric_hosts():
+    assert_catalog_search_matches_brute_force(symmetric_hosts())
+
+
+def test_first_witness_is_clone_minimal(small_corpus):
+    """In each clone class of the host, the removed set and the contract
+    set of the first witness hold the lowest members."""
+    groups = [
+        [e.matroid for e in catalog_up_to(8) if e.matroid.n == size]
+        for size in (6, 7, 8)
+    ] + [[p] for p in small_patterns()]
+    hosts = (
+        list(small_corpus) + symmetric_hosts()
+        + [e.matroid for e in catalog_up_to(9)]
+    )
+    hits = 0
+    for M in hosts:
+        for group in groups:
+            if group[0].n > M.n:
+                continue
+            w = has_minor(M, *group)
+            if w is None:
+                continue
+            hits += 1
+            classes = brute_clone_classes(M.n, M.basis_masks)
+            assert is_clone_minimal(classes, w.delete | w.contract), (M, w)
+            assert is_clone_minimal(classes, w.contract), (M, w)
+    assert hits >= 100
 
 
 def test_catalog_search_matches_brute_force_on_sparse_paving():

@@ -19,7 +19,9 @@ references (rank table, local submodularity, circuits, flats) are the
 per-subset loops the package's lane sweeps replaced; they share nothing
 with the package but the table they are handed.  The reference components
 of a restriction join the circuits inside it, where the package reads the
-fundamental circuits of one basis off the rank table.
+fundamental circuits of one basis off the rank table.  The reference
+clone classes try every transposition on every basis of the family, where
+the package compares two shifted bit lanes of the family's indicator.
 """
 
 from __future__ import annotations
@@ -267,6 +269,53 @@ def brute_scan_path_orders(n: int, rank: int, bases, indep):
         if ok:
             return perm, tuple(zip(a, b))
     return None
+
+
+def _swap_bits(mask: int, e: int, f: int) -> int:
+    be = (mask >> e) & 1
+    bf = (mask >> f) & 1
+    if be == bf:
+        return mask
+    return mask ^ ((1 << e) | (1 << f))
+
+
+def _find(parent: list[int], a: int) -> int:
+    """Root of a's union-find tree, halving the path on the way up."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def brute_clone_classes(n: int, masks) -> list[int]:
+    """Reference clone classes: union elements whose transposition fixes
+    the whole family, trying each swap on every basis.
+
+    A transposition that fixes the family preserves basis degrees, so
+    pairs of unequal degree are never tested.  Returns each element's
+    union-find root.
+    """
+    mask_set = frozenset(masks)
+    deg = [sum((b >> e) & 1 for b in masks) for e in range(n)]
+    parent = list(range(n))
+    for e in range(n):
+        for f in range(e + 1, n):
+            if deg[e] != deg[f] or _find(parent, e) == _find(parent, f):
+                continue
+            if all(_swap_bits(b, e, f) in mask_set for b in masks):
+                parent[_find(parent, f)] = _find(parent, e)
+    return [_find(parent, e) for e in range(n)]
+
+
+def is_clone_minimal(classes: list[int], elements) -> bool:
+    """Whether `elements` holds, in each class of `classes` (as returned by
+    ``brute_clone_classes``), the lowest members: no member of the class
+    outside the set lies below one inside it."""
+    return not any(
+        classes[e] == classes[f] and e not in elements
+        for f in elements
+        for e in range(f)
+    )
 
 
 def _degrees(n: int, masks) -> tuple[int, ...]:
