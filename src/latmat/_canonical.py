@@ -2,21 +2,30 @@
 
 Backtracking over element orderings: positions are assigned one at a time,
 candidates restricted to the first non-singleton cell of an iteratively
-refined partition (invariants: basis-degree, co-occurrence with the assigned
-prefix, co-occurrence multisets against the remaining cells).  Pruning:
-prefix comparison of the partially relabelled family against the best branch
-so far, collapsing of clone classes (elements interchangeable by a single
-transposition), and root-level orbit skipping driven by automorphisms
-discovered at the leaves.  Pruning never changes the computed form, only the
-work done.
+refined partition.  Invariants: basis-degree, co-occurrence with the
+assigned prefix, co-occurrence multisets against the other cells.  Each
+refinement works only against what just changed: the root partition is
+split by degree and co-occurrence multiset against the whole ground set,
+a child's by co-occurrence with the element just placed, and every later
+round by the multisets against the cells that split in the round before;
+members of a cell already agree on everything else, so the cells and
+their order are those of refining against every cell every round (the
+"freshly split cells" of McKay & Piperno, Practical graph isomorphism II,
+2014).  Once every cell is a singleton the rest of the order is forced:
+the tail is placed in a loop, comparing profiles, with no refinement.
+Pruning: prefix comparison of the partially relabelled family against the
+best branch so far, collapsing of clone classes (elements interchangeable
+by a single transposition), and root-level orbit skipping driven by
+automorphisms discovered at the leaves.  Pruning never changes the
+computed form, only the work done.
 
-Set-up per family: the co-occurrence table (bases holding both e and f) is
-built in one pass over the bases, with the basis degrees on its diagonal,
-and clone classes come from one bit-lane test per pair of elements: the
-family as one int with a bit per subset, whose lanes holding e but not f,
-shifted onto those holding f but not e, must match (see
-``_clone_classes``).  The catalog search and the catalog-minors corpus
-read the same classes to walk only clone-minimal splits.
+Set-up per family: each element's column, a bitset over the bases holding
+it, and the co-occurrence table read off the columns by popcount, with the
+basis degrees on its diagonal; clone classes come from one bit-lane test
+per pair of elements: the family as one int with a bit per subset, whose
+lanes holding e but not f, shifted onto those holding f but not e, must
+match (see ``_clone_classes``).  The catalog search and the catalog-minors
+corpus read the same classes to walk only clone-minimal splits.
 """
 
 from __future__ import annotations
@@ -96,14 +105,17 @@ class _Search:
         self.n = n
         self.masks = tuple(masks)
         self.collect_all = collect_all
+        # col[e]: bit j set iff basis j holds e
+        col = [0] * n
+        for j, b in enumerate(self.masks):
+            e = 0
+            while b:
+                if b & 1:
+                    col[e] |= 1 << j
+                b >>= 1
+                e += 1
         # cooc[e][f]: bases holding both e and f; the diagonal is the degree
-        self.cooc = [[0] * n for _ in range(n)]
-        for b in self.masks:
-            elems = [e for e in range(n) if (b >> e) & 1]
-            for e in elems:
-                row = self.cooc[e]
-                for f in elems:
-                    row[f] += 1
+        self.cooc = [[(ce & cf).bit_count() for cf in col] for ce in col]
         self.deg = [self.cooc[e][e] for e in range(n)]
         if collect_all:
             self.clone = list(range(n))  # clone skipping would lose leaves
@@ -113,51 +125,87 @@ class _Search:
         self.best_leaves: list[tuple[int, ...]] = []
         self.order: list[int] = []
 
-    def refine(self, cells: list[list[int]]) -> list[list[int]]:
+    def refine(self, cells: list[list[int]], key) -> list[list[int]]:
+        """Split every cell by ``key[x]``, then round after round by each
+        member's co-occurrence multisets against the cells that split in
+        the round before, until no cell splits.  The parts of a split cell
+        follow in the sorted order of their signatures.
+
+        ``cells`` must be stable but for what ``key`` tells apart: members
+        of a cell agree on their degree, their co-occurrence with the placed
+        prefix and their multisets against every cell.  Then members can
+        differ only against freshly split cells, and leaving out the cells
+        where they agree changes neither the split nor the order of parts.
+        """
         cooc = self.cooc
-        deg = self.deg
-        prefix = tuple(self.order)
+        fresh = None
         while True:
             new_cells: list[list[int]] = []
-            changed = False
+            split: list[list[int]] = []
             for cell in cells:
                 if len(cell) == 1:
                     new_cells.append(cell)
                     continue
-                groups: dict[tuple, list[int]] = {}
-                for e in cell:
-                    row = cooc[e]
-                    sig = (
-                        deg[e],
-                        tuple(row[a] for a in prefix),
-                    ) + tuple(
-                        tuple(sorted(row[f] for f in other if f != e))
-                        for other in cells
-                    )
-                    groups.setdefault(sig, []).append(e)
-                if len(groups) > 1:
-                    changed = True
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
-            cells = new_cells
-            if not changed:
-                return cells
+                groups: dict = {}
+                if fresh is None:
+                    for x in cell:
+                        groups.setdefault(key[x], []).append(x)
+                else:
+                    for x in cell:
+                        row = cooc[x]
+                        sig = tuple(
+                            tuple(sorted([row[f] for f in other if f != x]))
+                            for other in fresh
+                        )
+                        groups.setdefault(sig, []).append(x)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                    continue
+                parts = [groups[sig] for sig in sorted(groups)]
+                new_cells += parts
+                split += parts
+            if not split:
+                return new_cells
+            cells, fresh = new_cells, split
 
     def run(self) -> None:
-        cells = self.refine([list(range(self.n))])
+        n, cooc = self.n, self.cooc
+        key = [
+            (self.deg[x], tuple(sorted([row[f] for f in range(n) if f != x])))
+            for x, row in enumerate(cooc)
+        ]
         part = [0] * len(self.masks)
-        self._dfs(0, cells, part)
+        self._dfs(0, self.refine([list(range(n))], key), part)
+
+    def _admit(self, depth: int, e: int, part: list[int]) -> list[int] | None:
+        """``part`` with e placed at position ``depth``, or None when the
+        sorted profile of the result is worse than the best branch's at this
+        depth.  A better profile makes this branch the best one."""
+        bit = 1 << depth
+        newpart = [
+            p | bit if m >> e & 1 else p for m, p in zip(self.masks, part)
+        ]
+        prof = tuple(sorted(newpart))
+        best = self.best_prof
+        if len(best) > depth:
+            ref = best[depth]
+            if prof > ref:
+                return None
+            if prof < ref:
+                del best[depth:]
+                best.append(prof)
+                self.best_leaves.clear()
+        else:
+            best.append(prof)
+        return newpart
 
     def _dfs(self, depth: int, cells: list[list[int]], part: list[int]) -> None:
-        if not cells:
-            self.best_leaves.append(tuple(self.order))
-            return
-        idx = 0
-        for i, c in enumerate(cells):
-            if len(c) > 1:
-                idx = i
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
                 break
-        cell = cells[idx]
+        else:
+            self._tail(depth, cells, part)
+            return
         candidates = []
         seen_classes = set()
         for e in sorted(cell):
@@ -171,38 +219,40 @@ class _Search:
         root_orbit = list(range(self.n)) if at_root else None
         root_done: list[int] = []
 
-        masks = self.masks
-        bit = 1 << depth
         for e in candidates:
             if at_root and any(
                 _find(root_orbit, e) == _find(root_orbit, p) for p in root_done
             ):
                 continue
-            newpart = [
-                p | bit if (masks[j] >> e) & 1 else p
-                for j, p in enumerate(part)
-            ]
-            prof = tuple(sorted(newpart))
-            if len(self.best_prof) > depth:
-                ref = self.best_prof[depth]
-                if prof > ref:
-                    if at_root:
-                        root_done.append(e)
-                    continue
-                if prof < ref:
-                    del self.best_prof[depth:]
-                    self.best_prof.append(prof)
-                    self.best_leaves.clear()
-            else:
-                self.best_prof.append(prof)
+            newpart = self._admit(depth, e, part)
+            if newpart is None:
+                if at_root:
+                    root_done.append(e)
+                continue
             self.order.append(e)
             rest = [f for f in cell if f != e]
-            child = cells[:idx] + ([rest] if rest else []) + cells[idx + 1 :]
-            self._dfs(depth + 1, self.refine(child), newpart)
+            child = cells[:idx] + [rest] + cells[idx + 1 :]
+            self._dfs(depth + 1, self.refine(child, self.cooc[e]), newpart)
             self.order.pop()
             if at_root:
                 root_done.append(e)
                 self._absorb_autos(root_orbit)
+
+    def _tail(self, depth: int, cells: list[list[int]], part: list[int]) -> None:
+        """Place the singleton cells in order: one candidate per position,
+        whose refinement would change nothing, so only the profiles are
+        compared on the way to the leaf."""
+        order = self.order
+        start = len(order)
+        for (e,) in cells:
+            part = self._admit(depth, e, part)
+            if part is None:
+                break
+            order.append(e)
+            depth += 1
+        else:
+            self.best_leaves.append(tuple(order))
+        del order[start:]
 
     def _absorb_autos(self, parent: list[int]) -> None:
         leaves = self.best_leaves
@@ -220,24 +270,6 @@ class _Search:
                     parent[rb] = ra
 
 
-def _relabel(masks, order) -> tuple[int, ...]:
-    pos = [0] * len(order)
-    for i, e in enumerate(order):
-        pos[e] = i
-    out = []
-    for b in masks:
-        m = 0
-        e = 0
-        bb = b
-        while bb:
-            if bb & 1:
-                m |= 1 << pos[e]
-            bb >>= 1
-            e += 1
-        out.append(m)
-    return tuple(sorted(out))
-
-
 def canonical_labeling(n: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (canonical mask family, order), where order[pos] = element.
 
@@ -253,8 +285,9 @@ def canonical_labeling(n: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]
         return masks, tuple(range(n))
     search = _Search(n, masks, collect_all=False)
     search.run()
-    order = search.best_leaves[0]
-    return _relabel(masks, order), order
+    # the profile at the last position is the family relabelled through
+    # the order of the best leaf
+    return search.best_prof[-1], search.best_leaves[0]
 
 
 def automorphism_group(n: int, masks) -> set[tuple[int, ...]]:

@@ -1,6 +1,10 @@
-"""Stress tests for canonical labeling: the brute-force twin is exhaustive
-permutation search, so any disagreement pins a bug in the refinement,
-pruning, or automorphism machinery."""
+"""Stress tests for canonical labeling, against two references.  The
+brute-force twin is exhaustive permutation search, so any disagreement pins
+a bug in the refinement, pruning, or automorphism machinery.  The reference
+search in ``util`` refines against every cell in every round and recurses
+through forced tails; the package refines only against freshly split cells
+and places forced tails in a loop, which changes the work per node but not
+the nodes, so it must return the same form, order and group."""
 
 from __future__ import annotations
 
@@ -11,19 +15,35 @@ from latmat._canonical import (
     _clone_minimal,
     _clone_steps,
     _Search,
+    automorphism_group,
+    canonical_labeling,
 )
-from latmat.catalog import catalog_up_to
-from latmat.corpus import CorpusSpec, SplitMix64, generate
+from latmat.catalog import catalog_up_to, wheel3
+from latmat.corpus import (
+    CorpusSpec,
+    SplitMix64,
+    generate,
+    generate_tagged,
+    parse_corpus_spec,
+)
 from latmat.kernel import (
     Matroid,
     _bits,
     automorphisms,
     canonical_form,
+    dual,
     from_bases,
     is_isomorphic,
     uniform,
 )
-from util import brute_clone_classes, is_clone_minimal
+from test_acceptance import ACCEPT_SPEC
+from test_minors import symmetric_hosts
+from util import (
+    brute_automorphism_group,
+    brute_canonical_labeling,
+    brute_clone_classes,
+    is_clone_minimal,
+)
 
 
 def brute_isomorphic(M1, M2) -> bool:
@@ -106,12 +126,22 @@ def test_is_isomorphic_witness_is_valid_bijection():
 
 
 def test_automorphisms_match_brute_force():
-    pool = [M for M in _pool(5, seed=67, count=60) if M.n <= 5]
-    checked = 0
-    for M in pool[:30]:
-        assert automorphisms(M) == brute_automorphisms(M)
-        checked += 1
-    assert checked >= 10
+    """Small corpus members, the catalog up to 7 elements, and two hosts
+    whose group searches refine against freshly split cells and end in
+    forced tails, 36 and 8 of them: U3,6 less one basis and W3 with a
+    parallel copy 6 of element 0."""
+    pool = [M for M in _pool(5, seed=67, count=60) if M.n <= 5][:30]
+    assert len(pool) >= 10
+    w3 = wheel3()
+    pool += [e.matroid for e in catalog_up_to(7)] + [
+        from_bases(6, [c for c in itertools.combinations(range(6), 3)
+                       if c != (0, 1, 2)]),
+        from_bases(7, [set(b) for b in w3.bases] + [
+            set(b) - {0} | {6} for b in w3.bases if 0 in b
+        ]),
+    ]
+    for M in pool:
+        assert automorphisms(M) == brute_automorphisms(M), M
 
 
 def test_canonical_form_distinguishes_near_twins():
@@ -176,3 +206,31 @@ def test_clone_classes_match_swap_test(small_corpus):
                     ref, set(_bits(s))
                 ), (M, s)
     assert nontrivial >= 100
+
+
+def test_labeling_and_groups_match_reference(small_corpus):
+    """Refining against freshly split cells and placing the forced tail in a
+    loop visit the same nodes as refining against every cell: the same
+    form, order and automorphism group as the reference search.  The
+    seeded corpus to 10 elements holds sparse paving families whose
+    refinement needs more than one freshly split cell per round."""
+    accept = [M for _, M in generate_tagged(parse_corpus_spec(ACCEPT_SPEC))]
+    pool = (
+        list(small_corpus)
+        + list(_pool(10, seed=68, count=40))
+        + [e.matroid for e in catalog_up_to(12)]
+        + accept
+        + [dual(M) for M in accept]
+        + symmetric_hosts()
+    )
+    for M in pool:
+        masks = M.basis_masks
+        assert canonical_labeling(M.n, masks) == brute_canonical_labeling(
+            M.n, masks
+        ), M
+        # a group search keeps every leaf, so it cannot prune: past 6
+        # elements the acceptance families' groups take seconds
+        if M.n <= 6:
+            assert automorphism_group(M.n, masks) == brute_automorphism_group(
+                M.n, masks
+            ), M

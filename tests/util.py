@@ -21,12 +21,19 @@ with the package but the table they are handed.  The reference components
 of a restriction join the circuits inside it, where the package reads the
 fundamental circuits of one basis off the rank table.  The reference
 clone classes try every transposition on every basis of the family, where
-the package compares two shifted bit lanes of the family's indicator.
+the package compares two shifted bit lanes of the family's indicator.  The
+reference canonical labeling and automorphism group are the package's
+search as it was before it refined only against freshly split cells: every
+round recomputes each element's signature against every cell, every node
+down to the leaf refines and recurses, co-occurrences are counted basis by
+basis and the clone classes are the reference ones; it shares nothing with
+the package.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from latmat import corpus
 from latmat.catalog import catalog_up_to
@@ -316,6 +323,192 @@ def is_clone_minimal(classes: list[int], elements) -> bool:
         for f in elements
         for e in range(f)
     )
+
+
+class _BruteSearch:
+    """The labeling search before it refined only against freshly split
+    cells: every round recomputes each element's signature (degree,
+    co-occurrence with the prefix, multisets against every cell), every
+    node below the last split refines and recurses, and clone classes come
+    from ``brute_clone_classes``."""
+
+    def __init__(self, n: int, masks, collect_all: bool):
+        self.n = n
+        self.masks = tuple(masks)
+        self.collect_all = collect_all
+        # cooc[e][f]: bases holding both e and f; the diagonal is the degree
+        self.cooc = [[0] * n for _ in range(n)]
+        for b in self.masks:
+            elems = [e for e in range(n) if (b >> e) & 1]
+            for e in elems:
+                row = self.cooc[e]
+                for f in elems:
+                    row[f] += 1
+        self.deg = [self.cooc[e][e] for e in range(n)]
+        if collect_all:
+            self.clone = list(range(n))  # clone skipping would lose leaves
+        else:
+            self.clone = brute_clone_classes(n, self.masks)
+        self.best_prof: list[tuple[int, ...]] = []
+        self.best_leaves: list[tuple[int, ...]] = []
+        self.order: list[int] = []
+
+    def refine(self, cells: list[list[int]]) -> list[list[int]]:
+        cooc = self.cooc
+        deg = self.deg
+        prefix = tuple(self.order)
+        while True:
+            new_cells: list[list[int]] = []
+            changed = False
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups: dict[tuple, list[int]] = {}
+                for e in cell:
+                    row = cooc[e]
+                    sig = (
+                        deg[e],
+                        tuple(row[a] for a in prefix),
+                    ) + tuple(
+                        tuple(sorted(row[f] for f in other if f != e))
+                        for other in cells
+                    )
+                    groups.setdefault(sig, []).append(e)
+                if len(groups) > 1:
+                    changed = True
+                for sig in sorted(groups):
+                    new_cells.append(groups[sig])
+            cells = new_cells
+            if not changed:
+                return cells
+
+    def run(self) -> None:
+        cells = self.refine([list(range(self.n))])
+        part = [0] * len(self.masks)
+        self._dfs(0, cells, part)
+
+    def _dfs(self, depth: int, cells: list[list[int]], part: list[int]) -> None:
+        if not cells:
+            self.best_leaves.append(tuple(self.order))
+            return
+        idx = 0
+        for i, c in enumerate(cells):
+            if len(c) > 1:
+                idx = i
+                break
+        cell = cells[idx]
+        candidates = []
+        seen_classes = set()
+        for e in sorted(cell):
+            c = self.clone[e]
+            if c in seen_classes:
+                continue
+            seen_classes.add(c)
+            candidates.append(e)
+
+        at_root = depth == 0 and not self.collect_all
+        root_orbit = list(range(self.n)) if at_root else None
+        root_done: list[int] = []
+
+        masks = self.masks
+        bit = 1 << depth
+        for e in candidates:
+            if at_root and any(
+                _find(root_orbit, e) == _find(root_orbit, p) for p in root_done
+            ):
+                continue
+            newpart = [
+                p | bit if (masks[j] >> e) & 1 else p
+                for j, p in enumerate(part)
+            ]
+            prof = tuple(sorted(newpart))
+            if len(self.best_prof) > depth:
+                ref = self.best_prof[depth]
+                if prof > ref:
+                    if at_root:
+                        root_done.append(e)
+                    continue
+                if prof < ref:
+                    del self.best_prof[depth:]
+                    self.best_prof.append(prof)
+                    self.best_leaves.clear()
+            else:
+                self.best_prof.append(prof)
+            self.order.append(e)
+            rest = [f for f in cell if f != e]
+            child = cells[:idx] + ([rest] if rest else []) + cells[idx + 1 :]
+            self._dfs(depth + 1, self.refine(child), newpart)
+            self.order.pop()
+            if at_root:
+                root_done.append(e)
+                self._absorb_autos(root_orbit)
+
+    def _absorb_autos(self, parent: list[int]) -> None:
+        leaves = self.best_leaves
+        if len(leaves) < 2:
+            return
+        base = leaves[0]
+        inv = [0] * self.n
+        for pos, e in enumerate(base):
+            inv[e] = pos
+        for other in leaves[1:]:
+            for e in range(self.n):
+                img = other[inv[e]]
+                ra, rb = _find(parent, e), _find(parent, img)
+                if ra != rb:
+                    parent[rb] = ra
+
+
+def _relabel(masks, order) -> tuple[int, ...]:
+    pos = [0] * len(order)
+    for i, e in enumerate(order):
+        pos[e] = i
+    out = []
+    for b in masks:
+        m = 0
+        e = 0
+        bb = b
+        while bb:
+            if bb & 1:
+                m |= 1 << pos[e]
+            bb >>= 1
+            e += 1
+        out.append(m)
+    return tuple(sorted(out))
+
+
+def brute_canonical_labeling(n: int, masks):
+    """Reference ``_canonical.canonical_labeling``: (canonical mask family,
+    order), from the search that refines against every cell."""
+    masks = tuple(sorted(masks))
+    if n == 0:
+        return masks, ()
+    r = masks[0].bit_count()
+    if len(masks) == comb(n, r):
+        return masks, tuple(range(n))
+    search = _BruteSearch(n, masks, collect_all=False)
+    search.run()
+    order = search.best_leaves[0]
+    return _relabel(masks, order), order
+
+
+def brute_automorphism_group(n: int, masks) -> set[tuple[int, ...]]:
+    """Reference ``_canonical.automorphism_group`` (p[e] = image of e)."""
+    masks = tuple(sorted(masks))
+    if n == 0:
+        return {()}
+    r = masks[0].bit_count()
+    if len(masks) == comb(n, r):
+        return set(itertools.permutations(range(n)))
+    search = _BruteSearch(n, masks, collect_all=True)
+    search.run()
+    leaves = search.best_leaves
+    base = leaves[0]
+    inv = [0] * n
+    for pos, e in enumerate(base):
+        inv[e] = pos
+    return {tuple(leaf[inv[e]] for e in range(n)) for leaf in leaves}
 
 
 def _degrees(n: int, masks) -> tuple[int, ...]:
