@@ -293,6 +293,11 @@ def _as_mask(M: Matroid, X: ElementSetLike) -> int:
 def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
     """Validate a basis family and build the matroid.
 
+    A family of plain ints within 0..2^n - 1 is taken as bitmasks as it
+    stands, which is what :func:`matroid_from_text` passes; any other
+    family (element sets, bools, a mask out of range) goes through
+    :func:`mask_of` basis by basis, which reports the first bad basis.
+
     The family's rank table r(X) = max |B & X| (see
     :attr:`Matroid.rank_table`) is monotone and grows by at most one per
     element, so it is a matroid rank function, whose bases are then the
@@ -310,13 +315,20 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
         raise OutOfRange(f"negative ground size {n}")
     if n > MAX_GROUND:
         raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
-    masks = sorted({mask_of(b, n) for b in bases})
+    family = list(bases)
+    if (
+        family
+        and set(map(type, family)) <= {int}
+        and min(family) >= 0
+        and not max(family) >> n
+    ):
+        masks = sorted(set(family))
+    else:
+        masks = sorted({mask_of(b, n) for b in family})
     if not masks:
         raise EmptyFamily("a matroid has at least one basis")
-    r = masks[0].bit_count()
-    for b in masks:
-        if b.bit_count() != r:
-            raise MixedCardinality("bases must share one cardinality")
+    if len(set(map(int.bit_count, masks))) != 1:
+        raise MixedCardinality("bases must share one cardinality")
     M = Matroid._from_masks(n, masks)
     ones, single = _lanes(n)
     steps = _rank_steps(M)
@@ -704,7 +716,11 @@ def automorphisms(M: Matroid) -> set[tuple[int, ...]]:
     """All ground-set permutations fixing the basis family.
 
     Returned as tuples p with p[e] = image of e.  Output size is the group
-    order, which is n! for uniform matroids.
+    order, which is n! for uniform matroids (refused past 9 elements).  The
+    cost grows with the group too: the search keeps one leaf per group
+    element and prunes nothing, so on a 2-core x86 host the 11-element
+    catalog members take 2.5-2.8 s and two 12-element ones 37-50 s (see
+    :func:`_canonical.automorphism_group`).
     """
     return _canonical.automorphism_group(M.n, M.basis_masks)
 
@@ -731,12 +747,57 @@ def _ints(tokens: list[str], what: str, raw: str) -> list[int]:
         raise MatroidError(f"bad {what} line: {raw!r}") from None
 
 
+def _canonical_masks(text: str) -> Optional[tuple[int, list[int]]]:
+    """The ground size and basis masks of a text in the spelling that
+    :func:`matroid_to_text` writes, read in bulk, or None for any other
+    text.
+
+    It reads a text with no ``#`` whose first line is ``MATROID n r``, 0 < r
+    <= n <= MAX_GROUND, and whose other non-blank lines each hold r tokens
+    among ``0``..``n-1`` (a dict lookup, so ``01``, ``+1`` or an element
+    out of range miss), strictly increasing (checked column by column).
+    Lines are split as the line reader splits them, so it never reads a
+    text otherwise than that reader would.
+    """
+    if "#" in text:
+        return None
+    lines = text.splitlines()
+    head = lines[0].split() if lines else ()
+    if len(head) != 3 or head[0] != "MATROID":
+        return None
+    if not (head[1].isdecimal() and head[2].isdecimal()):
+        return None
+    n, r = int(head[1]), int(head[2])
+    if not 0 < r <= n <= MAX_GROUND:
+        return None
+    rows = list(filter(None, map(str.split, lines[1:])))
+    if set(map(len, rows)) != {r}:
+        return None
+    bits = {str(e): 1 << e for e in range(n)}
+    try:
+        vals = list(map(bits.__getitem__, itertools.chain.from_iterable(rows)))
+    except KeyError:
+        return None
+    for j in range(r - 1):
+        if not all(map(operator.lt, vals[j::r], vals[j + 1::r])):
+            return None
+    return n, list(map(sum, zip(*[iter(vals)] * r)))
+
+
 def matroid_from_text(text: str) -> Matroid:
     """Parse the matroid text format; the family is fully re-validated.
 
-    Each basis line is packed into a bitmask as it is read.  A line with an
-    element outside 0..n-1 stays a list, for :func:`from_bases` to report.
+    A text in the canonical spelling of :func:`matroid_to_text` is read in
+    bulk (:func:`_canonical_masks`) and its masks go to :func:`from_bases`
+    as they are.  Any other text is read line by line, and that reader
+    alone decides which texts are accepted and which parse error is
+    raised: each basis line is packed into a bitmask as it is read, and a
+    line with an element outside 0..n-1 stays a list, for
+    :func:`from_bases` to report.
     """
+    bulk = _canonical_masks(text)
+    if bulk is not None:
+        return from_bases(*bulk)
     rows: list[Union[int, list[int]]] = []
     header = None
     mixed = False

@@ -53,6 +53,7 @@ from util import (
     brute_locally_submodular,
     brute_minimal_dependent,
     brute_rank_table,
+    line_matroid_from_text,
     p3_bases,
     spanning_trees_k4,
 )
@@ -106,6 +107,47 @@ def test_from_bases_errors():
         from_bases(3, [{0, 5}])
     with pytest.raises(GroundTooLarge):
         from_bases(13, [{0}])
+
+
+def test_from_bases_integer_masks(monkeypatch):
+    u24 = uniform(2, 4)
+    masks = list(u24.basis_masks)
+    calls = []
+    real_mask_of = kernel.mask_of
+
+    def counting_mask_of(b, n=None):
+        calls.append(b)
+        return real_mask_of(b, n)
+
+    monkeypatch.setattr(kernel, "mask_of", counting_mask_of)
+    # ints in range are taken as masks: consumed once, duplicates collapse
+    assert from_bases(4, (m for m in masks * 2)) == u24
+    assert from_bases(4, masks[::-1] + masks).basis_masks == u24.basis_masks
+    assert calls == []
+    for family, error, message in (
+        ([0b0011, -1], OutOfRange, "bitmask -0x1 not within 0..4"),
+        ([0b0011, 0b10000], OutOfRange, "bitmask 0x10 not within 0..4"),
+        ([0b0001, 0b0011], MixedCardinality, "bases must share one cardinality"),
+        ([], EmptyFamily, "a matroid has at least one basis"),
+    ):
+        with pytest.raises(error) as err:
+            from_bases(4, iter(family))
+        assert str(err.value) == message
+    # bools and element sets go through mask_of basis by basis
+    calls.clear()
+    assert from_bases(1, [True]) == from_bases(1, [1])
+    assert from_bases(4, [0b0011, {0, 2}, (1, 2)]) == from_bases(
+        4, [0b0011, 0b0101, 0b0110]
+    )
+    assert calls == [True, 0b0011, {0, 2}, (1, 2)]
+    for n, family, message in (
+        (0, [True], "bitmask 0x1 not within 0..0"),
+        (4, [0b0011, {0, 5}], "element 5 not in 0..3"),
+        (4, [{0, 1}, 0b10000], "bitmask 0x10 not within 0..4"),
+    ):
+        with pytest.raises(OutOfRange) as err:
+            from_bases(n, family)
+        assert str(err.value) == message
 
 
 def test_from_bases_empty_ground():
@@ -426,6 +468,75 @@ def test_text_errors():
         with pytest.raises(error) as err:
             matroid_from_text(text)
         assert message in str(err.value)
+
+
+def _read_both(text):
+    """What the package's reader and the reference line reader make of one
+    text: a matroid, or the class and message of the error raised."""
+    out = []
+    for read in (matroid_from_text, line_matroid_from_text):
+        try:
+            out.append(read(text))
+        except kernel.MatroidError as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+def _text_variants(text):
+    """Spellings and misspellings of one canonical text that the bulk
+    reader must read as the line reader does, or leave to it."""
+    head, *body = text.splitlines()
+    n = int(head.split()[1])
+
+    def join(*lines):
+        return "\n".join(lines) + "\n"
+
+    yield "# a comment line\n" + text
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", "\t")
+    yield "\n\n".join([head, *body]) + "\n\n"
+    yield join(head)
+    yield join("MATROID 13 2", *body)
+    yield join("MATROID 13 2", "0 1", "0 12")
+    yield join("MATROID 3 0", *body)
+    yield join("MATROID 3 0", "0")
+    if not body:
+        return
+    first, last = body[0].split(), body[-1].split()
+    yield join(head, body[0] + "  # a trailing comment", *body[1:])
+    yield join(head, "0" + body[0], *body[1:])
+    yield join(head, "+" + body[0], *body[1:])
+    yield join(head, body[0], *body)
+    yield join(head, *body[1:])
+    yield join(head, *body[:-1], " ".join(last[:-1]))
+    yield join(head, " ".join(first[:-1]), *body[1:])
+    yield join(head, *body[:-1], body[-1] + " " + str(n - 1))
+    yield join(head, body[0] + " " + str(n - 1), *body[1:])
+    yield join(head, *body[:-1], " ".join([*last[:-1], str(n)]))
+    yield join(head, " ".join(["-1", *first[1:]]), *body[1:])
+    if len(first) >= 2:
+        yield join(head, " ".join([first[1], first[0], *first[2:]]), *body[1:])
+
+
+def test_bulk_reader_matches_line_reader():
+    """Canonical texts are read in bulk, every other text line by line, and
+    both readers give the same matroid or the same error on every text."""
+    spec = corpus.CorpusSpec(
+        ("random-sparse-paving", "lpm-random", "random-transversal",
+         "duals-closure"),
+        count=12,
+        max_n=12,
+        seed=1919,
+    )
+    family = [e.matroid for e in catalog_up_to(12)] + corpus.generate(spec)
+    assert {M.n for M in family} >= set(range(6, 13))
+    for M in family:
+        text = matroid_to_text(M)
+        assert (kernel._canonical_masks(text) is None) == (M.rank == 0)
+        assert _read_both(text) == [M, M]
+        for variant in _text_variants(text):
+            got, want = _read_both(variant)
+            assert got == want, variant
 
 
 # --- property-style checks ---------------------------------------------------

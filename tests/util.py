@@ -27,20 +27,28 @@ search as it was before it refined only against freshly split cells: every
 round recomputes each element's signature against every cell, every node
 down to the leaf refines and recurses, co-occurrences are counted basis by
 basis and the clone classes are the reference ones; it shares nothing with
-the package.
+the package.  The reference text reader is the package's line-by-line
+reader as it was before canonical texts were read in bulk; it shares
+``from_bases`` and the error classes with the package.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from math import comb
+from typing import Union
 
 from latmat import corpus
 from latmat.catalog import catalog_up_to
 from latmat.kernel import (
+    MAX_GROUND,
     Matroid,
+    MatroidError,
+    MixedCardinality,
     canonical_form,
     dual,
+    from_bases,
     is_isomorphic,
 )
 from latmat.ordersearch import transversal_count
@@ -666,3 +674,53 @@ def brute_generate_tagged(spec):
             seen.add(form)
             out.append((source, M))
     return out
+
+
+def _ints(tokens: list[str], what: str, raw: str) -> list[int]:
+    """The tokens of one text line as ints, else a bad-line error naming it."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise MatroidError(f"bad {what} line: {raw!r}") from None
+
+
+def line_matroid_from_text(text: str) -> Matroid:
+    """Parse the matroid text format; the family is fully re-validated.
+
+    Each basis line is packed into a bitmask as it is read.  A line with an
+    element outside 0..n-1 stays a list, for :func:`from_bases` to report.
+    """
+    rows: list[Union[int, list[int]]] = []
+    header = None
+    mixed = False
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 3 or parts[0] != "MATROID":
+                raise MatroidError(f"bad header line: {raw!r}")
+            header = n, r = _ints(parts[1:], "header", raw)
+            if not 0 <= r <= n:
+                raise MatroidError(f"bad header line: {raw!r}")
+            # past the cap from_bases rejects n; pack no wider than the cap
+            bits = [1 << e for e in range(min(n, MAX_GROUND))]
+            continue
+        row = _ints(line.split(), "basis", raw)
+        if not all(map(operator.lt, row, row[1:])):
+            raise MatroidError(f"basis line not strictly increasing: {raw!r}")
+        mixed = mixed or len(row) != r
+        if 0 <= row[0] and row[-1] < len(bits):
+            rows.append(sum(map(bits.__getitem__, row)))
+        else:
+            rows.append(row)
+    if header is None:
+        raise MatroidError("missing MATROID header")
+    if r == 0:
+        if rows:
+            raise MatroidError("rank 0 matroid admits no basis lines")
+        return from_bases(n, [0])
+    if mixed:
+        raise MixedCardinality("basis line length differs from declared rank")
+    return from_bases(n, rows)
