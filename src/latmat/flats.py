@@ -8,15 +8,20 @@ not); a pnc-flat is *reducible* when it is the intersection of two
 incomparable pnc-flats; a *fundamental flat* is a pnc-flat F for which some
 spanning circuit C makes F & C a basis of F.
 
-The flats are the kernel's cached ``Matroid.flat_masks``, one sweep over
-all 2^n subsets at once on its byte lanes; the ground-set cap keeps that
-tractable.  Results are plain frozensets; no caching across calls beyond
-the per-matroid tables.  Each caller enumerates the pnc-flats once with
-``_pnc_masks`` and passes that list to ``_fundamental_masks`` and
-``_reducible_masks``; connectivity of a proper flat comes from
-``kernel._components_within``, which reads the fundamental circuits of one
-basis off the rank table, and that of the ground set from the cached
-``Matroid.component_masks``.
+Every flat is found in one sweep over all 2^n subsets at once on the
+kernel's byte lanes; the ground-set cap keeps that tractable.  The
+functions that return every flat read the cached ``Matroid.flat_masks``.
+The pnc-flats and the fundamental flats, all the structural recognizer
+needs, stay on the lanes until only they are left: ``_pnc_masks`` unpacks
+only the dependent proper flats, and ``_fundamental_masks`` tests each
+pnc-flat against the spanning-circuit lanes at once, so neither lists
+every flat or every circuit.  Results are plain frozensets; no caching
+across calls beyond the per-matroid tables.  Each caller enumerates the
+pnc-flats once with ``_pnc_masks`` and passes that list to
+``_fundamental_masks`` and ``_reducible_masks``; connectivity of a proper
+flat comes from ``kernel._components_within``, which reads the fundamental
+circuits of one basis off the rank table, and that of the ground set from
+the cached ``Matroid.component_masks``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from dataclasses import dataclass
 from .kernel import (
     Matroid,
     MatroidError,
+    _at_least,
+    _bits,
+    _circuit_lanes,
     _components_within,
+    _dependent_lanes,
+    _flat_lanes,
+    _lane_members,
+    _lanes,
     is_connected,
     mask_of,
     members,
@@ -54,33 +66,38 @@ def _is_cyclic_mask(M: Matroid, x: int) -> bool:
 
 
 def _pnc_masks(M: Matroid) -> tuple[int, ...]:
-    ranks = M.rank_table
-    out = []
-    for x in M.flat_masks:
-        if x == M.full_mask:
-            continue
-        if ranks[x] >= x.bit_count():  # independent = trivial
-            continue
-        if len(_components_within(M, x)) <= 1:
-            out.append(x)
-    return tuple(out)
+    """M's pnc-flats, ascending: the dependent proper flats, read off the
+    lanes (flat lanes AND dependent lanes, less the ground set's lane, the
+    last), that are connected.  Only those few are unpacked; no other flat
+    is listed."""
+    dependent_flats = _flat_lanes(M) & _dependent_lanes(M)
+    proper = dependent_flats & ((1 << (8 * M.full_mask)) - 1)
+    return tuple(
+        x
+        for x in _lane_members(proper, M.n)
+        if len(_components_within(M, x)) <= 1
+    )
 
 
 def _fundamental_masks(M: Matroid, pncs: tuple[int, ...]) -> tuple[int, ...]:
     """The fundamental flats among ``pncs``, which must be M's pnc-flats as
-    :func:`_pnc_masks` returns them; callers pass the list they already hold."""
+    :func:`_pnc_masks` returns them; callers pass the list they already hold.
+
+    The spanning circuits are one lane set, the circuit lanes of size
+    r + 1; no circuit is unpacked.  For a pnc-flat F the lanes of
+    ``meet`` hold |F & X|, and F is fundamental iff some spanning circuit
+    C has |F & C| >= r(F).  That is the definition's |F & C| = r(F): C is
+    not inside F, or the proper flat F would span M, so F & C is a proper
+    subset of the circuit C, independent, and at most r(F) in size.
+    """
+    ones, single = _lanes(M.n)
     ranks = M.rank_table
-    spanning = [c for c in M.circuit_masks if c.bit_count() == M.rank + 1]
+    spanning = _circuit_lanes(M) & _at_least(sum(single), M.rank + 1, ones)
     out = []
     for f in pncs:
-        rf = ranks[f]
-        for c in spanning:
-            # c is not inside f, or the proper flat f would span M, so
-            # f & c is a proper subset of the circuit c and independent:
-            # it is a basis of f exactly when it has r(f) elements.
-            if (f & c).bit_count() == rf:
-                out.append(f)
-                break
+        meet = sum(single[e] for e in _bits(f))
+        if _at_least(meet, ranks[f], ones) & spanning:
+            out.append(f)
     return tuple(out)
 
 

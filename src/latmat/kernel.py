@@ -12,7 +12,7 @@ bytes, byte X (lane X) holding a small value for the subset with bitmask X;
 a shift by 8 * 2^e bits moves lane X to lane X + e, so one shift and one
 mask treat all 2^n subsets (see ``_lanes``).  Two invariants keep lanes
 apart: no carry, because a lane holds at most 12 (and ``_at_least`` adds
-at most 127 to it), and no borrow, because the rank steps
+at most 128 to it), and no borrow, because the rank steps
 r(X + e) - r(X) subtracted lane by lane are never negative.
 
 Ground sets are capped at 12 elements: all algorithms here are exponential
@@ -130,21 +130,16 @@ def _lanes(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _at_least(lanes: int, k: int, ones: int) -> int:
-    """1 in the lanes holding at least k, for lane values and k in 1..12:
-    adding 128 - k sets bit 7 of a lane exactly then, and never carries
-    into the next lane."""
+    """1 in the lanes holding at least k, for lane values of at most 12 and
+    k in 0..128: adding 128 - k sets bit 7 of a lane exactly then, and the
+    sum stays below 256, so it never carries into the next lane."""
     return ((lanes + (128 - k) * ones) >> 7) & ones
 
 
 def _lane_members(lanes: int, n: int) -> tuple[int, ...]:
     """The subsets X, ascending, whose lane holds 1 in a 0/1 lane set."""
     data = lanes.to_bytes(1 << n, "little")
-    out = []
-    x = data.find(1)
-    while x >= 0:
-        out.append(x)
-        x = data.find(1, x + 1)
-    return tuple(out)
+    return tuple(itertools.compress(range(1 << n), data))
 
 
 def _rank_steps(M: "Matroid") -> list[int]:
@@ -158,6 +153,34 @@ def _rank_steps(M: "Matroid") -> list[int]:
         below = (ones ^ s) * 0xFF  # whole bytes of the lanes without e
         out.append(((table >> (8 << e)) & below) - (table & below))
     return out
+
+
+def _flat_lanes(M: "Matroid") -> int:
+    """1 in the lanes of the flats: the lanes X where every e outside X
+    raises the rank, the AND over e of (r(X + e) - r(X) | e in X)."""
+    ones, single = _lanes(M.n)
+    flat = ones
+    for s, step in zip(single, _rank_steps(M)):
+        flat &= step | s
+    return flat
+
+
+def _dependent_lanes(M: "Matroid") -> int:
+    """1 in the lanes of the dependent sets, where r(X) < |X|."""
+    ones, single = _lanes(M.n)
+    table = int.from_bytes(M.rank_table, "little")
+    return _at_least(sum(single) - table, 1, ones)
+
+
+def _circuit_lanes(M: "Matroid") -> int:
+    """1 in the lanes of the circuits: the dependent sets X whose every
+    X - e is independent, that is, no dependent lane below them."""
+    _, single = _lanes(M.n)
+    dependent = _dependent_lanes(M)
+    above = 0
+    for e, s in enumerate(single):
+        above |= (dependent << (8 << e)) & s
+    return dependent ^ above
 
 
 class Matroid:
@@ -241,25 +264,13 @@ class Matroid:
 
     @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
-        """Minimal dependent sets: dependent sets X whose every X - e is
-        independent, read off lanes where r(X) < |X|."""
-        ones, single = _lanes(self.n)
-        table = int.from_bytes(self.rank_table, "little")
-        dependent = _at_least(sum(single) - table, 1, ones)
-        above = 0
-        for e, s in enumerate(single):
-            above |= (dependent << (8 << e)) & s
-        return _lane_members(dependent ^ above, self.n)
+        """Minimal dependent sets, ascending (see :func:`_circuit_lanes`)."""
+        return _lane_members(_circuit_lanes(self), self.n)
 
     @cached_property
     def flat_masks(self) -> tuple[int, ...]:
-        """Flats, ascending: the lanes X where every e outside X raises the
-        rank, the AND over e of (r(X + e) - r(X) | e in X)."""
-        ones, single = _lanes(self.n)
-        flat = ones
-        for s, step in zip(single, _rank_steps(self)):
-            flat &= step | s
-        return _lane_members(flat, self.n)
+        """Flats, ascending (see :func:`_flat_lanes`)."""
+        return _lane_members(_flat_lanes(self), self.n)
 
     @cached_property
     def component_masks(self) -> tuple[int, ...]:

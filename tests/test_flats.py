@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from latmat.catalog import catalog_up_to
+from latmat import corpus, lpm
+from latmat.catalog import a_n, catalog_up_to
 from latmat.flats import (
     FlatsReport,
     HasLoops,
     NotPncFlat,
+    _fundamental_masks,
+    _pnc_masks,
     all_flats,
     connected_flats_signature,
     cyclic_flats,
@@ -18,14 +21,22 @@ from latmat.flats import (
 )
 from latmat.kernel import (
     closure,
+    direct_sum,
     dual,
     from_bases,
     rank_of,
+    restrict,
     spanning_circuits,
     uniform,
 )
 from latmat.lpm import IntervalPresentation, realize
-from util import brute_components_within, p3_bases, spanning_trees_k4
+from util import (
+    brute_components_within,
+    brute_fundamental_masks,
+    brute_pnc_masks,
+    p3_bases,
+    spanning_trees_k4,
+)
 
 
 def p3():
@@ -200,3 +211,68 @@ def test_flats_report_connected_flag_matches_circuits():
             assert e.is_connected == (len(brute_components_within(M, fm)) <= 1), (
                 entry.name, e.flat,
             )
+
+
+# --- pnc-flats and fundamental flats read off the lanes ----------------------
+
+
+def _checked_components(M):
+    """The restrictions ``is_lpm_char`` checks: each component that is not
+    a loop, M itself when M is connected."""
+    return [
+        M if c == M.full_mask else restrict(M, c)
+        for c in M.component_masks
+        if not c & M.loops_mask
+    ]
+
+
+def test_pnc_and_fundamental_reads_match_references(small_corpus):
+    spec = corpus.CorpusSpec(
+        ("random-sparse-paving", "lpm-random", "random-transversal"),
+        count=12,
+        max_n=12,
+        seed=2718,
+    )
+    hosts = list(small_corpus) + [e.matroid for e in catalog_up_to(12)]
+    hosts += corpus.generate(spec)
+    assert max(M.n for M in hosts) == 12
+    found = [0, 0]
+    for host in hosts:
+        for M in [host, *_checked_components(host)]:
+            pncs = _pnc_masks(M)
+            assert pncs == brute_pnc_masks(M), M
+            fund = _fundamental_masks(M, pncs)
+            assert fund == brute_fundamental_masks(M, pncs), M
+            found[0] += len(pncs)
+            found[1] += len(fund)
+    # the references are not met vacuously: pnc-flats that are not
+    # fundamental and fundamental ones both occur
+    assert found[0] > found[1] > 0
+
+
+def test_pnc_and_fundamental_reads_with_loops():
+    # U1,2 + U0,1: the loop alone is a rank-0 pnc-flat, and the spanning
+    # circuit {0, 1} meets it in its empty basis
+    M = direct_sum(uniform(1, 2), uniform(0, 1))
+    assert _pnc_masks(M) == brute_pnc_masks(M) == (0b100,)
+    assert _fundamental_masks(M, (0b100,)) == brute_fundamental_masks(
+        M, (0b100,)
+    ) == (0b100,)
+    # U0,2 + U2,4: the two loops and each loop pair plus one point are
+    # dependent proper flats, none of them connected
+    M = direct_sum(uniform(0, 2), uniform(2, 4))
+    assert _pnc_masks(M) == brute_pnc_masks(M) == ()
+
+
+def test_recognizer_lists_no_flat_or_circuit():
+    # The structural recognizer and the nestedness test read pnc-flats and
+    # fundamental flats off the lanes; unpacking every flat or circuit
+    # would cache ``flat_masks`` or ``circuit_masks`` on the matroid.
+    u612 = uniform(6, 12).basis_masks
+    sparse_paving = [b for b in u612 if b not in (0b000000111111, 0b111111000000)]
+    for bases in (u612, a_n(6).basis_masks, sparse_paving):
+        M = from_bases(12, bases)
+        lpm.is_lpm_char(M)
+        lpm.is_nested(M)
+        assert "flat_masks" not in vars(M)
+        assert "circuit_masks" not in vars(M)

@@ -50,6 +50,7 @@ from util import (
     brute_components_within,
     brute_flat_masks,
     brute_independent_sets,
+    brute_lane_members,
     brute_locally_submodular,
     brute_minimal_dependent,
     brute_rank_table,
@@ -670,6 +671,39 @@ def test_ground_cap_on_growing_operations():
 
 
 # --- lane sweeps against the per-subset references, n = 8..12 ---------------
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_lane_members_match_find_loop(n):
+    size = 1 << n
+    ones = kernel._lanes(n)[0]
+    cases = [0, ones, 1, 1 << (8 * (size - 1))]
+    rng = corpus.SplitMix64(4099 + n)
+    for sparse in (False, True, True):
+        picked = 0
+        for i in range(0, size, 64):
+            draw = rng.next_u64()
+            if sparse:
+                draw &= rng.next_u64() & rng.next_u64()
+            picked |= draw << i
+        cases.append(
+            int.from_bytes(bytes((picked >> x) & 1 for x in range(size)), "little")
+        )
+    for lanes in cases:
+        assert kernel._lane_members(lanes, n) == brute_lane_members(lanes, n)
+    assert kernel._lane_members(ones, n) == tuple(range(size))
+    assert kernel._lane_members(cases[3], n) == (size - 1,)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_at_least_on_size_lanes(n):
+    # k = 0 and k = r + 1 = 13 are read too: a loop flat has rank 0, and
+    # the spanning circuits of a rank-12 matroid would have 13 elements
+    ones, single = kernel._lanes(n)
+    sizes = sum(single)
+    for k in range(14):
+        got = kernel._at_least(sizes, k, ones).to_bytes(1 << n, "little")
+        assert got == bytes(x.bit_count() >= k for x in range(1 << n)), k
 
 
 def assert_lane_sweeps_match_references(n, family):

@@ -17,7 +17,13 @@ but builds every catalog minor split by split with the reference minor
 and labels every generated matroid.  The subset-lattice
 references (rank table, local submodularity, circuits, flats) are the
 per-subset loops the package's lane sweeps replaced; they share nothing
-with the package but the table they are handed.  The reference components
+with the package but the table they are handed.  The reference lane
+members are the ``bytes.find`` loop the package's ``compress`` replaced.
+The reference pnc-flats and fundamental flats walk every reference flat
+and test every reference spanning circuit, as the package did before it
+read them off the lanes; they share only the rank table and
+``_components_within``, which is checked against the reference
+components below.  The reference components
 of a restriction join the circuits inside it, where the package reads the
 fundamental circuits of one basis off the rank table.  The reference
 clone classes try every transposition on every basis of the family, where
@@ -47,6 +53,7 @@ from latmat.kernel import (
     MatroidError,
     MixedCardinality,
     canonical_form,
+    _components_within,
     dual,
     from_bases,
     is_isomorphic,
@@ -174,6 +181,50 @@ def brute_flat_masks(n: int, ranks: bytes) -> tuple[int, ...]:
             if not (x >> e) & 1
         ):
             out.append(x)
+    return tuple(out)
+
+
+def brute_lane_members(lanes: int, n: int) -> tuple[int, ...]:
+    """Reference members of a 0/1 lane set: the subsets X, ascending,
+    whose byte holds 1, found one ``bytes.find`` at a time."""
+    data = lanes.to_bytes(1 << n, "little")
+    out = []
+    x = data.find(1)
+    while x >= 0:
+        out.append(x)
+        x = data.find(1, x + 1)
+    return tuple(out)
+
+
+def brute_pnc_masks(M) -> tuple[int, ...]:
+    """Reference pnc-flats, ascending: every flat of the reference flats
+    that is proper, dependent and connected."""
+    ranks = M.rank_table
+    out = []
+    for x in brute_flat_masks(M.n, ranks):
+        if x == M.full_mask:
+            continue
+        if ranks[x] >= x.bit_count():  # independent = trivial
+            continue
+        if len(_components_within(M, x)) <= 1:
+            out.append(x)
+    return tuple(out)
+
+
+def brute_fundamental_masks(M, pncs: tuple[int, ...]) -> tuple[int, ...]:
+    """Reference fundamental flats among ``pncs``: those F with a spanning
+    circuit C of the reference circuits and |F & C| = r(F)."""
+    ranks = M.rank_table
+    spanning = [
+        c for c in brute_circuit_masks(M.n, ranks) if c.bit_count() == M.rank + 1
+    ]
+    out = []
+    for f in pncs:
+        rf = ranks[f]
+        for c in spanning:
+            if (f & c).bit_count() == rf:
+                out.append(f)
+                break
     return tuple(out)
 
 
