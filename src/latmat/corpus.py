@@ -6,9 +6,9 @@ re-implement elsewhere.  Draw protocols, in stream order:
 
 - ``random-transversal``: n = randint(3, max_n); r = randint(1, max(1,
   2n//3)); r set masks each drawn as ``next_u64() & (2^n - 1)`` rerolled
-  while zero; the matroid is the transversal matroid of the system, with
-  independence decided by augmenting-path matching (deliberately not the
-  interval realizer).
+  while zero; the matroid is the transversal matroid of the system, its
+  partial transversals built set by set on the kernel's lanes
+  (deliberately not the interval realizer).
 - ``random-sparse-paving``: n = randint(3, max_n); r = randint(2, n-1);
   t = randint(1, n) candidate circuit-hyperplanes, each drawn as r distinct
   ``randrange(n)`` values, kept when it meets every kept one in at most r-2
@@ -45,9 +45,12 @@ from .kernel import (
     GroundTooLarge,
     Matroid,
     MatroidError,
+    _at_least,
     _bits,
     _compress,
     _greedy_independent,
+    _lane_members,
+    _lanes,
     _minor_masks,  # unused here; perfbench/tracing.py wraps corpus._minor_masks
     canonical_form,
     dual,
@@ -173,41 +176,34 @@ def parse_corpus_spec(
 
 
 # ---------------------------------------------------------------------------
-# transversal matroids by matching
-
-
-def _matching_rank(sets: list[int], xmask: int) -> int:
-    """Maximum matching of elements in xmask against the set system."""
-    owner: dict[int, int] = {}  # set index -> element
-
-    def augment(e: int, visited: set[int]) -> bool:
-        for i, s in enumerate(sets):
-            if (s >> e) & 1 and i not in visited:
-                visited.add(i)
-                if i not in owner or augment(owner[i], visited):
-                    owner[i] = e
-                    return True
-        return False
-
-    size = 0
-    for e in _bits(xmask):
-        if augment(e, set()):
-            size += 1
-    return size
+# transversal matroids by one lane sweep
 
 
 def transversal_matroid(n: int, sets: list[int]) -> Matroid:
-    """Partial transversals of a set system, independence via matchings."""
+    """The transversal matroid of a set system: its bases are the largest
+    partial transversals.
+
+    The partial transversals are built in one sweep over the kernel's
+    lanes (one byte per subset): starting from the empty set, each set A
+    of the system in turn adds X + e for every partial transversal X so far
+    and every e in A - X, that is, matches A to at most one new element.
+    """
     if n > MAX_GROUND:
         raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
-    full = (1 << n) - 1
-    r = _matching_rank(sets, full)
-    masks = [
-        mask_of(c)
-        for c in itertools.combinations(range(n), r)
-        if _matching_rank(sets, mask_of(c)) == r
-    ]
-    return Matroid._from_masks(n, masks)
+    ones, single = _lanes(n)
+    partial = 1  # the empty set's lane
+    for a in sets:
+        grown = partial
+        for e in _bits(a):
+            grown |= (partial & (ones ^ single[e])) << (8 << e)
+        partial = grown
+    sizes = sum(single)
+    r = 0
+    while partial & _at_least(sizes, r + 1, ones):
+        r += 1
+    return Matroid._from_masks(
+        n, _lane_members(partial & _at_least(sizes, r, ones), n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ The pnc-flats and the fundamental flats, all the structural recognizer
 needs, stay on the lanes until only they are left: ``_pnc_masks`` unpacks
 only the dependent proper flats, and ``_fundamental_masks`` tests each
 pnc-flat against the spanning-circuit lanes at once, so neither lists
-every flat or every circuit.  Results are plain frozensets; no caching
-across calls beyond the per-matroid tables.  Each caller enumerates the
-pnc-flats once with ``_pnc_masks`` and passes that list to
-``_fundamental_masks`` and ``_reducible_masks``; connectivity of a proper
-flat comes from ``kernel._components_within``, which reads the fundamental
-circuits of one basis off the rank table, and that of the ground set from
-the cached ``Matroid.component_masks``.
+every flat or every circuit.  The pnc-flats come off the cyclic flats: in
+a loopless matroid a dependent proper flat is connected iff it is cyclic
+and does not split into two cyclic flats whose ranks add up to its own
+(see ``_pnc_masks``), so no flat's components are computed.  Results are
+plain frozensets; no caching across calls beyond the per-matroid tables.
+Each caller enumerates the pnc-flats once with ``_pnc_masks`` and passes
+that list to ``_fundamental_masks`` and ``_reducible_masks``; connectivity
+of the ground set comes from the cached ``Matroid.component_masks``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .kernel import (
     _at_least,
     _bits,
     _circuit_lanes,
-    _components_within,
     _dependent_lanes,
     _flat_lanes,
     _lane_members,
@@ -66,17 +66,44 @@ def _is_cyclic_mask(M: Matroid, x: int) -> bool:
 
 
 def _pnc_masks(M: Matroid) -> tuple[int, ...]:
-    """M's pnc-flats, ascending: the dependent proper flats, read off the
-    lanes (flat lanes AND dependent lanes, less the ground set's lane, the
-    last), that are connected.  Only those few are unpacked; no other flat
-    is listed."""
+    """M's pnc-flats, ascending.
+
+    Loopless M: the dependent proper flats, read off the lanes (flat lanes
+    AND dependent lanes, less the ground set's lane, the last), that are
+    cyclic and do not split: no nonempty cyclic flat K properly inside F
+    leaves F - K a cyclic flat with r(K) + r(F - K) = r(F) (Bonin and de
+    Mier, "The lattice of cyclic flats of a matroid", Ann. Comb. 2008).  A
+    connected flat with two or more elements is cyclic and has no such
+    split.  Conversely each component of a cyclic flat is a cyclic flat (a
+    non-loop in its closure lies on a circuit inside it), so a disconnected
+    one splits off a component.  Only the dependent proper flats are
+    unpacked; no other flat is listed.
+
+    With loops, every flat holds every loop and a loop is a component of
+    its own, so the one possible pnc-flat is the loop itself: a flat only
+    when M has exactly one loop, and proper only when M has more elements.
+    """
+    loops = M.loops_mask
+    if loops:
+        single = loops.bit_count() == 1 and loops != M.full_mask
+        return (loops,) if single else ()
+    ranks = M.rank_table
     dependent_flats = _flat_lanes(M) & _dependent_lanes(M)
     proper = dependent_flats & ((1 << (8 * M.full_mask)) - 1)
-    return tuple(
-        x
-        for x in _lane_members(proper, M.n)
-        if len(_components_within(M, x)) <= 1
-    )
+    cyclic = [x for x in _lane_members(proper, M.n) if _is_cyclic_mask(M, x)]
+    cyclic_flats = {0, *cyclic}  # the empty flat is cyclic too
+    out = []
+    for i, f in enumerate(cyclic):
+        rf = ranks[f]
+        # a proper subset of f is a smaller mask, so only cyclic[:i] holds K
+        if not any(
+            k & f == k
+            and f ^ k in cyclic_flats
+            and ranks[k] + ranks[f ^ k] == rf
+            for k in cyclic[:i]
+        ):
+            out.append(f)
+    return tuple(out)
 
 
 def _fundamental_masks(M: Matroid, pncs: tuple[int, ...]) -> tuple[int, ...]:

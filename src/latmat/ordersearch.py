@@ -24,10 +24,22 @@ exactly |bases| transversals, which depends on the endpoint sequences
 alone; and the endpoints at positions p and later depend only on the prefix
 set P_p and on how the order continues.  Two prefixes with the same state
 therefore reach the same endpoint sequences and the same verdicts.
+
+Only clone-sorted orders are walked: a prefix is extended by e only when
+e's next-lower clone is already in it.  Elements e and f are clones when
+swapping them is an automorphism, that is, r(X + e) = r(X + f) for every X
+holding neither; the classes are read off the rank table here, so the
+oracle shares no code with the other recognizers.  Sorting each clone
+class of an accepted order into ascending positions applies automorphisms
+only, so it gives an accepted order that is lexicographically no larger:
+the lexicographically least accepted order is clone-sorted, and the walk
+still finds it.  The record stays exact, because which continuations are
+clone-sorted depends only on the prefix set, part of the state.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 
@@ -58,6 +70,46 @@ def _positions(mask: int) -> list[int]:
     return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
 
 
+@cache
+def _outside_lanes(n: int) -> tuple[int, ...]:
+    """For the rank table read as one little-endian int, with subset X in
+    byte X: ``outside[e]`` is 0xFF in the bytes of the sets X not holding
+    e and 0 elsewhere (2^e full bytes then 2^e empty ones, repeated)."""
+    size = 1 << n
+    return tuple(
+        int.from_bytes(
+            (b"\xff" * (1 << e) + bytes(1 << e)) * (size >> (e + 1)), "little"
+        )
+        for e in range(n)
+    )
+
+
+def _lower_clones(n: int, rank_table: bytes) -> list[int]:
+    """``lower[f]``: the bit of f's next-lower clone, or 0 if f is the
+    least of its clone class.
+
+    Shifting the table down by 2^e bytes puts r(X + e) in byte X for the X
+    not holding e, so e and f are clones iff the two shifted tables agree
+    on the bytes of the sets holding neither.  Transpositions that fix the
+    rank function compose, so the relation is transitive and f need only
+    be tested against the least member of each class below it.
+    """
+    table = int.from_bytes(rank_table, "little")
+    outside = _outside_lanes(n)
+    added = [table >> (8 << e) for e in range(n)]
+    last: dict[int, int] = {}  # least member of a class -> its largest yet
+    lower = [0] * n
+    for f in range(n):
+        least = f
+        for e in last:
+            if not (added[e] ^ added[f]) & outside[e] & outside[f]:
+                least = e
+                lower[f] = 1 << last[e]
+                break
+        last[least] = f
+    return lower
+
+
 def scan_path_orders(
     n: int,
     bases: Sequence[int],
@@ -75,6 +127,11 @@ def scan_path_orders(
     starts with a smaller label than it ends with (else its reversal would
     be smaller), and it is the order a scan skipping reversals finds.
 
+    Only clone-sorted orders are walked, each element after its
+    next-lower clone (:func:`_lower_clones`); by the module docstring's
+    argument the least accepted order is one of them, so the result is the
+    one the walk over every order returns.
+
     Each complete order reached, that is, one whose state was not already
     recorded as failed, gets the leaf test: the transversal count, then the
     basis fit, which by the module docstring's argument never rejects an
@@ -86,7 +143,7 @@ def scan_path_orders(
     if n == 0:
         return (), ()
     nb = len(bases)
-    full = (1 << n) - 1
+    lower = _lower_clones(n, rank_table)
     failed: set[int] = set()
     order: list[int] = []
 
@@ -104,21 +161,26 @@ def scan_path_orders(
                     j += 1
         return tuple(order), tuple(zip(a, b))
 
+    co_ranks = rank_table[::-1]  # r(E - X) in byte X
+    steps = [(e, 1 << e, lower[e]) for e in range(n)]
+
+    # lo and hi hold the endpoint positions shifted up by n and 2n bits,
+    # so a prefix's state is their OR with its prefix set.
     def extend(mask: int, lo: int, hi: int):
         p = len(order)
         if p == n:
-            return leaf(lo, hi)
-        bit_p = 1 << p
+            return leaf(lo >> n, hi >> 2 * n)
+        lo_p = 1 << (p + n)
+        hi_p = 1 << (p + 2 * n)
         r_in = rank_table[mask]
-        r_out = rank_table[full ^ mask]
-        for e in range(n):
-            bit = 1 << e
-            if mask & bit:
+        r_out = co_ranks[mask]
+        for e, bit, low in steps:
+            if mask & bit or low & ~mask:  # placed, or its clone is not
                 continue
             nxt = mask | bit
-            nlo = lo | bit_p if rank_table[nxt] > r_in else lo
-            nhi = hi | bit_p if r_out > rank_table[full ^ nxt] else hi
-            state = nxt | (nlo << n) | (nhi << 2 * n)
+            nlo = lo | lo_p if rank_table[nxt] > r_in else lo
+            nhi = hi | hi_p if r_out > co_ranks[nxt] else hi
+            state = nxt | nlo | nhi
             if state in failed:
                 continue
             order.append(e)

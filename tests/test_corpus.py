@@ -21,7 +21,11 @@ from latmat.kernel import (
     uniform,
 )
 from latmat.lpm import is_lpm_char
-from util import brute_generate_tagged, brute_transversal_bases
+from util import (
+    brute_generate_tagged,
+    brute_transversal_bases,
+    matching_transversal_masks,
+)
 
 
 def test_splitmix64_reference_values():
@@ -104,6 +108,19 @@ def test_transversal_matroid_against_sdr_oracle():
             n, [set(i for i in range(n) if (s >> i) & 1) for s in sets]
         )
         assert M.bases == expected
+
+
+def test_transversal_matroid_against_matching_reference():
+    # seeded set systems of up to n + 1 sets, empty sets and repeats
+    # included, on every ground size up to 10
+    rng = SplitMix64(4040)
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        full = (1 << n) - 1
+        sets = [rng.next_u64() & full for _ in range(rng.randint(0, n + 1))]
+        M = transversal_matroid(n, sets)
+        assert M.n == n
+        assert M.basis_masks == tuple(sorted(matching_transversal_masks(n, sets)))
 
 
 def test_generate_deterministic():

@@ -262,6 +262,29 @@ def test_pnc_and_fundamental_reads_with_loops():
     # dependent proper flats, none of them connected
     M = direct_sum(uniform(0, 2), uniform(2, 4))
     assert _pnc_masks(M) == brute_pnc_masks(M) == ()
+    # a lone loop is the ground set, not a proper flat
+    assert _pnc_masks(uniform(0, 1)) == brute_pnc_masks(uniform(0, 1)) == ()
+
+
+def test_pnc_reads_with_one_or_more_loops(tiny_corpus):
+    # loops added after and before each host: with one loop in all it is
+    # the one pnc-flat, unless it is the whole ground set, and with two or
+    # more there is none
+    hosts = list(tiny_corpus) + [e.matroid for e in catalog_up_to(8)]
+    seen = set()
+    for host in hosts:
+        for k in (1, 2, 3):
+            for M in (
+                direct_sum(host, uniform(0, k)),
+                direct_sum(uniform(0, k), host),
+            ):
+                pncs = _pnc_masks(M)
+                assert pncs == brute_pnc_masks(M), (host, k)
+                loops = M.loops_mask.bit_count()
+                lone = loops == 1 and M.n > 1  # a proper flat
+                assert pncs == ((M.loops_mask,) if lone else ()), (host, k)
+                seen.add(min(loops, 2))
+    assert seen == {1, 2}
 
 
 def test_recognizer_lists_no_flat_or_circuit():

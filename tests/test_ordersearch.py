@@ -2,12 +2,30 @@ from __future__ import annotations
 
 import itertools
 
-from latmat import ordersearch
+import pytest
+
+import util
+from latmat import corpus, ordersearch
 from latmat.catalog import catalog_up_to
 from latmat.kernel import contract, delete, from_bases, uniform
 from latmat.lpm import realize
 from test_properties import random_presentations
-from util import brute_independent_sets, brute_scan_path_orders, p3_bases
+from util import (
+    brute_clone_classes,
+    brute_independent_sets,
+    brute_scan_path_orders,
+    memo_scan_path_orders,
+    p3_bases,
+)
+
+# Seeded corpora for the comparisons with the memoized reference: the
+# theorem-reject spec (n <= 8, mostly exhausted scans) and mixed draws up
+# to the ground-set cap.
+SEEDED_SPECS = (
+    "random-sparse-paving,duals-closure,count=300,max-n=8,seed=20261017",
+    "random-sparse-paving,lpm-random,random-transversal,"
+    "count=12,max-n=12,seed=2718",
+)
 
 
 def test_transversal_count_against_enumeration():
@@ -68,3 +86,88 @@ def test_scan_matches_brute_force_on_catalog_and_minors():
         for e in range(M.n):
             _assert_scan_matches_brute_force(delete(M, (e,)))
             _assert_scan_matches_brute_force(contract(M, (e,)))
+
+
+def _assert_scan_matches_memo_scan(M, monkeypatch):
+    """Same ``(order, intervals)`` or None as the memoized reference, and
+    the same number of complete orders tested: clone-sorting an order
+    applies automorphisms, which keep its endpoint sequences, so the
+    clone-sorted walk meets every endpoint pair the full walk meets before
+    its answer."""
+    tested = {"scan": 0, "memo": 0}
+
+    def counting(key, count):
+        def wrapped(*args):
+            tested[key] += 1
+            return count(*args)
+
+        return wrapped
+
+    count = ordersearch.transversal_count
+    monkeypatch.setattr(
+        ordersearch, "transversal_count", counting("scan", count)
+    )
+    monkeypatch.setattr(util, "transversal_count", counting("memo", count))
+    got = ordersearch.scan_path_orders(M.n, M.basis_masks, M.rank_table)
+    want = memo_scan_path_orders(M.n, M.basis_masks, M.rank_table)
+    monkeypatch.undo()
+    assert got == want, M
+    assert tested["scan"] == tested["memo"], M
+    return got
+
+
+def test_scan_matches_memo_scan_on_catalog(monkeypatch):
+    # up to 12 elements, where the permutation reference cannot reach
+    members = [entry.matroid for entry in catalog_up_to(12)]
+    assert max(M.n for M in members) == 12
+    for M in members:
+        _assert_scan_matches_memo_scan(M, monkeypatch)
+
+
+@pytest.mark.parametrize("text", SEEDED_SPECS)
+def test_scan_matches_memo_scan_on_seeded_corpora(text, monkeypatch):
+    found = [0, 0]
+    for M in corpus.generate(corpus.parse_corpus_spec(text)):
+        found[_assert_scan_matches_memo_scan(M, monkeypatch) is None] += 1
+    assert min(found) > 0  # both verdicts occur
+
+
+def test_scan_matches_memo_scan_on_small_corpus(small_corpus, monkeypatch):
+    for M in small_corpus:
+        _assert_scan_matches_memo_scan(M, monkeypatch)
+
+
+def test_scan_matches_memo_scan_on_catalog_minors(monkeypatch):
+    for entry in catalog_up_to(8):
+        M = entry.matroid
+        _assert_scan_matches_memo_scan(M, monkeypatch)
+        for e in range(M.n):
+            _assert_scan_matches_memo_scan(delete(M, (e,)), monkeypatch)
+            _assert_scan_matches_memo_scan(contract(M, (e,)), monkeypatch)
+
+
+def _reference_lower_clones(M) -> list[int]:
+    """Each element's next-lower clone as a bit, or 0, from the reference
+    clone classes."""
+    classes = brute_clone_classes(M.n, M.basis_masks)
+    lower = [0] * M.n
+    for f in range(M.n):
+        below = [e for e in range(f) if classes[e] == classes[f]]
+        if below:
+            lower[f] = 1 << below[-1]
+    return lower
+
+
+def test_lower_clones_match_reference_classes(small_corpus):
+    hosts = list(small_corpus) + [entry.matroid for entry in catalog_up_to(12)]
+    hosts += [
+        realize(P)
+        for P in random_presentations(40, 10, seed=77, shuffled_orders=True)
+    ]
+    with_clones = 0
+    for M in hosts:
+        lower = ordersearch._lower_clones(M.n, M.rank_table)
+        assert lower == _reference_lower_clones(M), M
+        with_clones += any(lower)
+    # not met vacuously: some hosts have clones and some have none
+    assert 0 < with_clones < len(hosts)

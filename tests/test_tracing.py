@@ -150,3 +150,15 @@ def test_internal_import_graph_is_acyclic():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert {"catalog", "minors"} <= graph["lpm"]
     assert "lpm" not in graph["catalog"] | graph["minors"]
+
+
+def test_oracle_imports_nothing_from_the_package():
+    """The exact oracle's scan shares no code with the other recognizers,
+    so the three-way check compares independent answers: ``ordersearch``
+    reads its clone classes off the rank table itself."""
+    path = Path(latmat.__file__).parent / "ordersearch.py"
+    assert {
+        name
+        for name in _package_imports(path)
+        if name == "latmat" or name.startswith(("latmat.", "."))
+    } == set()

@@ -4,7 +4,9 @@ Everything here recomputes expectations from first principles (set
 enumeration, graph spanning trees, brute-force matchings) without calling
 the code paths under test.  The reference order scan shares only
 ``transversal_count`` with the package, and that is checked against
-enumeration in ``test_ordersearch``.  The reference minor is the
+enumeration in ``test_ordersearch``; so does the reference memoized
+scan, which is the package's scan as it was before it walked only
+clone-sorted orders.  The reference minor is the
 r'-subset scan the package's one basis rule replaced, sharing only the
 rank table.  The reference catalog minor search shares the catalog, the
 rank table and the isomorphism test, each checked in its own test module,
@@ -12,22 +14,27 @@ but none of the search's filters: it splits the host into components with
 the reference components below, and walks every split of each component,
 keeping those with an independent contract set and a coindependent delete
 set by their ranks.  The reference corpus generator shares
-the random generators, ``dual`` and ``canonical_form`` with the package,
-but builds every catalog minor split by split with the reference minor
-and labels every generated matroid.  The subset-lattice
+the sparse-paving and lpm-random generators, ``dual`` and
+``canonical_form`` with the package, but builds every random-transversal
+draw with the reference transversal builder, every catalog minor split by
+split with the reference minor, and labels every generated matroid.  The
+reference transversal builder is the augmenting-path matching the
+package's partial-transversal lane sweep replaced.  The subset-lattice
 references (rank table, local submodularity, circuits, flats) are the
 per-subset loops the package's lane sweeps replaced; they share nothing
 with the package but the table they are handed.  The reference lane
 members are the ``bytes.find`` loop the package's ``compress`` replaced.
-The reference pnc-flats and fundamental flats walk every reference flat
-and test every reference spanning circuit, as the package did before it
-read them off the lanes; they share only the rank table and
+The reference pnc-flats and fundamental flats walk every reference flat,
+test its connectivity with ``_components_within`` and test every
+reference spanning circuit, as the package did before it read them off
+the lanes and the cyclic flats; they share only the rank table and
 ``_components_within``, which is checked against the reference
 components below.  The reference components
 of a restriction join the circuits inside it, where the package reads the
 fundamental circuits of one basis off the rank table.  The reference
 clone classes try every transposition on every basis of the family, where
-the package compares two shifted bit lanes of the family's indicator.  The
+the package compares two shifted bit lanes of the family's indicator, and
+the order scan two shifted copies of the rank table.  The
 reference canonical labeling and automorphism group are the package's
 search as it was before it refined only against freshly split cells: every
 round recomputes each element's signature against every cell, every node
@@ -278,6 +285,58 @@ def brute_transversal_bases(n: int, sets: list[set[int]]) -> set[frozenset[int]]
     }
 
 
+def _matching_rank(sets: list[int], xmask: int) -> int:
+    """Maximum matching of elements in xmask against the set system."""
+    owner: dict[int, int] = {}  # set index -> element
+
+    def augment(e: int, visited: set[int]) -> bool:
+        for i, s in enumerate(sets):
+            if (s >> e) & 1 and i not in visited:
+                visited.add(i)
+                if i not in owner or augment(owner[i], visited):
+                    owner[i] = e
+                    return True
+        return False
+
+    size = 0
+    for e in range(xmask.bit_length()):
+        if (xmask >> e) & 1 and augment(e, set()):
+            size += 1
+    return size
+
+
+def matching_transversal_masks(n: int, sets: list[int]) -> list[int]:
+    """Reference transversal bases: every r-subset that an augmenting-path
+    matching saturates, r the matching rank of the ground set, as the
+    package built them before it swept partial transversals over lanes."""
+    full = (1 << n) - 1
+    r = _matching_rank(sets, full)
+    masks = []
+    for c in itertools.combinations(range(n), r):
+        m = sum(1 << e for e in c)
+        if _matching_rank(sets, m) == r:
+            masks.append(m)
+    return masks
+
+
+def brute_gen_transversal(rng, count: int, max_n: int) -> list[Matroid]:
+    """Reference ``random-transversal`` draws: the stream protocol of the
+    corpus module docstring, each system built by
+    :func:`matching_transversal_masks`."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, max_n)
+        r = rng.randint(1, max(1, (2 * n) // 3))
+        sets = []
+        for _ in range(r):
+            m = 0
+            while m == 0:
+                m = rng.next_u64() & ((1 << n) - 1)
+            sets.append(m)
+        out.append(Matroid._from_masks(n, matching_transversal_masks(n, sets)))
+    return out
+
+
 def p3_bases() -> set[frozenset[int]]:
     """All 3-subsets of a 6-set except the two disjoint triangles."""
     blocked = [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
@@ -335,6 +394,70 @@ def brute_scan_path_orders(n: int, rank: int, bases, indep):
         if ok:
             return perm, tuple(zip(a, b))
     return None
+
+
+def _scan_positions(mask: int) -> list[int]:
+    return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
+
+
+def memo_scan_path_orders(
+    n: int,
+    bases,
+    rank_table: bytes,
+):
+    """Reference memoized scan: ``ordersearch.scan_path_orders`` as it was
+    before it walked only clone-sorted orders.  A depth-first walk over
+    every prefix in ascending label order, reading both endpoint tests off
+    the rank table and skipping any prefix whose (prefix set, lower
+    endpoints, upper endpoints) state already failed.
+    """
+    if n == 0:
+        return (), ()
+    nb = len(bases)
+    full = (1 << n) - 1
+    failed: set[int] = set()
+    order: list[int] = []
+
+    def leaf(lo: int, hi: int):
+        a = _scan_positions(lo)
+        b = _scan_positions(hi)
+        if transversal_count(n, a, b) != nb:
+            return None
+        for bm in bases:
+            j = 0
+            for i in range(n):
+                if (bm >> order[i]) & 1:
+                    if not (a[j] <= i <= b[j]):
+                        return None
+                    j += 1
+        return tuple(order), tuple(zip(a, b))
+
+    def extend(mask: int, lo: int, hi: int):
+        p = len(order)
+        if p == n:
+            return leaf(lo, hi)
+        bit_p = 1 << p
+        r_in = rank_table[mask]
+        r_out = rank_table[full ^ mask]
+        for e in range(n):
+            bit = 1 << e
+            if mask & bit:
+                continue
+            nxt = mask | bit
+            nlo = lo | bit_p if rank_table[nxt] > r_in else lo
+            nhi = hi | bit_p if r_out > rank_table[full ^ nxt] else hi
+            state = nxt | (nlo << n) | (nhi << 2 * n)
+            if state in failed:
+                continue
+            order.append(e)
+            found = extend(nxt, nlo, nhi)
+            if found is not None:
+                return found
+            order.pop()
+            failed.add(state)
+        return None
+
+    return extend(0, 0, 0)
 
 
 def _swap_bits(mask: int, e: int, f: int) -> int:
@@ -707,7 +830,7 @@ def brute_generate_tagged(spec):
     raw = []
     for g in spec.generators:
         if g == "random-transversal":
-            got = corpus._gen_transversal(rng, spec.count, spec.max_n)
+            got = brute_gen_transversal(rng, spec.count, spec.max_n)
         elif g == "random-sparse-paving":
             got = corpus._gen_sparse_paving(rng, spec.count, spec.max_n)
         elif g == "catalog-minors":
