@@ -724,15 +724,11 @@ def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
 
 
 def automorphisms(M: Matroid) -> set[tuple[int, ...]]:
-    """All ground-set permutations fixing the basis family.
-
-    Returned as tuples p with p[e] = image of e.  Output size is the group
-    order, which is n! for uniform matroids (refused past 9 elements).  The
-    cost grows with the group too: the search keeps one leaf per group
-    element and prunes nothing, so on a 2-core x86 host the 11-element
-    catalog members take 2.5-2.8 s and two 12-element ones 37-50 s (see
-    :func:`_canonical.automorphism_group`).
-    """
+    """All ground-set permutations fixing the basis family, as tuples p
+    with p[e] = image of e, closed from the generators the labeling search
+    finds: 0.2-0.7 s on the 12-element catalog members (2-core x86 host).
+    A group the clone classes make larger than 9! raises ``ValueError``
+    (see :func:`_canonical.automorphism_group`)."""
     return _canonical.automorphism_group(M.n, M.basis_masks)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from latmat._canonical import (
     _clone_classes,
     _clone_minimal,
@@ -169,7 +171,7 @@ def test_search_tables_match_first_principles(small_corpus):
     fixing it compose, so this relation is already transitive)."""
     pool = list(small_corpus) + [e.matroid for e in catalog_up_to(8)]
     for M in pool:
-        search = _Search(M.n, M.basis_masks, collect_all=False)
+        search = _Search(M.n, M.basis_masks)
         for e in range(M.n):
             assert search.deg[e] == sum(1 for b in M.bases if e in b)
             for f in range(M.n):
@@ -213,24 +215,69 @@ def test_labeling_and_groups_match_reference(small_corpus):
     loop visit the same nodes as refining against every cell: the same
     form, order and automorphism group as the reference search.  The
     seeded corpus to 10 elements holds sparse paving families whose
-    refinement needs more than one freshly split cell per round."""
+    refinement needs more than one freshly split cell per round.  Groups
+    are compared wherever the reference, which keeps one leaf per group
+    element, stays quick: the catalog up to 10 elements, the acceptance
+    families and their duals up to 7, the symmetric hosts and every family
+    up to 6."""
     accept = [M for _, M in generate_tagged(parse_corpus_spec(ACCEPT_SPEC))]
+    accept += [dual(M) for M in accept]
+    catalog = [e.matroid for e in catalog_up_to(12)]
+    hosts = symmetric_hosts()
     pool = (
         list(small_corpus)
         + list(_pool(10, seed=68, count=40))
-        + [e.matroid for e in catalog_up_to(12)]
+        + catalog
         + accept
-        + [dual(M) for M in accept]
-        + symmetric_hosts()
+        + hosts
     )
     for M in pool:
         masks = M.basis_masks
         assert canonical_labeling(M.n, masks) == brute_canonical_labeling(
             M.n, masks
         ), M
-        # a group search keeps every leaf, so it cannot prune: past 6
-        # elements the acceptance families' groups take seconds
-        if M.n <= 6:
-            assert automorphism_group(M.n, masks) == brute_automorphism_group(
-                M.n, masks
-            ), M
+    grouped = (
+        [M for M in pool if M.n <= 6]
+        + [M for M in catalog if 6 < M.n <= 10]
+        + [M for M in accept if M.n == 7]
+        + [M for M in hosts if M.n > 6]
+    )
+    for M in grouped:
+        masks = M.basis_masks
+        assert automorphism_group(M.n, masks) == brute_automorphism_group(
+            M.n, masks
+        ), M
+
+
+def test_group_orders_of_the_largest_catalog_members():
+    """The 11- and 12-element catalog members, past the reference's reach:
+    their group orders, and every 1,000th element fixes the bases."""
+    orders = {
+        "B4,3": 6912, "C7,3": 6912, "A6": 28800,
+        "B4,4": 82944, "C8,4": 82944,
+        "B5,2": 57600, "C7,2": 57600, "D6": 57600, "E6": 57600,
+    }
+    seen = set()
+    for e in catalog_up_to(12):
+        M = e.matroid
+        if M.n < 11:
+            continue
+        group = automorphisms(M)
+        assert len(group) == orders[e.name], e.name
+        for p in sorted(group)[::1000]:
+            assert M.mask_set == frozenset(
+                sum(1 << p[x] for x in _bits(b)) for b in M.basis_masks
+            ), (e.name, p)
+        seen.add(e.name)
+    assert seen == set(orders)
+
+
+def test_group_size_guard():
+    """The product of the clone-class factorials bounds the group order
+    from below; past 9! the group is refused before any search.  Uniform
+    families up to 9 elements are listed directly."""
+    assert len(automorphisms(uniform(4, 9))) == 362880
+    parallel = from_bases(12, [{i, 11} for i in range(11)])  # |G| = 11!
+    for M in (uniform(5, 10), uniform(6, 12), parallel):
+        with pytest.raises(ValueError):
+            automorphisms(M)

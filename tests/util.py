@@ -35,12 +35,15 @@ fundamental circuits of one basis off the rank table.  The reference
 clone classes try every transposition on every basis of the family, where
 the package compares two shifted bit lanes of the family's indicator, and
 the order scan two shifted copies of the rank table.  The
-reference canonical labeling and automorphism group are the package's
-search as it was before it refined only against freshly split cells: every
-round recomputes each element's signature against every cell, every node
-down to the leaf refines and recurses, co-occurrences are counted basis by
-basis and the clone classes are the reference ones; it shares nothing with
-the package.  The reference text reader is the package's line-by-line
+reference canonical labeling is the package's search as it was before it
+refined only against freshly split cells: every round recomputes each
+element's signature against every cell, every node down to the leaf
+refines and recurses, co-occurrences are counted basis by basis and the
+clone classes are the reference ones; it shares nothing with the package.
+The reference automorphism group is the exhaustive mode the package's
+search no longer has, kept only as a reference: the same search with clone
+skipping and orbit pruning off, keeping one leaf per group element, where
+the package closes the generators its one pruned search absorbs.  The reference text reader is the package's line-by-line
 reader as it was before canonical texts were read in bulk; it shares
 ``from_bases`` and the error classes with the package.
 """
