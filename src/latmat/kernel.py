@@ -726,9 +726,8 @@ def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
 def automorphisms(M: Matroid) -> set[tuple[int, ...]]:
     """All ground-set permutations fixing the basis family, as tuples p
     with p[e] = image of e, closed from the generators the labeling search
-    finds: 0.2-0.7 s on the 12-element catalog members (2-core x86 host).
-    A group the clone classes make larger than 9! raises ``ValueError``
-    (see :func:`_canonical.automorphism_group`)."""
+    finds; :func:`_canonical.automorphism_group` gives the cost and when
+    it raises ``ValueError``."""
     return _canonical.automorphism_group(M.n, M.basis_masks)
 
 
@@ -746,96 +745,77 @@ def matroid_to_text(M: Matroid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(tokens: list[str], what: str, raw: str) -> list[int]:
-    """The tokens of one text line as ints, else a bad-line error naming it."""
+def _token_lines(text: str) -> list[list[str]]:
+    """The whitespace-split tokens of each line of a text, ``#`` comments
+    cut off, lines left with no token dropped."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return list(filter(None, map(str.split, lines)))
+
+
+def _raw_line(text: str, k: int) -> str:
+    """Line k of :func:`_token_lines` as written, comment included."""
+    raws = (raw for raw in text.splitlines() if raw.split("#", 1)[0].split())
+    return next(itertools.islice(raws, k, None))
+
+
+def _ints(tokens: list[str], what: str, text: str, k: int) -> list[int]:
+    """The tokens of line k as ints, else a bad-line error naming it."""
     try:
         return list(map(int, tokens))
     except ValueError:
-        raise MatroidError(f"bad {what} line: {raw!r}") from None
+        raise MatroidError(f"bad {what} line: {_raw_line(text, k)!r}") from None
 
 
-def _canonical_masks(text: str) -> Optional[tuple[int, list[int]]]:
-    """The ground size and basis masks of a text in the spelling that
-    :func:`matroid_to_text` writes, read in bulk, or None for any other
-    text.
-
-    It reads a text with no ``#`` whose first line is ``MATROID n r``, 0 < r
-    <= n <= MAX_GROUND, and whose other non-blank lines each hold r tokens
-    among ``0``..``n-1`` (a dict lookup, so ``01``, ``+1`` or an element
-    out of range miss), strictly increasing (checked column by column).
-    Lines are split as the line reader splits them, so it never reads a
-    text otherwise than that reader would.
-    """
-    if "#" in text:
-        return None
-    lines = text.splitlines()
-    head = lines[0].split() if lines else ()
-    if len(head) != 3 or head[0] != "MATROID":
-        return None
-    if not (head[1].isdecimal() and head[2].isdecimal()):
-        return None
-    n, r = int(head[1]), int(head[2])
-    if not 0 < r <= n <= MAX_GROUND:
-        return None
-    rows = list(filter(None, map(str.split, lines[1:])))
-    if set(map(len, rows)) != {r}:
-        return None
-    bits = {str(e): 1 << e for e in range(n)}
-    try:
-        vals = list(map(bits.__getitem__, itertools.chain.from_iterable(rows)))
-    except KeyError:
-        return None
-    for j in range(r - 1):
-        if not all(map(operator.lt, vals[j::r], vals[j + 1::r])):
-            return None
-    return n, list(map(sum, zip(*[iter(vals)] * r)))
+def _header(lines: list[list[str]], text: str, word: str) -> list[int]:
+    """n and r from a first line ``word n r``, else a header error."""
+    if not lines:
+        raise MatroidError(f"missing {word} header")
+    if len(lines[0]) != 3 or lines[0][0] != word:
+        raise MatroidError(f"bad header line: {_raw_line(text, 0)!r}")
+    return _ints(lines[0][1:], "header", text, 0)
 
 
 def matroid_from_text(text: str) -> Matroid:
     """Parse the matroid text format; the family is fully re-validated.
 
-    A text in the canonical spelling of :func:`matroid_to_text` is read in
-    bulk (:func:`_canonical_masks`) and its masks go to :func:`from_bases`
-    as they are.  Any other text is read line by line, and that reader
-    alone decides which texts are accepted and which parse error is
-    raised: each basis line is packed into a bitmask as it is read, and a
-    line with an element outside 0..n-1 stays a list, for
-    :func:`from_bases` to report.
+    When every basis line holds r element ids spelt as
+    :func:`matroid_to_text` spells them, strictly increasing (checked
+    column by column), the lines are packed into bitmasks in bulk.  Any
+    other text gets one pass in line order, which raises for the first bad
+    line and reads the other legal spellings (``01``, ``+1``); its rows go
+    to :func:`from_bases` as lists, which reports an element outside
+    0..n-1.
     """
-    bulk = _canonical_masks(text)
-    if bulk is not None:
-        return from_bases(*bulk)
-    rows: list[Union[int, list[int]]] = []
-    header = None
-    mixed = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "MATROID":
-                raise MatroidError(f"bad header line: {raw!r}")
-            header = n, r = _ints(parts[1:], "header", raw)
-            if not 0 <= r <= n:
-                raise MatroidError(f"bad header line: {raw!r}")
-            # past the cap from_bases rejects n; pack no wider than the cap
-            bits = [1 << e for e in range(min(n, MAX_GROUND))]
-            continue
-        row = _ints(line.split(), "basis", raw)
+    lines = _token_lines(text)
+    n, r = _header(lines, text, "MATROID")
+    if not 0 <= r <= n:
+        raise MatroidError(f"bad header line: {_raw_line(text, 0)!r}")
+    rows = lines[1:]
+    if r and set(map(len, rows)) <= {r}:
+        # past the cap from_bases rejects n; pack no wider than the cap
+        bits = {str(e): 1 << e for e in range(min(n, MAX_GROUND))}
+        try:
+            vals = list(map(bits.__getitem__, itertools.chain.from_iterable(rows)))
+        except KeyError:
+            vals = None
+        if vals is not None and all(
+            all(map(operator.lt, vals[j::r], vals[j + 1::r])) for j in range(r - 1)
+        ):
+            return from_bases(n, list(map(sum, zip(*[iter(vals)] * r))))
+    family = []
+    for k, tokens in enumerate(rows, 1):
+        row = _ints(tokens, "basis", text, k)
         if not all(map(operator.lt, row, row[1:])):
-            raise MatroidError(f"basis line not strictly increasing: {raw!r}")
-        mixed = mixed or len(row) != r
-        if 0 <= row[0] and row[-1] < len(bits):
-            rows.append(sum(map(bits.__getitem__, row)))
-        else:
-            rows.append(row)
-    if header is None:
-        raise MatroidError("missing MATROID header")
+            raise MatroidError(
+                f"basis line not strictly increasing: {_raw_line(text, k)!r}"
+            )
+        family.append(row)
     if r == 0:
         if rows:
             raise MatroidError("rank 0 matroid admits no basis lines")
         return from_bases(n, [0])
-    if mixed:
+    if set(map(len, rows)) != {r}:
         raise MixedCardinality("basis line length differs from declared rank")
-    return from_bases(n, rows)
+    return from_bases(n, family)

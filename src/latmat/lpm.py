@@ -35,8 +35,11 @@ from .kernel import (
     Matroid,
     MatroidError,
     _bits,
+    _header,
     _ints,
     _merge_overlapping,
+    _raw_line,
+    _token_lines,
     contract,
     delete,
     members,
@@ -597,33 +600,24 @@ def presentation_to_text(P: IntervalPresentation) -> str:
 
 
 def presentation_from_text(text: str) -> IntervalPresentation:
-    header = None
+    lines = _token_lines(text)
+    n, r = _header(lines, text, "LPM")
     ivs: list[tuple[int, int]] = []
     order: Optional[tuple[int, ...]] = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 3 or parts[0] != "LPM":
-                raise MatroidError(f"bad header line: {raw!r}")
-            header = _ints(parts[1:], "header", raw)
-            continue
+    for k, parts in enumerate(lines[1:], 1):
         if parts[0] == "ORDER":
             if order is not None:
-                raise MatroidError(f"repeated ORDER line: {raw!r}")
+                raise MatroidError(f"repeated ORDER line: {_raw_line(text, k)!r}")
             if len(parts) == 1:
-                raise MatroidError(f"ORDER line lists no elements: {raw!r}")
-            order = tuple(_ints(parts[1:], "ORDER", raw))
+                raise MatroidError(
+                    f"ORDER line lists no elements: {_raw_line(text, k)!r}"
+                )
+            order = tuple(_ints(parts[1:], "ORDER", text, k))
             continue
-        iv = _ints(parts, "interval", raw)
+        iv = _ints(parts, "interval", text, k)
         if len(iv) != 2:
-            raise MatroidError(f"bad interval line: {raw!r}")
+            raise MatroidError(f"bad interval line: {_raw_line(text, k)!r}")
         ivs.append(tuple(iv))
-    if header is None:
-        raise MatroidError("missing LPM header")
-    n, r = header
     if len(ivs) != r:
         raise MatroidError(f"expected {r} interval lines, found {len(ivs)}")
     return IntervalPresentation(n, tuple(ivs), order or ())

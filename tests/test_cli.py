@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from latmat import corpus, kernel
+from latmat import corpus
 from latmat.cli import main
 from latmat.catalog import build_by_name, p_n, wheel3
 from latmat.kernel import (
@@ -396,10 +396,9 @@ def test_flats_json_bytes_at_twelve_elements_are_pinned(
     assert tuple(got) == digests
 
 
-def test_bulk_and_line_readers_give_the_same_bytes(tmp_path, capsys, monkeypatch):
-    """A 12-element file from ``gen`` is read in bulk; the same file with a
-    comment line and CRLF line ends is read line by line.  Both give the
-    same stdout and exit code."""
+def test_plain_and_commented_crlf_files_give_the_same_bytes(tmp_path, capsys):
+    """A 12-element file from ``gen`` and the same file with a comment line
+    and CRLF line ends give the same stdout and exit code."""
     plain = tmp_path / "a6.mat"
     code, out, err = run(capsys, "gen", "--family", "A6", "-o", str(plain))
     assert code == 0
@@ -407,16 +406,6 @@ def test_bulk_and_line_readers_give_the_same_bytes(tmp_path, capsys, monkeypatch
     assert text.startswith("MATROID 12 6\n")
     commented = tmp_path / "a6-commented.mat"
     commented.write_bytes(("# A6\n" + text).replace("\n", "\r\n").encode())
-    paths = []
-    bulk = kernel._canonical_masks
-
-    def spy(t):
-        masks = bulk(t)
-        paths.append(masks is not None)
-        return masks
-
-    monkeypatch.setattr(kernel, "_canonical_masks", spy)
     for argv in (("recognize", "--method", "flats", "--json"), ("info", "--json")):
         got = [run(capsys, *argv, str(path))[:2] for path in (plain, commented)]
         assert got[0] == got[1]
-    assert paths == [True, False, True, False]

@@ -465,10 +465,27 @@ def test_text_errors():
          "basis line not strictly increasing: '2 1'"),
         ("MATROID 3 2\n0 9\n0\n", MixedCardinality, "differs"),
         ("MATROID 13 2\n0 12\n", GroundTooLarge, "n=13"),
+        ("MATROID 13 2\n0 1\n1 0\n", kernel.MatroidError,
+         "basis line not strictly increasing: '1 0'"),
+        ("MATROID 3 2\n", EmptyFamily, "at least one basis"),
     ):
         with pytest.raises(error) as err:
             matroid_from_text(text)
         assert message in str(err.value)
+    # comments, blank lines and CRLF line ends never shift the line named
+    for text, error, message in (
+        ("MATROID 3 x  # h\n0\n", kernel.MatroidError,
+         "bad header line: 'MATROID 3 x  # h'"),
+        ("MATROID 3 2  # h\r\n0 1\r\n# c\r\n\r\n1 0  # d\r\n",
+         kernel.MatroidError, "basis line not strictly increasing: '1 0  # d'"),
+        ("MATROID 3 2\n\t\n0 1\n# 0 x\n0 x\n", kernel.MatroidError,
+         "bad basis line: '0 x'"),
+        ("MATROID 3 2\n0 1\n0#1 2\n", MixedCardinality,
+         "basis line length differs from declared rank"),
+    ):
+        with pytest.raises(error) as err:
+            matroid_from_text(text)
+        assert str(err.value) == message
 
 
 def _read_both(text):
@@ -484,8 +501,8 @@ def _read_both(text):
 
 
 def _text_variants(text):
-    """Spellings and misspellings of one canonical text that the bulk
-    reader must read as the line reader does, or leave to it."""
+    """Spellings and misspellings of one canonical text, each of which the
+    package's reader must read as the line reader does."""
     head, *body = text.splitlines()
     n = int(head.split()[1])
 
@@ -501,6 +518,10 @@ def _text_variants(text):
     yield join("MATROID 13 2", "0 1", "0 12")
     yield join("MATROID 3 0", *body)
     yield join("MATROID 3 0", "0")
+    yield join("MATROID 13 2", "0 1", "1 0")
+    yield join("MATROID 3 2")
+    yield join(head + "  # a header comment", *body)
+    yield join(head, *(x for row in body for x in (row, "# between", " \t")))
     if not body:
         return
     first, last = body[0].split(), body[-1].split()
@@ -517,11 +538,13 @@ def _text_variants(text):
     yield join(head, " ".join(["-1", *first[1:]]), *body[1:])
     if len(first) >= 2:
         yield join(head, " ".join([first[1], first[0], *first[2:]]), *body[1:])
+        yield join(head, body[0].replace(" ", "#", 1), *body[1:])
 
 
 def test_bulk_reader_matches_line_reader():
-    """Canonical texts are read in bulk, every other text line by line, and
-    both readers give the same matroid or the same error on every text."""
+    """The package's reader, which packs well-spelt texts in bulk, and the
+    reference line reader give the same matroid or the same error on every
+    canonical text and its variants."""
     spec = corpus.CorpusSpec(
         ("random-sparse-paving", "lpm-random", "random-transversal",
          "duals-closure"),
@@ -533,11 +556,49 @@ def test_bulk_reader_matches_line_reader():
     assert {M.n for M in family} >= set(range(6, 13))
     for M in family:
         text = matroid_to_text(M)
-        assert (kernel._canonical_masks(text) is None) == (M.rank == 0)
         assert _read_both(text) == [M, M]
         for variant in _text_variants(text):
             got, want = _read_both(variant)
             assert got == want, variant
+
+
+_TOKENS = st.sampled_from([*map(str, range(14)), "-1", "01", "+1", "x", "1.0"])
+
+
+@st.composite
+def _matroid_texts(draw):
+    """Matroid texts of well-spelt and misspelt header and basis tokens,
+    with blank lines, comment lines, trailing or glued ``#`` comments,
+    tabs and CRLF line ends."""
+    n, r = draw(st.integers(0, 13)), draw(st.integers(0, 4))
+    head = ["MATROID", str(n), str(r)]
+    if draw(st.integers(0, 4)) == 0:
+        head[draw(st.integers(0, 2))] = draw(_TOKENS)
+    lines = [head]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            k = min(r, n + 1)
+            row = draw(st.sets(st.integers(0, n), min_size=k, max_size=k))
+            lines.append(list(map(str, sorted(row))))
+        else:
+            lines.append(draw(st.lists(_TOKENS, max_size=4)))
+    out = []
+    for tokens in lines:
+        line = draw(st.sampled_from([" ", "\t", "  "])).join(tokens)
+        if draw(st.integers(0, 4)) == 0:
+            line += draw(st.sampled_from(["# c", "  # c", "#1 2"]))
+        out.append(line)
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", "# only", " \t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matroid_texts())
+def test_reader_matches_line_reader_on_drawn_texts(text):
+    got, want = _read_both(text)
+    assert got == want
 
 
 # --- property-style checks ---------------------------------------------------

@@ -347,10 +347,27 @@ def test_nonterminal_single_interval_elements_disconnect():
             assert got == (count == 1)
 
 
+def reversal_symmetric_presentations(max_n):
+    """Every connected presentation on the identity order, 2..max_n
+    elements, whose intervals reversing the path order maps to themselves:
+    its group holds the path reversal, so most of these groups are not
+    generated by clone swaps alone."""
+    for n in range(2, max_n + 1):
+        for r in range(1, n):
+            for a in itertools.combinations(range(n), r):
+                for b in itertools.combinations(range(n), r):
+                    if all(x <= y for x, y in zip(a, b)):
+                        P = IntervalPresentation(n, tuple(zip(a, b)))
+                        if (P.reversed().intervals == P.intervals
+                                and presentation_connected(P)):
+                            yield P
+
+
 def test_automorphisms_are_fundamental_flat_symmetries():
-    for P in random_presentations(60, 6, seed=816):
+    for P in [*random_presentations(60, 6, seed=816),
+              *reversal_symmetric_presentations(7)]:
         M = realize(P)
-        if not presentation_connected(P) or M.n > 6:
+        if not presentation_connected(P):
             continue
         fund = {f: rank_of(M, f) for f in flats.fundamental_flats(M)}
         expected = set()

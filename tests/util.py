@@ -43,9 +43,9 @@ clone classes are the reference ones; it shares nothing with the package.
 The reference automorphism group is the exhaustive mode the package's
 search no longer has, kept only as a reference: the same search with clone
 skipping and orbit pruning off, keeping one leaf per group element, where
-the package closes the generators its one pruned search absorbs.  The reference text reader is the package's line-by-line
-reader as it was before canonical texts were read in bulk; it shares
-``from_bases`` and the error classes with the package.
+the package closes the generators its one pruned search absorbs.  The reference text reader is the line-by-line reader
+the package had before its one reader packed well-spelt texts in bulk; it
+shares ``from_bases`` and the error classes with the package.
 """
 
 from __future__ import annotations
