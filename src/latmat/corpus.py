@@ -24,12 +24,16 @@ re-implement elsewhere.  Draw protocols, in stream order:
   presentations with these (n, r); the matroid is the realized presentation.
 - ``duals-closure``: appends the dual of everything generated so far.
 
-Output is deduplicated by canonical form, keeping first occurrences in
-generation order.  Each isomorphism class is labelled once: an exact
-repeat of a basis family reuses the form computed for it, and a
-``duals-closure`` matroid reuses the form of the first dual whose primal had
-the same form as its own primal (isomorphic matroids have isomorphic
-duals).  Every kept matroid is the first of its class and labels itself.
+Output is deduplicated up to isomorphism, keeping first occurrences in
+generation order.  A matroid is labelled only when it could repeat a class
+kept before it.  An exact repeat of a basis family is dropped unlabelled,
+and so is a ``duals-closure`` matroid whose primal is isomorphic to the
+primal of an earlier dual (isomorphic matroids have isomorphic duals).
+Every other matroid is bucketed by ``Matroid.degree_key``, its basis count
+and sorted basis degrees, which isomorphic matroids share.  One that meets
+an empty bucket starts a new class without being labelled.  Otherwise it
+and the bucket's kept classes are labelled, each once, and its canonical
+form is compared with theirs.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog, lpm
-from ._canonical import _clone_minimal, _clone_steps
+from ._canonical import _clone_minimal
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
@@ -280,7 +284,7 @@ def _gen_catalog_minors(max_n: int):
     for entry in catalog.catalog_up_to(8):
         M = entry.matroid
         greedy = [_greedy_independent(M, c) for c in range(1 << M.n)]
-        steps = _clone_steps(M.n, M.basis_masks)
+        steps = M._clone_steps
         for removed in range(1 << M.n):
             new_n = M.n - removed.bit_count()
             if new_n > max_n or not _clone_minimal(removed, steps):
@@ -323,7 +327,7 @@ def _gen_lpm_random(rng: SplitMix64, count: int, max_n: int):
 
 
 def generate_tagged(spec: CorpusSpec) -> list[tuple[str, Matroid]]:
-    """(source, matroid) pairs, deduplicated by canonical form in order."""
+    """(source, matroid) pairs, deduplicated up to isomorphism in order."""
     rng = SplitMix64(spec.seed if spec.seed is not None else 0)
     raw: list[tuple[str, Matroid]] = []
     primal_of: dict[int, int] = {}  # position of a dual -> of its primal
@@ -350,28 +354,41 @@ def generate_tagged(spec: CorpusSpec) -> list[tuple[str, Matroid]]:
         elif g == "duals-closure":
             primal_of.update((len(raw) + i, i) for i in range(len(raw)))
             raw.extend(("duals-closure", dual(M)) for _, M in list(raw))
-    # One labeling per isomorphism class (see the module docstring).
-    family_forms: dict[tuple[int, tuple[int, ...]], bytes] = {}
-    dual_forms: dict[bytes, bytes] = {}
-    forms: list[bytes] = []
-    seen: set[bytes] = set()
-    out = []
+    return _first_of_each_class(raw, primal_of)
+
+
+def _first_of_each_class(
+    raw: list[tuple[str, Matroid]], primal_of: dict[int, int]
+) -> list[tuple[str, Matroid]]:
+    """The first (source, matroid) pair of each isomorphism class in `raw`,
+    in order; `primal_of` maps the position of a dual to its primal's.  A
+    matroid is labelled only on a degree-key collision (see the module
+    docstring)."""
+    family_class: dict[tuple[int, tuple[int, ...]], int] = {}
+    dual_class: dict[int, int] = {}  # class of a primal -> of its first dual
+    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    classes: list[int] = []  # class of each position, as a position in out
+    out: list[tuple[str, Matroid]] = []
     for i, (source, M) in enumerate(raw):
-        key = (M.n, M.basis_masks)
+        family = (M.n, M.basis_masks)
         p = primal_of.get(i)
-        form = family_forms.get(key)
-        if form is None and p is not None:
-            form = dual_forms.get(forms[p])
-        if form is None:
-            form = canonical_form(M)
-        family_forms[key] = form
+        c = family_class.get(family)
+        if c is None and p is not None:
+            c = dual_class.get(classes[p])
+        if c is None:
+            bucket = buckets.setdefault(M.degree_key, [])
+            for k in bucket:
+                if canonical_form(out[k][1]) == canonical_form(M):
+                    c = k
+                    break
+            else:
+                c = len(out)
+                bucket.append(c)
+                out.append((source, M))
+        family_class[family] = c
         if p is not None:
-            dual_forms.setdefault(forms[p], form)
-        forms.append(form)
-        if form in seen:
-            continue
-        seen.add(form)
-        out.append((source, M))
+            dual_class.setdefault(classes[p], c)
+        classes.append(c)
     return out
 
 

@@ -112,6 +112,12 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _degree_multiset(elements: Iterable[int], masks) -> tuple[int, ...]:
+    """How many of the masks hold each element, sorted; `masks` is read
+    once per element.  The masks holding e sum to their count times 2^e."""
+    return tuple(sorted(sum(map((1 << e).__and__, masks)) >> e for e in elements))
+
+
 @cache
 def _lanes(n: int) -> tuple[int, tuple[int, ...]]:
     """The lane constants of an n-element ground set (lanes as in the
@@ -278,8 +284,19 @@ class Matroid:
         return _components_within(self, self.full_mask)
 
     @cached_property
+    def degree_key(self) -> tuple[int, tuple[int, ...]]:
+        """(number of bases, sorted basis degrees): equal on isomorphic
+        matroids, so unequal keys refuse an isomorphism without labeling."""
+        return self.num_bases, _degree_multiset(range(self.n), self.basis_masks)
+
+    @cached_property
     def _canon(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return _canonical.canonical_labeling(self.n, self.basis_masks)
+
+    @cached_property
+    def _clone_steps(self) -> tuple[tuple[int, int], ...]:
+        """The clone steps of the bases (:func:`_canonical._clone_steps`)."""
+        return _canonical._clone_steps(self.n, self.basis_masks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matroid):
@@ -707,7 +724,8 @@ def canonical_form(M: Matroid) -> bytes:
 
 def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
     """A bijection M1 -> M2 carrying bases to bases, or None."""
-    if M1.n != M2.n or M1.rank != M2.rank or M1.num_bases != M2.num_bases:
+    # the key fixes n (the degrees' count) and the rank (their sum / |B|)
+    if M1.degree_key != M2.degree_key:
         return None
     if canonical_form(M1) != canonical_form(M2):
         return None

@@ -13,23 +13,27 @@ a clone for a lower one gives a set earlier in the walk, so the first
 split exposing each pattern is clone-minimal and every witness is the one
 the full walk finds.  ``find_catalog_minor``
 makes one pass per catalog size, smallest first, on each connected
-component of at least 6 elements.
+component of at least 6 elements.  Keys and clone steps are cached on the
+matroids (``Matroid.degree_key``, ``Matroid._clone_steps``): the catalog
+members are shared objects, so each pattern is keyed once per process, and
+a component's clone steps serve every catalog size.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import catalog
-from ._canonical import _clone_minimal, _clone_steps
+from ._canonical import _clone_minimal
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
     Matroid,
     _bases_by_trace,
     _bits,
+    _degree_multiset,
     _greedy_independent,
     _minor_masks,
     canonical_form,
@@ -71,11 +75,6 @@ class MinorWitness:
         return mapped == pattern.mask_set
 
 
-def _degree_multiset(elements: Iterable[int], masks) -> tuple[int, ...]:
-    """How many of the masks hold each element, sorted."""
-    return tuple(sorted(sum((b >> e) & 1 for b in masks) for e in elements))
-
-
 def has_minor(
     host: Matroid, pattern: Matroid, *more: Matroid
 ) -> Optional[MinorWitness]:
@@ -89,31 +88,30 @@ def has_minor(
     removed set, are the minor's.  The C are walked by size, then in
     combination order; a pattern of rank r is sought among those of size
     r(host) - r.  A split whose basis count and degree multiset match an
-    open pattern is built and compared by canonical form; a hit carries an
-    explicit bijection.  The witness is the first split exposing the
-    earliest pattern that has any, so a hit retires every later pattern and
-    the pass ends when the first one hits.  Its ``pattern_name`` is "?" for
-    one pattern, else the exposed pattern's position ("0", "1", ...).
+    open pattern's key (``Matroid.degree_key``, cached on each pattern, so
+    a shared catalog member is keyed once) is built and compared by
+    canonical form; a hit carries an explicit bijection.  The witness is
+    the first split exposing the earliest pattern that has any, so a hit
+    retires every later pattern and the pass ends when the first one hits.
+    Its ``pattern_name`` is "?" for one pattern, else the exposed pattern's
+    position ("0", "1", ...).
 
-    The host's clone classes are computed once per call, and the walk
-    skips every removed set, and within a kept one every trace, that is not
-    clone-minimal (see the module docstring).  The first split exposing a
-    pattern is clone-minimal, so the witness is the full walk's.
+    The host's clone steps are cached on it (``Matroid._clone_steps``), and
+    the walk skips every removed set, and within a kept one every trace,
+    that is not clone-minimal (see the module docstring).  The first split
+    exposing a pattern is clone-minimal, so the witness is the full walk's.
     """
     patterns = (pattern,) + more
     if host.n > MAX_GROUND or pattern.n > host.n:
         raise GroundTooLarge(f"need |E(pattern)| <= |E(host)| <= {MAX_GROUND}")
     if any(p.n != pattern.n for p in more):
         raise ValueError("has_minor patterns must share one ground-set size")
-    wants = [
-        (p.num_bases, _degree_multiset(range(p.n), p.basis_masks))
-        for p in patterns
-    ]
+    wants = [p.degree_key for p in patterns]
     # contract size -> positions of the patterns of that co-rank still open
     open_by_size: dict[int, list[int]] = {}
     for i, p in enumerate(patterns):
         open_by_size.setdefault(host.rank - p.rank, []).append(i)
-    steps = _clone_steps(host.n, host.basis_masks)
+    steps = host._clone_steps
     found = None
     for removed in itertools.combinations(range(host.n), host.n - pattern.n):
         rm = mask_of(removed)
@@ -130,7 +128,7 @@ def has_minor(
             count = len(survivors)
             if all(wants[i][0] != count for i in open_ids):
                 continue
-            key = (count, _degree_multiset(members(host.full_mask ^ rm), survivors))
+            key = (count, _degree_multiset(_bits(host.full_mask ^ rm), survivors))
             matching = [i for i in open_ids if wants[i] == key]
             if not matching:
                 continue

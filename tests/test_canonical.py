@@ -36,14 +36,17 @@ from latmat.kernel import (
     dual,
     from_bases,
     is_isomorphic,
+    mask_of,
     uniform,
 )
 from test_acceptance import ACCEPT_SPEC
+from test_corpus import count_labelings
 from test_minors import symmetric_hosts
 from util import (
     brute_automorphism_group,
     brute_canonical_labeling,
     brute_clone_classes,
+    degree_twins,
     is_clone_minimal,
 )
 
@@ -146,14 +149,47 @@ def test_automorphisms_match_brute_force():
         assert automorphisms(M) == brute_automorphisms(M), M
 
 
+def near_twins():
+    """U3,6 less {012, 345} and less {012, 234}: equal size, rank and basis
+    count, but degrees 9^6 against 8, 9^4, 10."""
+    return tuple(
+        from_bases(6, [c for c in itertools.combinations(range(6), 3)
+                       if c not in ((0, 1, 2), hyperplane)])
+        for hyperplane in ((3, 4, 5), (2, 3, 4))
+    )
+
+
 def test_canonical_form_distinguishes_near_twins():
-    # equal size, rank, basis count, and degree sequence; different matroids
-    a = from_bases(6, [c for c in itertools.combinations(range(6), 3)
-                       if set(c) not in ({0, 1, 2}, {3, 4, 5})])
-    b = from_bases(6, [c for c in itertools.combinations(range(6), 3)
-                       if set(c) not in ({0, 1, 2}, {2, 3, 4})])
+    a, b = near_twins()
+    assert a.degree_key == (18, (9,) * 6)
+    assert b.degree_key == (18, (8,) + (9,) * 4 + (10,))
     assert not brute_isomorphic(a, b)
     assert canonical_form(a) != canonical_form(b)
+
+
+def test_canonical_form_distinguishes_degree_twins():
+    """Equal degree keys, so only the labeling tells them apart.  The
+    meets between the missing 3-sets (the circuit-hyperplanes) are an
+    isomorphism invariant, and they differ."""
+    a, b = degree_twins()
+    assert a.degree_key == b.degree_key == (52, (19,) * 4 + (20,) * 4)
+
+    def meets(M):
+        missing = [mask_of(c) for c in itertools.combinations(range(8), 3)
+                   if mask_of(c) not in M.mask_set]
+        return sorted(sum(1 for g in missing if g != h and g & h)
+                      for h in missing)
+
+    assert meets(a) == [1, 2, 2, 3] and meets(b) == [2, 2, 2, 2]
+    assert canonical_form(a) != canonical_form(b)
+
+
+def test_is_isomorphic_labels_only_on_equal_degree_keys(monkeypatch):
+    labelled = count_labelings(monkeypatch)
+    assert is_isomorphic(*near_twins()) is None
+    assert labelled == []
+    assert is_isomorphic(*degree_twins()) is None
+    assert labelled == [8, 8]
 
 
 def test_loop_and_coloop_heavy_inputs():

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from latmat.catalog import b_nk, c_nk, p_prime_n
+from latmat import _canonical
+from latmat.catalog import b_nk, c_nk, catalog_up_to, p_prime_n
 from latmat.corpus import (
     CorpusSpec,
     SplitMix64,
+    _first_of_each_class,
     generate,
     generate_tagged,
     parse_corpus_spec,
@@ -14,18 +16,34 @@ from latmat.corpus import (
 from latmat.kernel import (
     MAX_GROUND,
     GroundTooLarge,
+    Matroid,
     MatroidError,
+    _bits,
     canonical_form,
     dual,
     from_bases,
     uniform,
 )
 from latmat.lpm import is_lpm_char
+from test_acceptance import ACCEPT_SPEC
 from util import (
+    brute_dedup,
     brute_generate_tagged,
     brute_transversal_bases,
+    degree_twins,
     matching_transversal_masks,
 )
+
+
+def count_labelings(monkeypatch) -> list[int]:
+    """A list that grows by one entry per canonical labeling from now on."""
+    labelled = []
+    real = _canonical.canonical_labeling
+    monkeypatch.setattr(
+        _canonical, "canonical_labeling",
+        lambda n, masks: labelled.append(n) or real(n, masks),
+    )
+    return labelled
 
 
 def test_splitmix64_reference_values():
@@ -214,3 +232,48 @@ def test_generate_tagged_matches_brute_force(text):
     got = [(s, M.n, M.basis_masks) for s, M in generate_tagged(spec)]
     want = [(s, M.n, M.basis_masks) for s, M in brute_generate_tagged(spec)]
     assert got == want
+
+
+def _twin_items():
+    """Fresh (source, matroid) pairs whose degree-key buckets each hold two
+    classes: the degree twins a and b, relabelled copies, a repeat of a's
+    family, then the dual of each, which share a key of their own."""
+    a, b = degree_twins()
+    perm = (3, 1, 4, 0, 7, 5, 2, 6)
+
+    def relabelled(M):
+        return Matroid._from_masks(
+            M.n, [sum(1 << perm[e] for e in _bits(m)) for m in M.basis_masks]
+        )
+
+    primals = [a, relabelled(b), relabelled(a), b,
+               Matroid._from_masks(a.n, a.basis_masks)]
+    assert len({(M.n, M.basis_masks) for M in primals}) == 4
+    return ([("primal", M) for M in primals]
+            + [("dual", dual(M)) for M in primals])
+
+
+@pytest.mark.parametrize(
+    "primal_of, labelings",
+    [
+        # b' and a' label a first; b misses a and meets b'; the repeat of
+        # a is dropped unlabelled; then the same among the duals
+        pytest.param({}, 8, id="buckets-only"),
+        # the duals of a' and b are dropped by their primals' classes
+        pytest.param({5 + i: i for i in range(5)}, 6, id="dual-shortcut"),
+    ],
+)
+def test_degree_key_bucket_with_two_classes(monkeypatch, primal_of, labelings):
+    want = [(s, M.n, M.basis_masks) for s, M in brute_dedup(_twin_items())]
+    labelled = count_labelings(monkeypatch)
+    got = _first_of_each_class(_twin_items(), primal_of)
+    assert [(s, M.n, M.basis_masks) for s, M in got] == want
+    assert [s for s, _ in got] == ["primal", "primal", "dual", "dual"]
+    assert len(labelled) == labelings
+
+
+def test_generate_tagged_labels_only_on_key_collisions(monkeypatch):
+    catalog_up_to(8)  # the catalog's build labels its 12 members itself
+    labelled = count_labelings(monkeypatch)
+    assert len(generate_tagged(parse_corpus_spec(ACCEPT_SPEC))) == 498
+    assert len(labelled) == 813

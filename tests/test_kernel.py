@@ -46,6 +46,7 @@ from latmat.kernel import (
     uniform,
 )
 from util import (
+    _degrees,
     brute_circuit_masks,
     brute_components_within,
     brute_flat_masks,
@@ -393,6 +394,13 @@ def test_is_isomorphic_examples():
     assert bij is not None and sorted(bij) == [0, 1, 2, 3]
     W = wheel()
     assert is_isomorphic(W, relax(W, {0, 1, 2})) is None  # 16 vs 17 bases
+
+
+def test_degree_key_is_basis_count_and_degrees(small_corpus):
+    pool = [e.matroid for e in catalog_up_to(12)] + list(small_corpus)
+    for M in pool:
+        assert M.degree_key == (M.num_bases, _degrees(M.n, M.basis_masks))
+        assert M.degree_key is M.degree_key
 
 
 def test_automorphisms_u24():

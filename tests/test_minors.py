@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from latmat import corpus
+from latmat import _canonical, corpus, kernel
 from latmat.catalog import build_by_name, catalog_up_to, e_n, p_n, whirl3, wheel3
 from latmat.kernel import (
     GroundTooLarge,
@@ -414,6 +414,35 @@ def test_multi_pattern_call_is_first_single_hit(small_corpus):
             i, w = hits[0]
             name = str(i) if len(group) > 1 else "?"
             assert _witness_key(multi) == (name, w.delete, w.contract, w.iso)
+
+
+def test_catalog_keys_and_host_clone_steps_are_computed_once(monkeypatch):
+    """U6,12 has no catalog minor, so its search keys every catalog member
+    up to 12 elements, over seven pattern sizes.  A second search keys no
+    pattern again, and each search finds its host's clone steps once."""
+    patterns = [entry.matroid for entry in catalog_up_to(12)]
+    for p in patterns:
+        p.__dict__.pop("degree_key", None)
+    keyed, stepped = [], []
+    real_key, real_steps = kernel._degree_multiset, _canonical._clone_steps
+    monkeypatch.setattr(
+        kernel, "_degree_multiset",
+        lambda elements, masks: (
+            keyed.append(len(masks)) or real_key(elements, masks)
+        ),
+    )
+    monkeypatch.setattr(
+        _canonical, "_clone_steps",
+        lambda n, masks: stepped.append(n) or real_steps(n, masks),
+    )
+    assert find_catalog_minor(uniform(6, 12)) is None
+    assert len(keyed) == len(patterns)
+    assert stepped == [12]
+    keyed.clear()
+    stepped.clear()
+    assert find_catalog_minor(uniform(6, 12)) is None
+    assert keyed == []
+    assert stepped == [12]
 
 
 def test_has_minor_patterns_share_one_size():

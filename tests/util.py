@@ -70,6 +70,24 @@ from latmat.kernel import (
 )
 from latmat.ordersearch import transversal_count
 
+# U3,8 less four circuit-hyperplanes, two ways: 52 bases and degrees
+# 19^4 20^4 either way.  In the first one 3-circuit meets the other three,
+# in the second the 3-circuits meet in a 4-cycle, so they are not isomorphic.
+DEGREE_TWIN_CIRCUITS = (
+    ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)),
+    ((0, 1, 2), (0, 3, 4), (1, 5, 6), (3, 5, 7)),
+)
+
+
+def degree_twins() -> tuple[Matroid, Matroid]:
+    """Two fresh non-isomorphic matroids with equal degree keys."""
+    return tuple(
+        from_bases(8, [c for c in itertools.combinations(range(8), 3)
+                       if c not in circuits])
+        for circuits in DEGREE_TWIN_CIRCUITS
+    )
+
+
 # K4 edge labels chosen so the triangles are exactly the four 3-element
 # circuits of the wheel builder: 0=ab 1=ac 2=bc 3=bd 4=ad 5=cd.
 K4_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (0, 3), (2, 3)]
@@ -843,6 +861,12 @@ def brute_generate_tagged(spec):
         else:
             got = [dual(M) for _, M in raw]
         raw.extend((g, M) for M in got)
+    return brute_dedup(raw)
+
+
+def brute_dedup(raw):
+    """Reference ``corpus._first_of_each_class``: label every (source,
+    matroid) pair and keep the first of each canonical form."""
     seen = set()
     out = []
     for source, M in raw:
