@@ -29,7 +29,9 @@ basis degrees on its diagonal; clone classes come from one bit-lane test
 per pair of elements: the family as one int with a bit per subset, whose
 lanes holding e but not f, shifted onto those holding f but not e, must
 match (see ``_clone_classes``).  The catalog search and the catalog-minors
-corpus read the same classes to walk only clone-minimal splits.
+corpus read the same classes to walk only clone-minimal splits, and corpus
+deduplication relabels a family by ascending degree with the same lane
+shifts before any labeling (see ``_degree_sorted_family``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,48 @@ def _element_lanes(n: int) -> tuple[int, ...]:
     )
 
 
+def _family_int(masks) -> int:
+    """The family as one int: bit X set iff the set X is in it."""
+    family = 0
+    for b in masks:
+        family |= 1 << b
+    return family
+
+
+def _degree_sorted_family(n: int, masks) -> int:
+    """The family relabelled so that basis degrees ascend, ties kept in
+    label order, as one int (see :func:`_family_int`).
+
+    The relabelling is a bijection of the ground set, so families with
+    equal results are isomorphic; isomorphic families need not give equal
+    results, since the order of elements of equal degree depends on the
+    labels.  It is applied as at most n - 1 transpositions (a selection
+    sort of the positions), each a lane shift with the test of
+    :func:`_clone_classes`: swapping e < f fixes the sets holding both or
+    neither, moves those holding e but not f up by 2^f - 2^e and those
+    holding f but not e down by as much.  The cost depends on n, not on
+    the number of sets.
+    """
+    family = _family_int(masks)
+    lanes = _element_lanes(n)
+    degree = [(family & lane).bit_count() for lane in lanes]
+    at = list(range(n))  # at[pos]: the element now labelled pos
+    for e, x in enumerate(sorted(range(n), key=degree.__getitem__)):
+        f = at.index(x)
+        if f == e:
+            continue
+        only_e = lanes[e] & ~lanes[f]
+        only_f = lanes[f] & ~lanes[e]
+        shift = (1 << f) - (1 << e)
+        family = (
+            family & ~(only_e | only_f)
+            | (family & only_e) << shift
+            | (family & only_f) >> shift
+        )
+        at[e], at[f] = x, at[e]
+    return family
+
+
 def _clone_classes(n: int, masks) -> list[int]:
     """The least member of each element's clone class.
 
@@ -70,9 +114,7 @@ def _clone_classes(n: int, masks) -> list[int]:
     not e.  Transpositions fixing the family compose, so the relation is
     transitive and f need only be tested against least members below it.
     """
-    family = 0
-    for b in masks:
-        family |= 1 << b
+    family = _family_int(masks)
     holding = [family & lane for lane in _element_lanes(n)]
     least = list(range(n))
     for f in range(1, n):

@@ -207,12 +207,15 @@ def _catalog_up_to(m: int) -> tuple[CatalogEntry, ...]:
     if m >= 7:
         entries.append(CatalogEntry("R3", (), r3(), "R3"))
         entries.append(CatalogEntry("R4", (), r4(), "R4"))
-    seen: set[bytes] = set()
+    # isomorphic members share a degree key, so a member is labelled only
+    # when its key meets a kept one
+    kept: dict[tuple[int, tuple[int, ...]], list[Matroid]] = {}
     out = []
     for entry in sorted(entries, key=lambda e: (e.matroid.n, e.name)):
-        key = canonical_form(entry.matroid)
-        if key in seen:
+        M = entry.matroid
+        bucket = kept.setdefault(M.degree_key, [])
+        if any(canonical_form(K) == canonical_form(M) for K in bucket):
             continue
-        seen.add(key)
+        bucket.append(M)
         out.append(entry)
     return tuple(out)

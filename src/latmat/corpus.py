@@ -25,15 +25,21 @@ re-implement elsewhere.  Draw protocols, in stream order:
 - ``duals-closure``: appends the dual of everything generated so far.
 
 Output is deduplicated up to isomorphism, keeping first occurrences in
-generation order.  A matroid is labelled only when it could repeat a class
-kept before it.  An exact repeat of a basis family is dropped unlabelled,
-and so is a ``duals-closure`` matroid whose primal is isomorphic to the
-primal of an earlier dual (isomorphic matroids have isomorphic duals).
-Every other matroid is bucketed by ``Matroid.degree_key``, its basis count
-and sorted basis degrees, which isomorphic matroids share.  One that meets
-an empty bucket starts a new class without being labelled.  Otherwise it
-and the bucket's kept classes are labelled, each once, and its canonical
-form is compared with theirs.
+generation order.  A matroid is labelled only when nothing cheaper decides
+its class.  An exact repeat of a basis family is dropped unlabelled, and so
+is a ``duals-closure`` matroid whose primal is isomorphic to the primal of
+an earlier dual (isomorphic matroids have isomorphic duals).  Every other
+matroid is relabelled so that its basis degrees ascend, ties kept in label
+order (:func:`_canonical._degree_sorted_family`, a vertex-invariant
+relabelling after McKay & Piperno, Practical graph isomorphism II, 2014).
+When an earlier matroid on as many elements relabels to the same family,
+the two are isomorphic by the composed bijections, and the matroid joins
+that class unlabelled.  The relabelling does not decide non-isomorphism,
+as elements of equal degree keep their label order, so a miss is bucketed
+by ``Matroid.degree_key``, its basis count and sorted basis degrees, which
+isomorphic matroids share.  One that meets an empty bucket starts a new
+class without being labelled.  Otherwise it and the bucket's kept classes
+are labelled, each once, and its canonical form is compared with theirs.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog, lpm
-from ._canonical import _clone_minimal
+from ._canonical import _clone_minimal, _degree_sorted_family
 from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
@@ -52,7 +58,6 @@ from .kernel import (
     _at_least,
     _bits,
     _compress,
-    _greedy_independent,
     _lane_members,
     _lanes,
     _minor_masks,  # unused here; perfbench/tracing.py wraps corpus._minor_masks
@@ -261,8 +266,11 @@ def _gen_catalog_minors(max_n: int):
     with at most `max_n` elements, first occurrences of each labelled
     family in split order.
 
-    Splits share their work: the greedy basis of each contract set is
-    computed once per member, and per removed set the bases are grouped by
+    Splits share their work: the greedy basis of every contract set is
+    built once per member, in one pass over the subsets (the greedy scan
+    of :func:`kernel._greedy_independent` is ascending, so a set's top
+    element t is tried last, on the greedy basis of the set less t), and
+    per removed set the bases are grouped by
     their trace on it with each kept part compressed once (see
     :func:`kernel._bases_by_trace`).  A split whose group is missing lost
     rank by the deletion and is skipped: its normal trace T
@@ -283,7 +291,11 @@ def _gen_catalog_minors(max_n: int):
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for entry in catalog.catalog_up_to(8):
         M = entry.matroid
-        greedy = [_greedy_independent(M, c) for c in range(1 << M.n)]
+        greedy = [0]  # greedy[c]: the greedy basis of c
+        for t in range(M.n):
+            bit = 1 << t
+            greedy += [g | bit if M.is_independent(g | bit) else g
+                       for g in greedy]
         steps = M._clone_steps
         for removed in range(1 << M.n):
             new_n = M.n - removed.bit_count()
@@ -328,6 +340,14 @@ def _gen_lpm_random(rng: SplitMix64, count: int, max_n: int):
 
 def generate_tagged(spec: CorpusSpec) -> list[tuple[str, Matroid]]:
     """(source, matroid) pairs, deduplicated up to isomorphism in order."""
+    return _first_of_each_class(*_generated(spec))
+
+
+def _generated(
+    spec: CorpusSpec,
+) -> tuple[list[tuple[str, Matroid]], dict[int, int]]:
+    """Every (source, matroid) pair the generators draw, in order, and the
+    map from the position of each dual to its primal's."""
     rng = SplitMix64(spec.seed if spec.seed is not None else 0)
     raw: list[tuple[str, Matroid]] = []
     primal_of: dict[int, int] = {}  # position of a dual -> of its primal
@@ -354,18 +374,23 @@ def generate_tagged(spec: CorpusSpec) -> list[tuple[str, Matroid]]:
         elif g == "duals-closure":
             primal_of.update((len(raw) + i, i) for i in range(len(raw)))
             raw.extend(("duals-closure", dual(M)) for _, M in list(raw))
-    return _first_of_each_class(raw, primal_of)
+    return raw, primal_of
 
 
 def _first_of_each_class(
     raw: list[tuple[str, Matroid]], primal_of: dict[int, int]
 ) -> list[tuple[str, Matroid]]:
     """The first (source, matroid) pair of each isomorphism class in `raw`,
-    in order; `primal_of` maps the position of a dual to its primal's.  A
-    matroid is labelled only on a degree-key collision (see the module
-    docstring)."""
+    in order; `primal_of` maps the position of a dual to its primal's.
+
+    After the shortcuts, a family whose degree-sorted relabelling matches
+    one met before is isomorphic to it by an explicit bijection.  The match
+    is keyed with n, since the int alone does not fix the ground set (every
+    rank-0 family is the empty set's bit).  Only canonical forms rule an
+    isomorphism out (see the module docstring)."""
     family_class: dict[tuple[int, tuple[int, ...]], int] = {}
     dual_class: dict[int, int] = {}  # class of a primal -> of its first dual
+    relabelled_class: dict[tuple[int, int], int] = {}
     buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     classes: list[int] = []  # class of each position, as a position in out
     out: list[tuple[str, Matroid]] = []
@@ -376,15 +401,19 @@ def _first_of_each_class(
         if c is None and p is not None:
             c = dual_class.get(classes[p])
         if c is None:
-            bucket = buckets.setdefault(M.degree_key, [])
-            for k in bucket:
-                if canonical_form(out[k][1]) == canonical_form(M):
-                    c = k
-                    break
-            else:
-                c = len(out)
-                bucket.append(c)
-                out.append((source, M))
+            relabelled = (M.n, _degree_sorted_family(*family))
+            c = relabelled_class.get(relabelled)
+            if c is None:
+                bucket = buckets.setdefault(M.degree_key, [])
+                for k in bucket:
+                    if canonical_form(out[k][1]) == canonical_form(M):
+                        c = k
+                        break
+                else:
+                    c = len(out)
+                    bucket.append(c)
+                    out.append((source, M))
+                relabelled_class[relabelled] = c
         family_class[family] = c
         if p is not None:
             dual_class.setdefault(classes[p], c)

@@ -16,6 +16,7 @@ from latmat._canonical import (
     _clone_classes,
     _clone_minimal,
     _clone_steps,
+    _degree_sorted_family,
     _Search,
     automorphism_group,
     canonical_labeling,
@@ -46,7 +47,9 @@ from util import (
     brute_automorphism_group,
     brute_canonical_labeling,
     brute_clone_classes,
+    brute_degree_sorted_masks,
     degree_twins,
+    family_masks,
     is_clone_minimal,
 )
 
@@ -244,6 +247,33 @@ def test_clone_classes_match_swap_test(small_corpus):
                     ref, set(_bits(s))
                 ), (M, s)
     assert nontrivial >= 100
+
+
+def test_degree_sorted_family_matches_reference():
+    """The relabelled family, decoded from its int, is the reference's
+    element-by-element relabelling: its degrees ascend and it has the
+    input's canonical form.  On the catalog up to 12 elements, the
+    acceptance families and their duals, a seeded corpus up to 12 and
+    families with loops, coloops or every set of a size."""
+    accept = [M for _, M in generate_tagged(parse_corpus_spec(ACCEPT_SPEC))]
+    pool = (
+        [e.matroid for e in catalog_up_to(12)]
+        + accept
+        + [dual(M) for M in accept]
+        + list(_pool(12, seed=1212, count=15))
+        + [uniform(6, 12), uniform(0, 3), from_bases(6, [{4, 5}]),
+           from_bases(6, [{0, 1}])]
+    )
+    assert max(M.n for M in pool) == 12
+    moved = 0
+    for M in pool:
+        masks = family_masks(M.n, _degree_sorted_family(M.n, M.basis_masks))
+        assert masks == brute_degree_sorted_masks(M.n, M.basis_masks), M
+        degrees = [sum((b >> e) & 1 for b in masks) for e in range(M.n)]
+        assert degrees == sorted(degrees), M
+        assert canonical_labeling(M.n, masks)[0] == M._canon[0], M
+        moved += tuple(masks) != M.basis_masks
+    assert moved >= 500
 
 
 def test_labeling_and_groups_match_reference(small_corpus):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
-from latmat import flats
+from latmat import catalog, flats
 from latmat.catalog import (
     CatalogEntry,
     a_n,
@@ -34,6 +36,7 @@ from latmat.kernel import (
     uniform,
 )
 from latmat.lpm import verify_excluded_minor
+from test_corpus import count_labelings
 from util import p3_bases, spanning_trees_k4
 
 
@@ -150,6 +153,23 @@ def test_catalog_up_to_lists():
         catalog_up_to(5)
     with pytest.raises(GroundTooLarge, match=f"cap of {MAX_GROUND}"):
         catalog_up_to(MAX_GROUND + 1)
+
+
+def test_catalog_build_labels_only_on_key_collisions(monkeypatch):
+    """A fresh build up to 12 elements keeps all 28 members in (size, name)
+    order without a labeling: their degree keys are pairwise distinct."""
+    fresh = lru_cache(maxsize=None)(catalog._catalog_up_to.__wrapped__)
+    monkeypatch.setattr(catalog, "_catalog_up_to", fresh)
+    labelled = count_labelings(monkeypatch)
+    entries = catalog_up_to(12)
+    assert labelled == []
+    assert [e.name for e in entries] == [
+        "A3", "B2,2", "C4,2", "W3", "Whirl3", "R3", "R4",
+        "A4", "B3,2", "C5,2", "D4", "E4", "B3,3", "C6,3",
+        "A5", "B4,2", "C6,2", "D5", "E5", "B4,3", "C7,3",
+        "A6", "B4,4", "B5,2", "C7,2", "C8,4", "D6", "E6",
+    ]
+    assert len({e.matroid.degree_key for e in entries}) == 28
 
 
 def test_catalog_entry_shape_invariants():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
-from latmat import _canonical
-from latmat.catalog import b_nk, c_nk, catalog_up_to, p_prime_n
+from latmat import _canonical, catalog
+from latmat.catalog import b_nk, c_nk, p_prime_n
 from latmat.corpus import (
     CorpusSpec,
     SplitMix64,
     _first_of_each_class,
+    _generated,
     generate,
     generate_tagged,
     parse_corpus_spec,
@@ -31,6 +34,7 @@ from util import (
     brute_generate_tagged,
     brute_transversal_bases,
     degree_twins,
+    family_masks,
     matching_transversal_masks,
 )
 
@@ -207,31 +211,56 @@ def test_generate_tagged_sources():
     assert [M for _, M in tagged] == generate(spec)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        pytest.param(
-            "catalog-minors,random-transversal,lpm-random,duals-closure,"
-            "count=600,max-n=8,seed=20260808",
-            id="acceptance",
-        ),
-        pytest.param(
-            "random-sparse-paving,duals-closure,count=300,max-n=8,seed=20261017",
-            id="reject",
-        ),
-        pytest.param(
-            "lpm-random,duals-closure,random-transversal,duals-closure,"
-            "count=80,max-n=7,seed=3",
-            id="two-closures",
-        ),
-        pytest.param("catalog-minors,max-n=5", id="catalog-max-n-5"),
-    ],
-)
+PINNED_SPECS = [
+    pytest.param(
+        "catalog-minors,random-transversal,lpm-random,duals-closure,"
+        "count=600,max-n=8,seed=20260808",
+        id="acceptance",
+    ),
+    pytest.param(
+        "random-sparse-paving,duals-closure,count=300,max-n=8,seed=20261017",
+        id="reject",
+    ),
+    pytest.param(
+        "lpm-random,duals-closure,random-transversal,duals-closure,"
+        "count=80,max-n=7,seed=3",
+        id="two-closures",
+    ),
+    pytest.param("catalog-minors,max-n=5", id="catalog-max-n-5"),
+]
+
+
+@pytest.mark.parametrize("text", PINNED_SPECS)
 def test_generate_tagged_matches_brute_force(text):
     spec = parse_corpus_spec(text)
     got = [(s, M.n, M.basis_masks) for s, M in generate_tagged(spec)]
     want = [(s, M.n, M.basis_masks) for s, M in brute_generate_tagged(spec)]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    PINNED_SPECS + [
+        pytest.param(
+            "random-sparse-paving,lpm-random,random-transversal,"
+            "count=12,max-n=12,seed=2718",
+            id="mixed-max-n-12",
+        ),
+        pytest.param(
+            "catalog-minors,random-transversal,random-sparse-paving,"
+            "lpm-random,duals-closure,count=25,max-n=12,seed=5",
+            id="all-generators-max-n-12",
+        ),
+    ],
+)
+def test_first_of_each_class_matches_labelling_everything(text):
+    """On the generators' own draws, the shortcuts, the degree-sorted
+    relabelling and the degree-key buckets keep what labelling every
+    matroid keeps."""
+    raw, primal_of = _generated(parse_corpus_spec(text))
+    want = [(s, M.n, M.basis_masks) for s, M in brute_dedup(raw)]
+    got = _first_of_each_class(raw, primal_of)
+    assert [(s, M.n, M.basis_masks) for s, M in got] == want
 
 
 def _twin_items():
@@ -249,6 +278,10 @@ def _twin_items():
     primals = [a, relabelled(b), relabelled(a), b,
                Matroid._from_masks(a.n, a.basis_masks)]
     assert len({(M.n, M.basis_masks) for M in primals}) == 4
+    # a' and b relabel by degree to new families, so only the buckets can
+    # place them, b against the bucket's second class
+    assert len({_canonical._degree_sorted_family(M.n, M.basis_masks)
+                for M in primals}) == 4
     return ([("primal", M) for M in primals]
             + [("dual", dual(M)) for M in primals])
 
@@ -272,8 +305,38 @@ def test_degree_key_bucket_with_two_classes(monkeypatch, primal_of, labelings):
     assert len(labelled) == labelings
 
 
-def test_generate_tagged_labels_only_on_key_collisions(monkeypatch):
-    catalog_up_to(8)  # the catalog's build labels its 12 members itself
+def test_relabelled_copy_is_dropped_unlabelled(monkeypatch):
+    """A copy relabelling by degree to an earlier family joins its class
+    with no labeling.  The relabelled int does not fix n: the rank-0
+    families on one and two elements are both the empty set's bit, and
+    both are kept."""
+    a, _ = degree_twins()
+    a1 = _twin_items()[2][1]  # a relabelled
+    relabelled = _canonical._degree_sorted_family(a.n, a1.basis_masks)
+    a2 = Matroid._from_masks(a.n, family_masks(a.n, relabelled))
+    assert len({a.basis_masks, a1.basis_masks, a2.basis_masks}) == 3
+    raw = [("a'", a1), ("a", a), ("a''", a2),
+           ("loop", uniform(0, 1)), ("loops", uniform(0, 2))]
     labelled = count_labelings(monkeypatch)
-    assert len(generate_tagged(parse_corpus_spec(ACCEPT_SPEC))) == 498
-    assert len(labelled) == 813
+    got = _first_of_each_class(raw, {})
+    assert [s for s, _ in got] == ["a'", "loop", "loops"]
+    assert labelled == [8, 8]  # a and its bucket mate a'; a'' never
+    assert got == _first_of_each_class(raw[:1] + raw[2:], {})
+    assert labelled == [8, 8]
+
+
+def test_generate_tagged_labels_only_on_key_collisions(monkeypatch):
+    """25 labelings on the acceptance spec (813 before the degree-sorted
+    relabelling), whether or not the catalog was built first: the
+    catalog's build labels none of its members."""
+    spec = parse_corpus_spec(ACCEPT_SPEC)
+    labelled = count_labelings(monkeypatch)
+    fresh = lru_cache(maxsize=None)(catalog._catalog_up_to.__wrapped__)
+    monkeypatch.setattr(catalog, "_catalog_up_to", fresh)
+    assert len(generate_tagged(spec)) == 498
+    assert fresh.cache_info().misses == 1
+    assert len(labelled) == 25
+    labelled.clear()
+    assert len(generate_tagged(spec)) == 498
+    assert fresh.cache_info().misses == 1
+    assert len(labelled) == 25

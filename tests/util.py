@@ -45,7 +45,9 @@ search no longer has, kept only as a reference: the same search with clone
 skipping and orbit pruning off, keeping one leaf per group element, where
 the package closes the generators its one pruned search absorbs.  The reference text reader is the line-by-line reader
 the package had before its one reader packed well-spelt texts in bulk; it
-shares ``from_bases`` and the error classes with the package.
+shares ``from_bases`` and the error classes with the package.  The
+reference degree-sorted relabelling moves every basis element by element,
+where the package swaps lanes of the family's indicator.
 """
 
 from __future__ import annotations
@@ -862,6 +864,22 @@ def brute_generate_tagged(spec):
             got = [dual(M) for _, M in raw]
         raw.extend((g, M) for M in got)
     return brute_dedup(raw)
+
+
+def brute_degree_sorted_masks(n: int, masks) -> list[int]:
+    """Reference ``_canonical._degree_sorted_family``, as sorted masks:
+    elements placed by ascending basis degree, ties in label order, and
+    every basis relabelled element by element."""
+    deg = [sum((b >> e) & 1 for b in masks) for e in range(n)]
+    pos = {e: i for i, e in enumerate(sorted(range(n), key=lambda e: deg[e]))}
+    return sorted(
+        sum(1 << pos[e] for e in range(n) if (b >> e) & 1) for b in masks
+    )
+
+
+def family_masks(n: int, family: int) -> list[int]:
+    """The sets of a family given as one int (bit X set iff X is in it)."""
+    return [x for x in range(1 << n) if (family >> x) & 1]
 
 
 def brute_dedup(raw):
