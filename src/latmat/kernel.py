@@ -10,10 +10,15 @@ The table, basis validation, circuits and flats come from whole-lattice
 sweeps rather than per-subset loops.  A lane set is one Python int of 2^n
 bytes, byte X (lane X) holding a small value for the subset with bitmask X;
 a shift by 8 * 2^e bits moves lane X to lane X + e, so one shift and one
-mask treat all 2^n subsets (see ``_lanes``).  Two invariants keep lanes
-apart: no carry, because a lane holds at most 12 (and ``_at_least`` adds
-at most 128 to it), and no borrow, because the rank steps
-r(X + e) - r(X) subtracted lane by lane are never negative.
+mask treat all 2^n subsets (see ``_lanes``).  A lane holds at most 12, and
+three invariants keep lanes apart when whole ints are added or subtracted:
+- no carry: ``_at_least`` adds at most 128 to a lane, and the rank table's
+  max step biases each lane by 0x80, so a lane stays below 256;
+- no borrow in the max step: its lanes 128 + a - b, for a and b at most
+  12, lie in 116..140, and bit 7 is set exactly where a >= b;
+- no borrow in the rank steps r(X + e) - r(X), which are never negative,
+  nor in validation's count check c(X) - c(X + e), taken only on lanes
+  where e is spanned by X, where it is at least 1 (see ``from_bases``).
 
 Ground sets are capped at 12 elements: all algorithms here are exponential
 and the cap keeps worst cases interactive.  Element subsets may be passed to
@@ -135,6 +140,15 @@ def _lanes(n: int) -> tuple[int, tuple[int, ...]]:
     return ones, single
 
 
+@cache
+def _max_step_lanes(n: int) -> tuple[int, int]:
+    """The lane constants of the rank table's max steps, as ``(sizes,
+    high)``: ``sizes`` holds |X| in lane X, and ``high`` holds 0x80 in
+    every lane."""
+    ones, single = _lanes(n)
+    return sum(single), ones << 7
+
+
 def _at_least(lanes: int, k: int, ones: int) -> int:
     """1 in the lanes holding at least k, for lane values of at most 12 and
     k in 0..128: adding 128 - k sets bit 7 of a lane exactly then, and the
@@ -161,14 +175,17 @@ def _rank_steps(M: "Matroid") -> list[int]:
     return out
 
 
-def _flat_lanes(M: "Matroid") -> int:
-    """1 in the lanes of the flats: the lanes X where every e outside X
-    raises the rank, the AND over e of (r(X + e) - r(X) | e in X)."""
+def _spanned_lanes(M: "Matroid") -> list[int]:
+    """For each e, 1 in the lanes X with e outside X and r(X + e) = r(X)."""
     ones, single = _lanes(M.n)
-    flat = ones
-    for s, step in zip(single, _rank_steps(M)):
-        flat &= step | s
-    return flat
+    return [ones ^ s ^ step for s, step in zip(single, _rank_steps(M))]
+
+
+def _flat_lanes(M: "Matroid") -> int:
+    """1 in the lanes of the flats: the lanes X where no element outside X
+    keeps the rank, c(X) = 0 in :attr:`Matroid._span_counts`."""
+    ones, _ = _lanes(M.n)
+    return ones ^ _at_least(M._span_counts, 1, ones)
 
 
 def _dependent_lanes(M: "Matroid") -> int:
@@ -236,30 +253,39 @@ class Matroid:
         """Rank of every subset, one byte per bitmask.
 
         Built by whole-lattice sweeps over lanes (see :func:`_lanes`): n
-        sweeps close the bases downward into the independent sets, and for
-        each k <= rank, n sweeps close the independent k-sets upward into
-        the sets of rank at least k; the rank is the sum of those r 0/1
-        lane sets.  For any family of equal-size sets, matroid or not, this
-        is max |B & X| over the family, since the downward closure is then
-        the family's subsets.  :func:`from_bases` relies on this to
-        validate an unchecked family through its table.
+        sweeps close the bases downward into the independent sets, whose
+        lanes start the table at |I|; then one max step per element e sets
+        each lane X holding e to the larger of its own and lane X - e's.
+        After the steps for every element, lane X holds the largest |I|
+        over the independent I inside X.  The max step compares by bit 7
+        (see the module docstring).  For any family of equal-size sets,
+        matroid or not, this is max |B & X| over the family, since the
+        downward closure is then the family's subsets.  :func:`from_bases`
+        relies on this to validate an unchecked family through its table.
         """
         n = self.n
-        ones, single = _lanes(n)
+        _, single = _lanes(n)
+        sizes, high = _max_step_lanes(n)
         inside = bytearray(1 << n)
         for b in self.basis_masks:
             inside[b] = 1
         indep = int.from_bytes(inside, "little")
         for e, s in enumerate(single):
             indep |= (indep & s) >> (8 << e)
-        sizes = sum(single)
-        table = 0
-        for k in range(1, self.rank + 1):
-            up = indep & _at_least(sizes, k, ones)
-            for e, s in enumerate(single):
-                up |= (up << (8 << e)) & s
-            table += up
+        table = sizes & (indep * 0xFF)
+        for e, s in enumerate(single):
+            # lane X: 128 + t(X - e) - t(X), bit 7 set where X - e's is larger
+            # or equal; lanes without e hold other bytes and are masked off
+            biased = ((table << (8 << e)) | high) - table
+            table += biased & (((biased >> 7) & s) * 0x7F)
         return table.to_bytes(1 << n, "little")
+
+    @cached_property
+    def _span_counts(self) -> int:
+        """The lanes c(X) = |{e not in X : r(X + e) = r(X)}|, the sum of
+        :func:`_spanned_lanes`; the flats are the lanes with c = 0.
+        :func:`from_bases` fills this cache as it validates."""
+        return sum(_spanned_lanes(self))
 
     @cached_property
     def loops_mask(self) -> int:
@@ -331,9 +357,13 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
     element, so it is a matroid rank function, whose bases are then the
     family, exactly when it is locally submodular: r(X + e) = r(X + f) =
     r(X) forces r(X + e + f) = r(X).  The check runs on lanes (see
-    :func:`_lanes`), one sweep per pair {e, f}: it takes the step lanes
-    r(X + e) - r(X) of :func:`_rank_steps`, and fails where both steps are
-    0 at X but the step of f is 1 at X + e.
+    :func:`_lanes`), one sweep per element, on the counts c(X) of the
+    elements outside X spanned by X (:attr:`Matroid._span_counts`).  Let
+    S(X) be those elements.  For e in S(X), monotonicity gives S(X + e)
+    inside S(X) - e, so c(X + e) <= c(X) - 1, with equality exactly when
+    r(X + e + f) = r(X) for every other f in S(X).  So the family is a
+    matroid iff c(X + e) = c(X) - 1 wherever e is in S(X).  The counts are
+    cached on the matroid, where :func:`_flat_lanes` reads them.
 
     Raises EmptyFamily, MixedCardinality, OutOfRange, GroundTooLarge, or
     AxiomViolation (with a witnessing pair) when the family is not the basis
@@ -358,14 +388,13 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
     if len(set(map(int.bit_count, masks))) != 1:
         raise MixedCardinality("bases must share one cardinality")
     M = Matroid._from_masks(n, masks)
-    ones, single = _lanes(n)
-    steps = _rank_steps(M)
-    # lanes X with e outside X and r(X + e) = r(X)
-    spanned = [ones ^ s ^ d for s, d in zip(single, steps)]
-    for f in range(n):
-        for e in range(f):
-            if spanned[e] & spanned[f] & (steps[f] >> (8 << e)):
-                _raise_exchange_violation(masks)
+    spanned = _spanned_lanes(M)
+    counts = sum(spanned)
+    for e, span in enumerate(spanned):
+        whole = span * 0xFF  # whole bytes of the lanes X spanning e
+        if (counts & whole) - ((counts >> (8 << e)) & whole) != span:
+            _raise_exchange_violation(masks)
+    M._span_counts = counts
     return M
 
 
@@ -546,13 +575,15 @@ def _minor_masks(
 ) -> tuple[int, tuple[int, ...]]:
     """Ground size and sorted bases of M / `cmask` \\ `dmask`, relabelled by
     the order-preserving compaction of the kept elements: the bases B of M
-    with B & (C | D) equal to :func:`_split_trace`, less C | D."""
+    with B & (C | D) equal to :func:`_split_trace`, less C | D.  Bases that
+    share one trace keep their order under compaction, so M's sorted bases
+    come out sorted."""
     removed = dmask | cmask
     trace = _split_trace(M, dmask, cmask)
     kept = tuple(e for e in range(M.n) if not (removed >> e) & 1)
-    return len(kept), tuple(sorted(
+    return len(kept), tuple(
         _compress(b, kept) for b in M.basis_masks if b & removed == trace
-    ))
+    )
 
 
 def minor(M: Matroid, delete_set: ElementSetLike, contract_set: ElementSetLike) -> Matroid:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmat import corpus, kernel
+from latmat import corpus, kernel, lpm
 from latmat.catalog import a_n, catalog_up_to
 from latmat.kernel import (
     AxiomViolation,
@@ -45,6 +45,7 @@ from latmat.kernel import (
     truncate,
     uniform,
 )
+from latmat.lpm import IntervalPresentation, realize
 from util import (
     _degrees,
     brute_circuit_masks,
@@ -55,6 +56,7 @@ from util import (
     brute_locally_submodular,
     brute_minimal_dependent,
     brute_rank_table,
+    brute_span_counts,
     line_matroid_from_text,
     p3_bases,
     spanning_trees_k4,
@@ -775,6 +777,11 @@ def test_at_least_on_size_lanes(n):
         assert got == bytes(x.bit_count() >= k for x in range(1 << n)), k
 
 
+def span_count_bytes(M):
+    """The cached span-count lanes of M, one byte per subset."""
+    return M._span_counts.to_bytes(1 << M.n, "little")
+
+
 def assert_lane_sweeps_match_references(n, family):
     """Rank table, circuits, flats and validation of one equal-size family
     against the per-subset loops of ``util``; a rejection must carry the
@@ -782,10 +789,13 @@ def assert_lane_sweeps_match_references(n, family):
     M = Matroid._from_masks(n, family)
     ranks = M.rank_table
     assert ranks == brute_rank_table(n, family)
+    assert span_count_bytes(M) == brute_span_counts(n, ranks)
     assert M.circuit_masks == brute_circuit_masks(n, ranks)
     assert M.flat_masks == brute_flat_masks(n, ranks)
     if brute_locally_submodular(n, ranks):
-        assert from_bases(n, family).basis_masks == tuple(family)
+        checked = from_bases(n, family)
+        assert checked.basis_masks == tuple(family)
+        assert span_count_bytes(checked) == span_count_bytes(M)
         return
     with pytest.raises(AxiomViolation) as err:
         from_bases(n, family)
@@ -843,3 +853,82 @@ def test_from_bases_rejects_u612_missing_two_close_bases():
     family = [b for b in pool if b not in removed]
     assert len(family) == 922
     assert_lane_sweeps_match_references(12, family)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_lane_sweeps_on_every_equal_size_family_up_to_five_elements(n):
+    # Every nonempty family of r-sets for every r: all accepted matroids and
+    # every rejected family with its first failed exchange.
+    count = 0
+    for r in range(n + 1):
+        pool = uniform(r, n).basis_masks
+        for pick in range(1, 1 << len(pool)):
+            family = [b for i, b in enumerate(pool) if (pick >> i) & 1]
+            assert_lane_sweeps_match_references(n, family)
+            count += 1
+    if n == 5:
+        assert count == 2110
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_rank_table_at_edge_ranks(n):
+    # At r = 0 and r = n the start lanes |I| are already the table; in
+    # U(1, n) every lane past the singletons, and in U(n - 1, n) only the
+    # ground set's, gets its rank from a max step.
+    rng = corpus.SplitMix64(6007 + n)
+    for r in sorted({0, 1, n - 1, n} & set(range(n + 1))):
+        pool = uniform(r, n).basis_masks
+        some = [b for b in pool if rng.next_u64() & 1] or [pool[-1]]
+        for family in (pool, some, [pool[0]]):
+            table = Matroid._from_masks(n, family).rank_table
+            assert table == brute_rank_table(n, family), (r, family)
+
+
+def test_span_counts_match_reference_on_catalog_and_non_matroids():
+    # The counts from_bases caches as it validates, the counts computed on
+    # demand, and the per-subset reference agree; on families that are no
+    # matroid only the last two exist.
+    for entry in catalog_up_to(12):
+        M = entry.matroid
+        expected = brute_span_counts(M.n, M.rank_table)
+        checked = from_bases(M.n, list(M.basis_masks))
+        assert "_span_counts" in vars(checked)
+        assert span_count_bytes(checked) == expected, entry.name
+        assert span_count_bytes(Matroid._from_masks(M.n, M.basis_masks)) == expected
+    rng = corpus.SplitMix64(5113)
+    rejected = 0
+    for n in range(6, 13):
+        for _ in range(3):
+            r = rng.randint(1, n - 1)
+            family = sorted({
+                b for b in (rng.next_u64() & ((1 << n) - 1) for _ in range(300))
+                if b.bit_count() == r
+            }) or [(1 << r) - 1]
+            M = Matroid._from_masks(n, family)
+            assert span_count_bytes(M) == brute_span_counts(n, M.rank_table)
+            if not brute_locally_submodular(n, M.rank_table):
+                rejected += 1
+    assert rejected >= 10
+
+
+def test_validation_and_flat_reads_share_one_rank_step_sweep(monkeypatch):
+    # from_bases computes the rank steps once; the flats and the structural
+    # recognizer then read the span counts it cached.
+    calls = []
+    steps = kernel._rank_steps
+
+    def counted(M):
+        calls.append(M)
+        return steps(M)
+
+    monkeypatch.setattr(kernel, "_rank_steps", counted)
+    for pres in (
+        IntervalPresentation(12, ((0, 5), (2, 8), (4, 11))),
+        IntervalPresentation(8, ((0, 3), (1, 5), (4, 7))),
+    ):
+        M = from_bases(pres.n, realize(pres).basis_masks)
+        assert is_connected(M)
+        assert M.flat_masks == brute_flat_masks(M.n, M.rank_table)
+        assert lpm.is_lpm_char(M).verdict
+        assert calls == [M]
+        calls.clear()

@@ -186,6 +186,19 @@ def brute_locally_submodular(n: int, ranks: bytes) -> bool:
     return True
 
 
+def brute_span_counts(n: int, ranks: bytes) -> bytes:
+    """Reference span counts from a rank table: for each subset X, one byte
+    holding how many elements e outside X have r(X + e) = r(X)."""
+    return bytes(
+        sum(
+            1
+            for e in range(n)
+            if not (x >> e) & 1 and ranks[x | (1 << e)] == rx
+        )
+        for x, rx in enumerate(ranks)
+    )
+
+
 def brute_circuit_masks(n: int, ranks: bytes) -> tuple[int, ...]:
     """Reference circuits from a rank table: r(X) = |X| - 1 and every
     X - e keeps that rank."""
