@@ -112,7 +112,7 @@ def _witness_json(w) -> object:
 
 def _cmd_recognize(args) -> int:
     M = kernel.matroid_from_text(_read(args.file))
-    result = lpm.recognize(M, args.method, max_n=args.max_n)
+    result = lpm.recognize(M, args.method)
     if args.json:
         print(json.dumps(
             {
@@ -167,10 +167,7 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_verify_catalog(args) -> int:
     entries = catalog.catalog_up_to(args.max_size)
-    reports = [
-        lpm.verify_excluded_minor(e.matroid, max_n=args.max_n, name=e.name)
-        for e in entries
-    ]
+    reports = [lpm.verify_excluded_minor(e.matroid, name=e.name) for e in entries]
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -216,28 +213,19 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if report.ok else 1
 
 
-def _up_to_cap(least: int):
-    """An argparse type: an integer from `least` to ``MAX_GROUND``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if not least <= value <= kernel.MAX_GROUND:
-            raise argparse.ArgumentTypeError(
-                f"must be between {least} and the ground-set cap of "
-                f"{kernel.MAX_GROUND}, got {value}"
-            )
-        return value
-
-    return parse
-
-
-# --max-n of the oracle, and --max-size of verify-catalog, whose smallest
-# excluded minor has 6 elements
-_oracle_cap = _up_to_cap(0)
-_catalog_size = _up_to_cap(6)
+def _catalog_size(text: str) -> int:
+    """The argparse type of verify-catalog --max-size: an integer from 6,
+    the size of the smallest excluded minor, to ``MAX_GROUND``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 6 <= value <= kernel.MAX_GROUND:
+        raise argparse.ArgumentTypeError(
+            "must be between 6 and the ground-set cap of "
+            f"{kernel.MAX_GROUND}, got {value}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="is the matroid a lattice path matroid?")
     p.add_argument("--method", required=True,
                    choices=["oracle", "flats", "minors"])
-    p.add_argument("--max-n", type=_oracle_cap, default=lpm.ORACLE_MAX_N,
-                   help=f"oracle ground-set cap, at most {kernel.MAX_GROUND} "
-                        f"(default {lpm.ORACLE_MAX_N})")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_recognize)
@@ -288,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_catalog_size, default=8,
                    help=f"largest catalog member, 6 to {kernel.MAX_GROUND} "
                         "(default 8)")
-    p.add_argument("--max-n", type=_oracle_cap, default=lpm.ORACLE_MAX_N,
-                   help=f"oracle ground-set cap, at most {kernel.MAX_GROUND} "
-                        f"(default {lpm.ORACLE_MAX_N})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_catalog)
 

@@ -390,7 +390,9 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
     M = Matroid._from_masks(n, masks)
     spanned = _spanned_lanes(M)
     counts = sum(spanned)
-    for e, span in enumerate(spanned):
+    # a failing triple (X, e, f) fails the check at both e and f, so the
+    # last element's check is redundant
+    for e, span in enumerate(spanned[:-1]):
         whole = span * 0xFF  # whole bytes of the lanes X spanning e
         if (counts & whole) - ((counts >> (8 << e)) & whole) != span:
             _raise_exchange_violation(masks)

@@ -47,10 +47,6 @@ from .kernel import (
 )
 
 
-# Ground-set bound of the exact oracle's exhaustive search by default.
-ORACLE_MAX_N = 9
-
-
 class LoopContraction(MatroidError):
     pass
 
@@ -265,7 +261,8 @@ def _strip_loops(M: Matroid) -> tuple[Matroid, tuple[int, ...], tuple[int, ...]]
 
 def find_path_order(
     M: Matroid,
-    max_n: int = ORACLE_MAX_N,
+    # kept only for perfbench/workloads.py, which still passes max_n=9
+    max_n: int = MAX_GROUND,
 ) -> Optional[tuple[tuple[int, ...], IntervalPresentation]]:
     """Exact oracle: the lexicographically least path order, if any.
 
@@ -450,12 +447,10 @@ def is_nested_via_pn(M: Matroid) -> bool:
 # unified front end and rendering
 
 
-def recognize(
-    M: Matroid, method: str, max_n: int = ORACLE_MAX_N
-) -> RecognitionResult:
+def recognize(M: Matroid, method: str) -> RecognitionResult:
     """Run one of the three recognizers: 'oracle', 'flats', or 'minors'."""
     if method == "oracle":
-        found = find_path_order(M, max_n=max_n)
+        found = find_path_order(M)
         if found is None:
             return RecognitionResult(False, "oracle")
         return RecognitionResult(True, "oracle", found[1])
@@ -509,7 +504,7 @@ def theorem_check(
     disagreements = []
     for M in corpus:
         total += 1
-        v_oracle = find_path_order(M, max_n=MAX_GROUND) is not None
+        v_oracle = find_path_order(M) is not None
         v_char = is_lpm_char(M).verdict
         v_minor = minors.is_lpm_via_excluded_minors(M)
         if v_oracle:
@@ -552,17 +547,13 @@ class ExclusionReport:
         return self.outside_class and self.minors_in_class
 
 
-def verify_excluded_minor(
-    M: Matroid, max_n: int = ORACLE_MAX_N, name: str = "?"
-) -> ExclusionReport:
+def verify_excluded_minor(M: Matroid, name: str = "?") -> ExclusionReport:
     """Oracle check of minor-minimality at desk scale."""
-    if M.n > max_n:
-        raise GroundTooLarge(f"oracle capped at {max_n} elements, got {M.n}")
-    outside = find_path_order(M, max_n=max_n) is None
+    outside = find_path_order(M) is None
     rows = []
     for e in range(M.n):
-        del_ok = find_path_order(delete(M, (e,)), max_n=max_n) is not None
-        con_ok = find_path_order(contract(M, (e,)), max_n=max_n) is not None
+        del_ok = find_path_order(delete(M, (e,))) is not None
+        con_ok = find_path_order(contract(M, (e,))) is not None
         rows.append((e, del_ok, con_ok))
     return ExclusionReport(name, outside, tuple(rows))
 

@@ -153,14 +153,12 @@ def test_verify_catalog_small(capsys):
     assert "all pass" in out
 
 
-def test_verify_catalog_ten_elements_exact_oracle(capsys):
-    code, out, err = run(
-        capsys, "verify-catalog", "--max-size", "10", "--max-n", "10", "--json"
-    )
+def test_verify_catalog_twelve_elements_exact_oracle(capsys):
+    code, out, err = run(capsys, "verify-catalog", "--max-size", "12", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_passed"] is True
-    assert len(payload["entries"]) == 19
+    assert len(payload["entries"]) == 28
     assert all(e["passed"] for e in payload["entries"])
 
 
@@ -170,20 +168,32 @@ def test_verify_catalog_max_size_out_of_range_exits_2(capsys):
         assert code == 2 and "--max-size" in err and out == "", value
 
 
-def test_oracle_cap_out_of_range_exits_2(tmp_path, capsys):
+def test_oracle_cap_flag_is_gone_exits_2(tmp_path, capsys):
+    # the constructors' ground-set cap is the oracle's only bound, so
+    # --max-n is an unknown flag on these verbs
     path = tmp_path / "u24.mat"
     path.write_text(matroid_to_text(uniform(2, 4)))
-    for value in ("-1", "13", "ten"):
-        for argv in (
-            ("recognize", "--method", "oracle", "--max-n", value, str(path)),
-            ("verify-catalog", "--max-size", "6", "--max-n", value),
-        ):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and "--max-n" in err and out == "", argv
-    code, out, err = run(
-        capsys, "recognize", "--method", "oracle", "--max-n", "12", str(path)
-    )
-    assert code == 0
+    for argv in (
+        ("recognize", "--method", "oracle", "--max-n", "12", str(path)),
+        ("verify-catalog", "--max-size", "6", "--max-n", "12"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "--max-n" in err and out == "", argv
+
+
+def test_recognize_oracle_to_twelve_elements_matches_flats(tmp_path, capsys):
+    lpm6 = realize(IntervalPresentation(6, ((0, 2), (1, 4), (3, 5))))
+    for k, (M, code) in enumerate((
+        (uniform(5, 10), 0),
+        (build_by_name("A5"), 1),
+        (uniform(6, 12), 0),
+        (direct_sum(lpm6, wheel3()), 1),
+    )):
+        path = tmp_path / f"m{k}.mat"
+        path.write_text(matroid_to_text(M))
+        for method in ("oracle", "flats"):
+            argv = ("recognize", "--method", method, str(path))
+            assert run(capsys, *argv)[0] == code, (k, method)
 
 
 def test_verify_theorem_catalog_minors(capsys):

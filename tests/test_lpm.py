@@ -10,6 +10,7 @@ from latmat import flats
 from latmat.kernel import from_bases
 from latmat.kernel import (
     GroundTooLarge,
+    Matroid,
     MatroidError,
     contract,
     delete,
@@ -253,9 +254,11 @@ def test_find_path_order_disconnected():
 
 
 def test_find_path_order_cap():
+    # the ground-set cap is the oracle's only bound: 10 elements need no
+    # flag, and a trusted matroid past the cap is still refused
+    assert find_path_order(uniform(2, 10)) is not None
     with pytest.raises(GroundTooLarge):
-        find_path_order(uniform(2, 10))
-    assert find_path_order(uniform(2, 10), max_n=10) is not None
+        find_path_order(Matroid._from_masks(13, [0]))
 
 
 # --- structural recognizer -------------------------------------------------------

@@ -371,7 +371,7 @@ def test_three_recognizers_agree_to_ten_elements():
     assert len(hosts) == 123 and sum(M.n >= 10 for M in hosts) == 21
     accepted = 0
     for M in hosts:
-        oracle = find_path_order(M, max_n=10) is not None
+        oracle = find_path_order(M) is not None
         char = is_lpm_char(M).verdict
         assert oracle == char == (find_catalog_minor(M) is None), M
         accepted += oracle
@@ -387,6 +387,18 @@ def test_theorem_check_to_twelve_elements():
     assert sum(M.n == 12 for M in hosts) == 17
     report = theorem_check(hosts, corpus_label=spec.label)
     assert (report.total, report.lpm_count, report.disagreements) == (154, 127, ())
+
+
+def test_three_recognizers_reject_lpm_sum_whirl3_at_twelve_elements():
+    # a disconnected sum of an LPM and an excluded minor is among the
+    # slowest inputs of the oracle, which has no cap below 12 elements
+    lpm6 = realize(IntervalPresentation(6, ((0, 2), (1, 4), (3, 5))))
+    M = direct_sum(lpm6, whirl3())
+    assert M.n == 12
+    assert find_path_order(M) is None
+    assert not is_lpm_char(M).verdict
+    witness = find_catalog_minor(M)
+    assert witness is not None and witness.pattern_name == "Whirl3"
 
 
 def test_multi_pattern_call_is_first_single_hit(small_corpus):
