@@ -58,6 +58,7 @@ from .kernel import (
     _at_least,
     _bits,
     _compress,
+    _kept_runs,
     _lane_members,
     _lanes,
     _minor_masks,  # unused here; perfbench/tracing.py wraps corpus._minor_masks
@@ -301,10 +302,10 @@ def _gen_catalog_minors(max_n: int):
             new_n = M.n - removed.bit_count()
             if new_n > max_n or not _clone_minimal(removed, steps):
                 continue
-            kept = tuple(e for e in range(M.n) if not (removed >> e) & 1)
+            runs = _kept_runs(M.n, removed)
             groups: dict[int, list[int]] = {}
             for b in M.basis_masks:
-                groups.setdefault(b & removed, []).append(_compress(b, kept))
+                groups.setdefault(b & removed, []).append(_compress(b, runs))
             sub = removed
             while True:
                 survivors = groups.get(greedy[sub])

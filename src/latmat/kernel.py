@@ -28,8 +28,10 @@ results use ``frozenset`` values.
 
 from __future__ import annotations
 
+import array
 import itertools
 import operator
+import sys
 from collections import defaultdict
 from functools import cache, cached_property
 from typing import Iterable, NoReturn, Optional, Union
@@ -534,11 +536,27 @@ def _greedy_independent(M: Matroid, mask: int) -> int:
     return got
 
 
-def _compress(mask: int, kept: tuple[int, ...]) -> int:
+def _kept_runs(n: int, removed: int) -> tuple[tuple[int, int], ...]:
+    """The runs of consecutive elements of 0..n-1 outside `removed`, as
+    ``(shift, field)`` pairs for :func:`_compress`: a run moves down by the
+    number of removed elements below it and lands on `field`."""
+    runs = []
+    kept = ((1 << n) - 1) & ~removed
+    while kept:
+        low = kept & -kept
+        run = kept & ~(kept + low)  # the carry clears the lowest run only
+        shift = (removed & (low - 1)).bit_count()
+        runs.append((shift, run >> shift))
+        kept ^= run
+    return tuple(runs)
+
+
+def _compress(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
+    """`mask` relabelled by the order-preserving compaction of the kept
+    elements, one shift and mask per run of :func:`_kept_runs`."""
     out = 0
-    for i, e in enumerate(kept):
-        if (mask >> e) & 1:
-            out |= 1 << i
+    for shift, field in runs:
+        out |= (mask >> shift) & field
     return out
 
 
@@ -582,9 +600,9 @@ def _minor_masks(
     come out sorted."""
     removed = dmask | cmask
     trace = _split_trace(M, dmask, cmask)
-    kept = tuple(e for e in range(M.n) if not (removed >> e) & 1)
-    return len(kept), tuple(
-        _compress(b, kept) for b in M.basis_masks if b & removed == trace
+    runs = _kept_runs(M.n, removed)
+    return M.n - removed.bit_count(), tuple(
+        _compress(b, runs) for b in M.basis_masks if b & removed == trace
     )
 
 
@@ -786,14 +804,125 @@ def automorphisms(M: Matroid) -> set[tuple[int, ...]]:
 # text format
 
 
+# The canonical spelling (see :func:`matroid_to_text`) read and written in
+# byte lanes.  Ids 10 and 11, the only two-character ones, stand in as one
+# byte each, so that every id is one byte of ``_ALPHABET`` and a row of r
+# ids is 2r bytes: the ids at even offsets, the separators at odd ones.
+_ALPHABET = b"0123456789ab"
+_STAND_INS = ((b"10", b"a"), (b"11", b"b"))
+_HEADERS = {
+    f"MATROID {n} {r}": (n, r)
+    for n in range(1, MAX_GROUND + 1)
+    for r in range(1, n + 1)
+}
+# the offset of the low byte in a native 16-bit lane
+_LOW = 0 if sys.byteorder == "little" else 1
+# ``bytes.translate`` tables from an id to the low and high byte of 1 << id
+_BIT_BYTES = tuple(
+    bytes(((1 << e) >> shift) & 0xFF for e in range(MAX_GROUND))
+    + bytes(256 - MAX_GROUND)
+    for shift in (0, 8)
+)
+
+
+def _separators(r: int) -> bytes:
+    """The odd bytes of a row of r ids in the one-byte spelling."""
+    return b" " * (r - 1) + b"\n"
+
+
+@cache
+def _id_table(n: int) -> bytes:
+    """The ``bytes.translate`` table from the one-byte spelling of each id
+    below n to the id; every other byte goes to 0xFF."""
+    table = bytearray(b"\xff" * 256)
+    for e in range(n):
+        table[_ALPHABET[e]] = e
+    return bytes(table)
+
+
+@cache
+def _spelling_table(e: int) -> bytes:
+    """The ``bytes.translate`` table from a byte of a mask (its low byte
+    for e < 8, else its high byte) to e's one-byte spelling when the mask
+    holds e, else to 0xFF."""
+    return bytes(_ALPHABET[e] if (v >> (e & 7)) & 1 else 0xFF for v in range(256))
+
+
 def matroid_to_text(M: Matroid) -> str:
-    """Canonical text form: header line, then one basis per line, sorted."""
-    lines = [f"MATROID {M.n} {M.rank}"]
-    rows = sorted(tuple(sorted(b)) for b in M.bases)
-    for row in rows:
-        if row:
-            lines.append(" ".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
+    """Canonical text form: the header line ``MATROID n r``, then one basis
+    per line, its ids in ascending order joined by one space, the lines
+    sorted as id tuples.
+
+    Spelt from the basis masks in byte lanes: one translate per element
+    spells it in the rows of the masks holding it, the bytes of the other
+    rows are dropped, and the rows, one byte per id, sort as the id tuples
+    do.
+    """
+    n, r, count = M.n, M.rank, M.num_bases
+    head = f"MATROID {n} {r}\n"
+    if not r:
+        return head
+    packed = array.array("H", M.basis_masks).tobytes()
+    halves = packed[_LOW::2], packed[1 - _LOW::2]
+    width = n + 1
+    grid = bytearray(b"\n" * (width * count))  # n id bytes and "\n" per mask
+    for e in range(n):
+        grid[e::width] = halves[e >> 3].translate(_spelling_table(e))
+    ids = b"".join(sorted(grid.translate(None, b"\xff").split()))
+    body = bytearray(2 * len(ids))
+    body[::2] = ids
+    body[1::2] = _separators(r) * count
+    for spelt, stand_in in _STAND_INS:
+        body = body.replace(stand_in, spelt)
+    return head + body.decode()
+
+
+def _lane_masks(text: str) -> Optional[tuple[int, list[int]]]:
+    """The ground size and basis masks of a text in the canonical
+    spelling, with 0 < r, read in byte lanes; None for any other text.
+
+    Past the header line, ids 10 and 11 are mapped to their stand-ins
+    (declined if a stand-in byte already occurs), so the rows are 2r bytes
+    each and one compare checks every separator.  One translate turns the
+    ids into element bytes, declining any other byte or id >= n.  Column
+    j + 1 exceeds column j in every lane exactly when each lane of
+    (column j + 1 | 0x80) - column j - 1, in 116..138, has bit 7 set.  The
+    columns, translated into the low and high bytes of their bits, are
+    OR'd together and read back as 16-bit lanes.
+    """
+    head, _, rest = text.partition("\n")
+    header = _HEADERS.get(head)
+    if header is None:
+        return None
+    n, r = header
+    data = rest.encode("ascii", "replace")  # "?" for any other character
+    if n > 10:
+        if any(stand_in in data for _, stand_in in _STAND_INS):
+            return None
+        for spelt, stand_in in _STAND_INS:
+            data = data.replace(spelt, stand_in)
+    count = len(data) // (2 * r)
+    if len(data) != 2 * r * count or data[1::2] != _separators(r) * count:
+        return None
+    ids = data[::2].translate(_id_table(n))
+    if 0xFF in ids:
+        return None
+    columns = [ids[j::r] for j in range(r)]
+    ones = int.from_bytes(b"\x01" * count, "little")
+    bit7 = ones << 7
+    prev = int.from_bytes(columns[0], "little")
+    for column in columns[1:]:
+        cur = int.from_bytes(column, "little")
+        if ((cur | bit7) - prev - ones) & bit7 != bit7:
+            return None
+        prev = cur
+    lanes = bytearray(2 * count)
+    for offset, table in zip((_LOW, 1 - _LOW), _BIT_BYTES):
+        half = 0
+        for column in columns:
+            half |= int.from_bytes(column.translate(table), "little")
+        lanes[offset::2] = half.to_bytes(count, "little")
+    return n, memoryview(lanes).cast("H").tolist()
 
 
 def _token_lines(text: str) -> list[list[str]]:
@@ -831,30 +960,21 @@ def _header(lines: list[list[str]], text: str, word: str) -> list[int]:
 def matroid_from_text(text: str) -> Matroid:
     """Parse the matroid text format; the family is fully re-validated.
 
-    When every basis line holds r element ids spelt as
-    :func:`matroid_to_text` spells them, strictly increasing (checked
-    column by column), the lines are packed into bitmasks in bulk.  Any
-    other text gets one pass in line order, which raises for the first bad
-    line and reads the other legal spellings (``01``, ``+1``); its rows go
-    to :func:`from_bases` as lists, which reports an element outside
-    0..n-1.
+    A text spelt exactly as :func:`matroid_to_text` spells it, ids strictly
+    increasing, is read in byte lanes (:func:`_lane_masks`).  Any other
+    text gets one pass in line order, which raises for the first bad line
+    and reads the other legal spellings (``01``, ``+1``, comments, blank
+    lines, tabs); its rows go to :func:`from_bases` as lists, which
+    reports an element outside 0..n-1.
     """
+    read = _lane_masks(text)
+    if read is not None:
+        return from_bases(*read)
     lines = _token_lines(text)
     n, r = _header(lines, text, "MATROID")
     if not 0 <= r <= n:
         raise MatroidError(f"bad header line: {_raw_line(text, 0)!r}")
     rows = lines[1:]
-    if r and set(map(len, rows)) <= {r}:
-        # past the cap from_bases rejects n; pack no wider than the cap
-        bits = {str(e): 1 << e for e in range(min(n, MAX_GROUND))}
-        try:
-            vals = list(map(bits.__getitem__, itertools.chain.from_iterable(rows)))
-        except KeyError:
-            vals = None
-        if vals is not None and all(
-            all(map(operator.lt, vals[j::r], vals[j + 1::r])) for j in range(r - 1)
-        ):
-            return from_bases(n, list(map(sum, zip(*[iter(vals)] * r))))
     family = []
     for k, tokens in enumerate(rows, 1):
         row = _ints(tokens, "basis", text, k)
@@ -867,6 +987,6 @@ def matroid_from_text(text: str) -> Matroid:
         if rows:
             raise MatroidError("rank 0 matroid admits no basis lines")
         return from_bases(n, [0])
-    if set(map(len, rows)) != {r}:
+    if not set(map(len, rows)) <= {r}:
         raise MixedCardinality("basis line length differs from declared rank")
     return from_bases(n, family)

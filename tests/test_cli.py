@@ -419,3 +419,75 @@ def test_plain_and_commented_crlf_files_give_the_same_bytes(tmp_path, capsys):
     for argv in (("recognize", "--method", "flats", "--json"), ("info", "--json")):
         got = [run(capsys, *argv, str(path))[:2] for path in (plain, commented)]
         assert got[0] == got[1]
+
+
+_PINNED_PRESENTATION = "LPM 12 3\n0 5\n2 8\n4 11\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ("gen", "--family", "A6"),
+            "4f3cb74fd631ab4f53f7bfa5543afda7716894f8b949e98c732cd86ad402962c",
+            id="gen-A6",
+        ),
+        pytest.param(
+            ("gen", "--family", "W3"),
+            "5cd3e7e3c05b6fc8ce892fccba684e07b38950ffdabe4388c25e404e752d2b69",
+            id="gen-W3",
+        ),
+        pytest.param(
+            ("realize", "{lpm}"),
+            "f7c8249ced03f75a8c4e1f9e6f78e74e51e2799380fe24de91ee9c7cfa3f544a",
+            id="realize",
+        ),
+        pytest.param(
+            ("diagram", "{lpm}"),
+            "a98aa4e0e508a67f5cd81fba4e645be6491378a5f27a052668013e4e23697b60",
+            id="diagram",
+        ),
+        pytest.param(
+            ("info", "{a6}"),
+            "5505c087f61efa5c98c98f2dd1d8106452b0f515066929debb80fda43c166a0b",
+            id="info",
+        ),
+        pytest.param(
+            ("recognize", "--method", "oracle", "{realized}"),
+            "0a661e6a023e7824f9b9b5199d343b12a239cc45b5670f18ac294cf7e266eadf",
+            id="recognize-oracle",
+        ),
+        pytest.param(
+            ("recognize", "--method", "minors", "--json", "{w3}"),
+            "3e4c64b98b35f5e6ffb644949dbea31c16c269826b014bb9b2f8e41ecc7180a9",
+            id="recognize-minors",
+        ),
+        pytest.param(
+            ("recognize", "--method", "flats", "{a6}"),
+            "4fef66cc853c8a91819bbd77dc1dedd2ab0a7a756f9f577bfc1ab711225d6ad9",
+            id="recognize-flats",
+        ),
+        pytest.param(
+            ("minor", "--pattern", "{u23}", "{w3}"),
+            "79e25d5d3576b7f3b92f90122be2d5b0f38deb3cdf0351055054ef4998c6d29b",
+            id="minor",
+        ),
+        pytest.param(
+            ("verify-catalog", "--max-size", "6", "--json"),
+            "a7011e6c2d2455deaf5934ef5da12d85d582e031ccc0235bb1795715b305ae4f",
+            id="verify-catalog",
+        ),
+    ],
+)
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    """Every verb's exit code and stdout bytes on fixed inputs: files
+    written by ``gen``, ``realize`` and the writer, at 12 elements where
+    ids 10 and 11 occur."""
+    paths = {name: tmp_path / name for name in ("lpm", "a6", "w3", "u23", "realized")}
+    paths["lpm"].write_text(_PINNED_PRESENTATION)
+    for family, name in (("A6", "a6"), ("W3", "w3")):
+        assert run(capsys, "gen", "--family", family, "-o", str(paths[name]))[0] == 0
+    assert run(capsys, "realize", str(paths["lpm"]), "-o", str(paths["realized"]))[0] == 0
+    paths["u23"].write_text(matroid_to_text(uniform(2, 3)))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest

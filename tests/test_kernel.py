@@ -59,6 +59,7 @@ from util import (
     brute_span_counts,
     line_matroid_from_text,
     p3_bases,
+    set_matroid_to_text,
     spanning_trees_k4,
 )
 
@@ -530,6 +531,16 @@ def _text_variants(text):
     yield join("MATROID 3 0", "0")
     yield join("MATROID 13 2", "0 1", "1 0")
     yield join("MATROID 3 2")
+    yield text[:-1]
+    yield text + "\n"
+    yield head.replace(" ", "  ", 1) + text[len(head):]
+    yield head.replace(" ", " 0", 1) + text[len(head):]
+    yield head + " " + text[len(head):]
+    for m in (10, 11, 12):
+        yield join(f"MATROID {m} 2", "0 10", "0 11", "10 11")
+        yield join(f"MATROID {m} 2", "0 10", "1 a", "2 b")
+        yield join(f"MATROID {m} 1", "10", "11", "9")
+        yield join(f"MATROID {m} 2", "1 10", "1 11", "0 110")
     yield join(head + "  # a header comment", *body)
     yield join(head, *(x for row in body for x in (row, "# between", " \t")))
     if not body:
@@ -546,15 +557,22 @@ def _text_variants(text):
     yield join(head, body[0] + " " + str(n - 1), *body[1:])
     yield join(head, *body[:-1], " ".join([*last[:-1], str(n)]))
     yield join(head, " ".join(["-1", *first[1:]]), *body[1:])
+    yield join(head, body[0].replace(" ", "  "), *body[1:])
+    yield join(head, *body[:-1], body[-1] + " ")
+    yield join(head, *body, body[-1])
+    for token in ("10", "11", "110", "a", "b", "\u0663", "\ud800"):
+        yield join(head, *body[:-1], " ".join([*last[:-1], token]))
     if len(first) >= 2:
         yield join(head, " ".join([first[1], first[0], *first[2:]]), *body[1:])
         yield join(head, body[0].replace(" ", "#", 1), *body[1:])
 
 
 def test_bulk_reader_matches_line_reader():
-    """The package's reader, which packs well-spelt texts in bulk, and the
-    reference line reader give the same matroid or the same error on every
-    canonical text and its variants."""
+    """The package's reader, which reads the canonical spelling in byte
+    lanes, and the reference line reader give the same matroid or the same
+    error on every canonical text and its variants; the lane reader reads
+    every canonical text, and the writer spells it as the reference
+    writer does."""
     spec = corpus.CorpusSpec(
         ("random-sparse-paving", "lpm-random", "random-transversal",
          "duals-closure"),
@@ -566,20 +584,27 @@ def test_bulk_reader_matches_line_reader():
     assert {M.n for M in family} >= set(range(6, 13))
     for M in family:
         text = matroid_to_text(M)
+        assert text == set_matroid_to_text(M)
         assert _read_both(text) == [M, M]
+        if M.rank:
+            n, masks = kernel._lane_masks(text)
+            assert (n, sorted(masks)) == (M.n, list(M.basis_masks))
         for variant in _text_variants(text):
             got, want = _read_both(variant)
             assert got == want, variant
 
 
-_TOKENS = st.sampled_from([*map(str, range(14)), "-1", "01", "+1", "x", "1.0"])
+_TOKENS = st.sampled_from(
+    [*map(str, range(14)), "-1", "01", "+1", "x", "1.0", "110", "a", "b", "\u0663"]
+)
 
 
 @st.composite
 def _matroid_texts(draw):
     """Matroid texts of well-spelt and misspelt header and basis tokens,
     with blank lines, comment lines, trailing or glued ``#`` comments,
-    tabs and CRLF line ends."""
+    tabs and CRLF line ends, or else spelt as the canonical text is."""
+    canonical = draw(st.booleans())
     n, r = draw(st.integers(0, 13)), draw(st.integers(0, 4))
     head = ["MATROID", str(n), str(r)]
     if draw(st.integers(0, 4)) == 0:
@@ -592,6 +617,8 @@ def _matroid_texts(draw):
             lines.append(list(map(str, sorted(row))))
         else:
             lines.append(draw(st.lists(_TOKENS, max_size=4)))
+    if canonical:
+        return "".join(" ".join(tokens) + "\n" for tokens in lines)
     out = []
     for tokens in lines:
         line = draw(st.sampled_from([" ", "\t", "  "])).join(tokens)
@@ -730,6 +757,17 @@ def test_bitmask_inputs_accepted():
     assert closure(M, 0b000011) == {0, 1, 2}
     assert minor(M, 0b000001, 0b000010) == minor(M, {0}, {1})
     assert removal_relabeling(6, 0b001001) == removal_relabeling(6, {0, 3})
+
+
+def test_compress_follows_removal_relabeling():
+    # one shift and mask per run of kept elements, against the element map
+    for n in range(7):
+        for removed in range(1 << n):
+            relabel = removal_relabeling(n, removed)
+            runs = kernel._kept_runs(n, removed)
+            for mask in range(1 << n):
+                want = sum(1 << relabel[e] for e in relabel if (mask >> e) & 1)
+                assert kernel._compress(mask, runs) == want
 
 
 def test_ground_cap_on_growing_operations():

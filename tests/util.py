@@ -47,7 +47,10 @@ the package closes the generators its one pruned search absorbs.  The reference 
 the package had before its one reader packed well-spelt texts in bulk; it
 shares ``from_bases`` and the error classes with the package.  The
 reference degree-sorted relabelling moves every basis element by element,
-where the package swaps lanes of the family's indicator.
+where the package swaps lanes of the family's indicator.  The reference
+text writer is the writer the package had before it spelt the basis masks
+in byte lanes: it sorts the bases as id tuples and spells each id with
+``str``.
 """
 
 from __future__ import annotations
@@ -956,3 +959,12 @@ def line_matroid_from_text(text: str) -> Matroid:
     if mixed:
         raise MixedCardinality("basis line length differs from declared rank")
     return from_bases(n, rows)
+
+
+def set_matroid_to_text(M: Matroid) -> str:
+    """Reference ``kernel.matroid_to_text``: the bases as sorted id tuples,
+    sorted, each spelt with ``str`` and joined by one space."""
+    lines = [f"MATROID {M.n} {M.rank}"]
+    rows = sorted(tuple(sorted(b)) for b in M.bases)
+    lines.extend(" ".join(map(str, row)) for row in rows if row)
+    return "\n".join(lines) + "\n"
