@@ -312,6 +312,20 @@ class Matroid:
         return _components_within(self, self.full_mask)
 
     @cached_property
+    def _parts(self) -> tuple[tuple[int, "Matroid"], ...]:
+        """(mask, restriction) of each component of at least two elements,
+        by least element; ``((full_mask, self),)`` when M is connected and
+        has two elements or more.  Loops and coloops get no part.  All three
+        recognizers read these, so each component is restricted, and its
+        rank table built, once per matroid."""
+        full = self.full_mask
+        return tuple(
+            (c, self if c == full else restrict(self, c))
+            for c in self.component_masks
+            if c.bit_count() >= 2
+        )
+
+    @cached_property
     def degree_key(self) -> tuple[int, tuple[int, ...]]:
         """(number of bases, sorted basis degrees): equal on isomorphic
         matroids, so unequal keys refuse an isomorphism without labeling."""

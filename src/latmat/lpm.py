@@ -8,11 +8,14 @@ through the order.  Positions not covered by any interval carry loops.
 
 This is the one module that knows all three recognizers:
 
-- ``find_path_order`` -- the exact oracle; searches the ground-set orders,
-  prefix by prefix, for one whose forced candidate presentation realizes
-  the input.
+- ``find_path_order`` -- the exact oracle; searches the orders of each
+  component, prefix by prefix, for one whose forced candidate presentation
+  realizes it, and concatenates the components' orders.
 - ``is_lpm_char`` -- structural test on fundamental flats and pnc-flats
   of each connected component (four clauses, reported by id).
+
+The components come from one cached decomposition, ``Matroid._parts``,
+which the excluded-minor search reads too.
 - ``minors.is_lpm_via_excluded_minors`` -- catalog search, in
   :mod:`latmat.minors`.
 
@@ -248,17 +251,6 @@ def fundamental_flats_from_presentation(
 # oracle recognizer
 
 
-def _strip_loops(M: Matroid) -> tuple[Matroid, tuple[int, ...], tuple[int, ...]]:
-    """The loopless part (the kernel restriction to the non-loops), the
-    labels it keeps in ascending order, and the loops in ascending order.
-    A loopless M is returned itself, so its cached tables serve the
-    caller."""
-    if M.loops_mask == 0:
-        return M, tuple(range(M.n)), ()
-    kept = M.full_mask & ~M.loops_mask
-    return restrict(M, kept), tuple(_bits(kept)), tuple(_bits(M.loops_mask))
-
-
 def find_path_order(
     M: Matroid,
     # kept only for perfbench/workloads.py, which still passes max_n=9
@@ -266,7 +258,7 @@ def find_path_order(
 ) -> Optional[tuple[tuple[int, ...], IntervalPresentation]]:
     """Exact oracle: the lexicographically least path order, if any.
 
-    Searches the orders of the loopless part with
+    Scans each component of at least two elements (``Matroid._parts``) with
     :func:`latmat.ordersearch.scan_path_orders`, a depth-first search over
     prefixes that reads both endpoint tests off the rank table; per order
     the only possible presentation has lower endpoints at the greedy minimum
@@ -275,19 +267,44 @@ def find_path_order(
     set and endpoints so far share every verdict below them, so a failed one
     is never searched twice; the answer is the one an exhaustive scan of
     every order gives.  The scan returns the intervals it accepted along
-    with the order.  Loops are appended after the scanned part, in
+    with the order.  Each coloop is a block of its own with the interval
+    (0, 0).
+
+    The components of an LPM are intervals of each of its path orders
+    (Bonin and de Mier, Lattice path matroids: structural properties,
+    European J. Combin. 2006), and the concatenation of path orders of the
+    components is a path order of their direct sum.  So the path orders of
+    the loopless part are exactly the concatenations of component orders,
+    and the lexicographically least one puts each component's least order
+    in one block, the blocks sorted by their first element.  The blocks'
+    intervals, shifted to their positions, are the one presentation of that
+    order: this is the order and presentation that a scan of the whole
+    loopless part returns.  Loops are appended after the blocks, in
     ascending label order, so the returned presentation realizes M exactly.
     """
     if M.n > max_n:
         raise GroundTooLarge(f"oracle capped at {max_n} elements, got {M.n}")
-    ML, kept, loops = _strip_loops(M)
-    found = ordersearch.scan_path_orders(ML.n, ML.basis_masks, ML.rank_table)
-    if found is None:
-        return None
-    perm, intervals = found
-    full_order = tuple(kept[e] for e in perm) + loops
-    pres = IntervalPresentation(M.n, intervals, full_order)
-    return full_order, pres
+    blocks = []
+    for c, part in M._parts:
+        found = ordersearch.scan_path_orders(
+            part.n, part.basis_masks, part.rank_table
+        )
+        if found is None:
+            return None
+        perm, intervals = found
+        elements = [*_bits(c)]
+        blocks.append((tuple(elements[e] for e in perm), intervals))
+    coloops = M.full_mask & ~M.loops_mask & ~sum(c for c, _ in M._parts)
+    blocks += [((e,), ((0, 0),)) for e in _bits(coloops)]
+    blocks.sort()  # by first element: the blocks are disjoint
+    order: list[int] = []
+    shifted: list[tuple[int, int]] = []
+    for block, intervals in blocks:
+        p = len(order)
+        order += block
+        shifted += [(a + p, b + p) for a, b in intervals]
+    full_order = tuple(order) + tuple(_bits(M.loops_mask))
+    return full_order, IntervalPresentation(M.n, tuple(shifted), full_order)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +414,12 @@ def _check_component(Mi: Matroid):
 
 
 def is_lpm_char(M: Matroid) -> RecognitionResult:
-    """Structural recognizer: each connected component that is not a loop
-    (M itself when connected) is tested against the four-clause flat
-    characterization."""
-    for c in M.component_masks:
-        if c & M.loops_mask:
-            continue
-        Mi = M if c == M.full_mask else restrict(M, c)
+    """Structural recognizer: each component of at least two elements, read
+    from the cached ``Matroid._parts`` (M itself when connected), is tested
+    against the four-clause flat characterization.  Loops are skipped, and
+    a coloop passes every clause vacuously, since U1,1 has no dependent
+    proper flat."""
+    for c, Mi in M._parts:
         hit = _check_component(Mi)
         if hit is not None:
             clause, flat_masks = hit
@@ -423,8 +439,8 @@ def is_lpm_char(M: Matroid) -> RecognitionResult:
 
 def is_nested(M: Matroid) -> bool:
     """Do the pnc-flats of the loopless part form a chain?"""
-    ML, _, _ = _strip_loops(M)
-    pncs = _flats._pnc_masks(ML)
+    kept = M.full_mask & ~M.loops_mask
+    pncs = _flats._pnc_masks(M if kept == M.full_mask else restrict(M, kept))
     for i in range(len(pncs)):
         for j in range(i + 1, len(pncs)):
             meet = pncs[i] & pncs[j]

@@ -13,7 +13,9 @@ a clone for a lower one gives a set earlier in the walk, so the first
 split exposing each pattern is clone-minimal and every witness is the one
 the full walk finds.  ``find_catalog_minor``
 makes one pass per catalog size, smallest first, on each connected
-component of at least 6 elements.  Keys and clone steps are cached on the
+component of at least 6 elements, read from the matroid's cached
+decomposition (``Matroid._parts``), which the oracle and the structural
+recognizer read too.  Keys and clone steps are cached on the
 matroids (``Matroid.degree_key``, ``Matroid._clone_steps``): the catalog
 members are shared objects, so each pattern is keyed once per process, and
 a component's clone steps serve every catalog size.
@@ -41,7 +43,6 @@ from .kernel import (
     mask_of,
     members,
     minor,
-    restrict,
 )
 
 
@@ -160,28 +161,24 @@ def find_catalog_minor(M: Matroid) -> Optional[MinorWitness]:
     sum is a minor of one summand (Oxley, Matroid Theory, 4.2), so for each
     pattern size one :func:`has_minor` pass, with that size's patterns in
     catalog order, searches each component of at least 6 elements by least
-    element (M itself when connected).  The witness is the first hit, lifted
-    to M: the component's sets mapped onto its elements, a greedy basis of
-    the other components contracted and the rest of them deleted, which
-    keeps the compaction order and so the iso.
+    element, read from ``M._parts`` (M itself when connected).  The witness
+    is the first hit, lifted to M: the component's sets mapped onto its
+    elements, a greedy basis of the other components contracted and the
+    rest of them deleted, which keeps the compaction order and so the iso.
     """
     if M.n > MAX_GROUND:
         raise GroundTooLarge(
             f"minor search capped at {MAX_GROUND} elements, got {M.n}"
         )
-    parts = [
-        (M if c == M.full_mask else restrict(M, c), c)
-        for c in M.component_masks
-        if c.bit_count() >= 6
-    ]
+    parts = [(c, part) for c, part in M._parts if part.n >= 6]
     if not parts:
         return None
     for size, group in itertools.groupby(
-        catalog.catalog_up_to(max(part.n for part, _ in parts)),
+        catalog.catalog_up_to(max(part.n for _, part in parts)),
         key=lambda entry: entry.matroid.n,
     ):
         group = list(group)
-        for part, cmask in parts:
+        for cmask, part in parts:
             if part.n < size:
                 continue
             witness = has_minor(part, *(entry.matroid for entry in group))

@@ -183,11 +183,18 @@ def test_oracle_cap_flag_is_gone_exits_2(tmp_path, capsys):
 
 def test_recognize_oracle_to_twelve_elements_matches_flats(tmp_path, capsys):
     lpm6 = realize(IntervalPresentation(6, ((0, 2), (1, 4), (3, 5))))
+    # two coloops around a 4-element component; summed with W3 it took the
+    # whole-ground-set order scan about a second to reject
+    lpm6_coloops = realize(
+        IntervalPresentation(6, ((0, 0), (1, 3), (3, 4), (5, 5)))
+    )
     for k, (M, code) in enumerate((
         (uniform(5, 10), 0),
         (build_by_name("A5"), 1),
         (uniform(6, 12), 0),
         (direct_sum(lpm6, wheel3()), 1),
+        (direct_sum(lpm6_coloops, wheel3()), 1),
+        (direct_sum(lpm6_coloops, lpm6), 0),
     )):
         path = tmp_path / f"m{k}.mat"
         path.write_text(matroid_to_text(M))

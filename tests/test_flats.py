@@ -217,8 +217,10 @@ def test_flats_report_connected_flag_matches_circuits():
 
 
 def _checked_components(M):
-    """The restrictions ``is_lpm_char`` checks: each component that is not
-    a loop, M itself when M is connected."""
+    """Each component that is not a loop, M itself when M is connected.
+    ``is_lpm_char`` reads ``M._parts``, which leaves out the coloops too
+    (U1,1 has no dependent proper flat, so it passes every clause); they
+    stay here so the pnc and fundamental-flat references see them."""
     return [
         M if c == M.full_mask else restrict(M, c)
         for c in M.component_masks

@@ -237,6 +237,32 @@ def test_components_within_match_circuit_reference(small_corpus):
             ), (M, x)
 
 
+def test_parts_are_the_restrictions_to_components_of_two_or_more(small_corpus):
+    hosts = list(small_corpus) + [e.matroid for e in catalog_up_to(8)]
+    for entry in catalog_up_to(7):
+        for s in (uniform(0, 1), uniform(1, 1), uniform(1, 2)):
+            hosts.append(direct_sum(s, entry.matroid))
+            hosts.append(direct_sum(entry.matroid, s))
+    hosts += [uniform(0, 3), uniform(3, 3), uniform(1, 1), uniform(0, 0)]
+    seen = {"connected": 0, "split": 0, "singletons dropped": 0}
+    for M in hosts:
+        full = M.full_mask
+        comps = brute_components_within(M, full)
+        wanted = [c for c in comps if c.bit_count() >= 2]
+        assert [c for c, _ in M._parts] == wanted, M
+        for c, part in M._parts:
+            assert part == restrict(M, c), (M, c)
+        if M.n >= 2 and comps == (full,):
+            seen["connected"] += 1
+            (c, part), = M._parts
+            assert c == full and part is M
+        elif len(wanted) > 1:
+            seen["split"] += 1
+        if len(wanted) < len(comps):
+            seen["singletons dropped"] += 1
+    assert all(seen.values()), seen
+
+
 # --- minors -----------------------------------------------------------------
 
 

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmat import flats
-from latmat.kernel import from_bases
+from latmat import corpus, flats, kernel, lpm, minors
+from latmat.catalog import catalog_up_to, wheel3, whirl3
 from latmat.kernel import (
     GroundTooLarge,
     Matroid,
     MatroidError,
     contract,
     delete,
+    direct_sum,
     from_bases,
     is_connected,
     rank_of,
@@ -40,7 +41,13 @@ from latmat.lpm import (
     realize,
     recognize,
 )
-from util import brute_transversal_bases, p3_bases, spanning_trees_k4
+from test_acceptance import ACCEPT_SPEC
+from util import (
+    brute_transversal_bases,
+    p3_bases,
+    spanning_trees_k4,
+    whole_scan_find_path_order,
+)
 
 P3_PRES = IntervalPresentation(6, ((0, 2), (1, 4), (3, 5)))
 TWO_ROW = IntervalPresentation(6, ((0, 3), (2, 5)))
@@ -251,6 +258,83 @@ def test_find_path_order_disconnected():
     M = realize(IntervalPresentation(4, ((0, 1), (2, 3))))
     order, pres = find_path_order(M)
     assert realize(pres) == M
+
+
+def _relabelled(M: Matroid, perm) -> Matroid:
+    """M with element e renamed perm[e]."""
+    return Matroid._from_masks(
+        M.n, [sum(1 << perm[e] for e in range(M.n) if b >> e & 1)
+              for b in M.basis_masks],
+    )
+
+
+def _twelve_element_sums() -> list[Matroid]:
+    """Direct sums with 12 elements, the last two with interleaved labels."""
+    lpm6 = realize(P3_PRES)
+    two_row = realize(TWO_ROW)
+    lpm11 = realize(IntervalPresentation(11, ((0, 3), (2, 5), (4, 8), (7, 10))))
+    coloops6 = realize(IntervalPresentation(6, ((0, 0), (1, 3), (3, 4), (5, 5))))
+    # lpm6, a coloop (6), a loop (0) and U2,4, their labels interleaved
+    mixed = direct_sum(
+        direct_sum(lpm6, uniform(1, 1)), direct_sum(uniform(0, 1), uniform(2, 4))
+    )
+    return [
+        direct_sum(lpm6, two_row),
+        direct_sum(lpm11, uniform(1, 1)),
+        direct_sum(uniform(1, 1), lpm11),
+        direct_sum(coloops6, wheel3()),
+        direct_sum(lpm6, whirl3()),
+        _relabelled(direct_sum(lpm6, two_row), (0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11)),
+        _relabelled(mixed, (1, 3, 5, 7, 9, 11, 6, 0, 2, 4, 8, 10)),
+    ]
+
+
+def test_find_path_order_matches_the_whole_ground_set_scan():
+    """Scanning component by component gives the order and presentation of
+    one scan of the whole loopless part (the interval lemma)."""
+    hosts = corpus.generate(corpus.parse_corpus_spec(ACCEPT_SPEC))
+    for entry in catalog_up_to(8):
+        M = entry.matroid
+        hosts.append(M)
+        for e in range(M.n):
+            hosts += [delete(M, (e,)), contract(M, (e,))]
+    hosts += corpus.generate(corpus.parse_corpus_spec(
+        "lpm-random,random-transversal,duals-closure,count=40,max-n=10,seed=31"
+    ))
+    hosts += _twelve_element_sums()
+    seen = {"disconnected": 0, "accepted": 0, "both": 0, "n=12 accepted": 0}
+    for M in hosts:
+        got = find_path_order(M)
+        assert got == whole_scan_find_path_order(M), M
+        split = len(M.component_masks) - M.loops_mask.bit_count() > 1
+        seen["disconnected"] += split
+        seen["accepted"] += got is not None
+        seen["both"] += split and got is not None
+        seen["n=12 accepted"] += M.n == 12 and got is not None
+        if got is not None:
+            assert realize(got[1]) == M
+    assert max(M.n for M in hosts) == 12
+    assert all(seen.values()), seen
+
+
+def test_three_recognizers_restrict_once_per_part(monkeypatch):
+    """The oracle, flats and minors share one restriction per component of
+    at least two elements; loops and coloops are never restricted."""
+    calls = []
+    restrict = kernel.restrict
+
+    def spy(M, X):
+        calls.append(X)
+        return restrict(M, X)
+
+    monkeypatch.setattr(kernel, "restrict", spy)
+    monkeypatch.setattr(lpm, "restrict", spy)
+    M = _twelve_element_sums()[-1]  # fresh: nothing cached on it yet
+    assert find_path_order(M) is not None
+    assert is_lpm_char(M).verdict
+    assert minors.find_catalog_minor(M) is None
+    assert len(M._parts) == 2
+    assert sorted(calls) == sorted(c for c, _ in M._parts)
 
 
 def test_find_path_order_cap():

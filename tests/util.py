@@ -50,7 +50,10 @@ reference degree-sorted relabelling moves every basis element by element,
 where the package swaps lanes of the family's indicator.  The reference
 text writer is the writer the package had before it spelt the basis masks
 in byte lanes: it sorts the bases as id tuples and spells each id with
-``str``.
+``str``.  The reference path-order oracle is the package's oracle as it was
+before it scanned component by component: one scan of the whole loopless
+part, restricted here, with the loops appended; it shares the order scan
+and ``restrict`` with the package.
 """
 
 from __future__ import annotations
@@ -72,8 +75,10 @@ from latmat.kernel import (
     dual,
     from_bases,
     is_isomorphic,
+    restrict,
 )
-from latmat.ordersearch import transversal_count
+from latmat.lpm import IntervalPresentation
+from latmat.ordersearch import scan_path_orders, transversal_count
 
 # U3,8 less four circuit-hyperplanes, two ways: 52 bases and degrees
 # 19^4 20^4 either way.  In the first one 3-circuit meets the other three,
@@ -497,6 +502,22 @@ def memo_scan_path_orders(
         return None
 
     return extend(0, 0, 0)
+
+
+def whole_scan_find_path_order(M: Matroid):
+    """Reference oracle: one order scan of the whole loopless part, the
+    loops appended in ascending label order.  Returns ``(order,
+    presentation)`` or None, like ``lpm.find_path_order``."""
+    kept = M.full_mask & ~M.loops_mask
+    part = M if kept == M.full_mask else restrict(M, kept)
+    found = scan_path_orders(part.n, part.basis_masks, part.rank_table)
+    if found is None:
+        return None
+    perm, intervals = found
+    labels = [e for e in range(M.n) if (kept >> e) & 1]
+    loops = [e for e in range(M.n) if not (kept >> e) & 1]
+    order = tuple(labels[e] for e in perm) + tuple(loops)
+    return order, IntervalPresentation(M.n, intervals, order)
 
 
 def _swap_bits(mask: int, e: int, f: int) -> int:
