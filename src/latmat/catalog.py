@@ -178,40 +178,44 @@ def build_by_name(name: str) -> Matroid:
 
 def catalog_up_to(m: int) -> list[CatalogEntry]:
     """All excluded-minor family members with at most m elements,
-    deduplicated up to isomorphism and sorted by (size, name)."""
+    deduplicated up to isomorphism and sorted by (size, name); every call
+    shares the members of each size."""
     if m < 6:
         raise ValueError(f"the smallest excluded minor has 6 elements, got m={m}")
     if m > MAX_GROUND:
         raise GroundTooLarge(f"m={m} exceeds the cap of {MAX_GROUND}")
-    return list(_catalog_up_to(m))
+    return [entry for size in range(6, m + 1) for entry in _catalog_of_size(size)]
 
 
 @lru_cache(maxsize=None)
-def _catalog_up_to(m: int) -> tuple[CatalogEntry, ...]:
+def _catalog_of_size(size: int) -> tuple[CatalogEntry, ...]:
+    """The members with exactly ``size`` elements, deduplicated up to
+    isomorphism (isomorphic members have equal size) and sorted by name."""
     entries: list[CatalogEntry] = []
-    for n in range(3, m // 2 + 1):
+    if size % 2 == 0:
+        n = size // 2
         entries.append(CatalogEntry("A", (n,), a_n(n), f"A{n}"))
-    for n in range(2, m):
-        for k in range(2, n + 1):
-            if 2 * n + k > m:
-                continue
+        if n >= 4:
+            entries.append(CatalogEntry("D", (n,), d_n(n), f"D{n}"))
+            entries.append(CatalogEntry("E", (n,), e_n(n), f"E{n}"))
+    for n in range(2, size):
+        k = size - 2 * n
+        if 2 <= k <= n:
             entries.append(CatalogEntry("B", (n, k), b_nk(n, k), f"B{n},{k}"))
             entries.append(
                 CatalogEntry("C", (n, k), c_nk(n, k), f"C{n + k},{k}")
             )
-    for n in range(4, m // 2 + 1):
-        entries.append(CatalogEntry("D", (n,), d_n(n), f"D{n}"))
-        entries.append(CatalogEntry("E", (n,), e_n(n), f"E{n}"))
-    entries.append(CatalogEntry("W3", (), wheel3(), "W3"))
-    entries.append(CatalogEntry("Whirl3", (), whirl3(), "Whirl3"))
-    if m >= 7:
+    if size == 6:
+        entries.append(CatalogEntry("W3", (), wheel3(), "W3"))
+        entries.append(CatalogEntry("Whirl3", (), whirl3(), "Whirl3"))
+    if size == 7:
         entries.append(CatalogEntry("R3", (), r3(), "R3"))
         entries.append(CatalogEntry("R4", (), r4(), "R4"))
     # isomorphic members share a degree key, so a member is labelled only
     # when its key meets a kept one
     kept: dict[tuple[int, tuple[int, ...]], list[Matroid]] = {}
     out = []
-    for entry in sorted(entries, key=lambda e: (e.matroid.n, e.name)):
+    for entry in sorted(entries, key=lambda e: e.name):
         M = entry.matroid
         bucket = kept.setdefault(M.degree_key, [])
         if any(canonical_form(K) == canonical_form(M) for K in bucket):

@@ -28,10 +28,8 @@ results use ``frozenset`` values.
 
 from __future__ import annotations
 
-import array
 import itertools
 import operator
-import sys
 from collections import defaultdict
 from functools import cache, cached_property
 from typing import Iterable, NoReturn, Optional, Union
@@ -818,125 +816,52 @@ def automorphisms(M: Matroid) -> set[tuple[int, ...]]:
 # text format
 
 
-# The canonical spelling (see :func:`matroid_to_text`) read and written in
-# byte lanes.  Ids 10 and 11, the only two-character ones, stand in as one
-# byte each, so that every id is one byte of ``_ALPHABET`` and a row of r
-# ids is 2r bytes: the ids at even offsets, the separators at odd ones.
-_ALPHABET = b"0123456789ab"
-_STAND_INS = ((b"10", b"a"), (b"11", b"b"))
 _HEADERS = {
     f"MATROID {n} {r}": (n, r)
     for n in range(1, MAX_GROUND + 1)
     for r in range(1, n + 1)
 }
-# the offset of the low byte in a native 16-bit lane
-_LOW = 0 if sys.byteorder == "little" else 1
-# ``bytes.translate`` tables from an id to the low and high byte of 1 << id
-_BIT_BYTES = tuple(
-    bytes(((1 << e) >> shift) & 0xFF for e in range(MAX_GROUND))
-    + bytes(256 - MAX_GROUND)
-    for shift in (0, 8)
-)
-
-
-def _separators(r: int) -> bytes:
-    """The odd bytes of a row of r ids in the one-byte spelling."""
-    return b" " * (r - 1) + b"\n"
 
 
 @cache
-def _id_table(n: int) -> bytes:
-    """The ``bytes.translate`` table from the one-byte spelling of each id
-    below n to the id; every other byte goes to 0xFF."""
-    table = bytearray(b"\xff" * 256)
-    for e in range(n):
-        table[_ALPHABET[e]] = e
-    return bytes(table)
-
-
-@cache
-def _spelling_table(e: int) -> bytes:
-    """The ``bytes.translate`` table from a byte of a mask (its low byte
-    for e < 8, else its high byte) to e's one-byte spelling when the mask
-    holds e, else to 0xFF."""
-    return bytes(_ALPHABET[e] if (v >> (e & 7)) & 1 else 0xFF for v in range(256))
+def _basis_lines(n: int, r: int) -> dict[str, int]:
+    """The canonical spelling of every r-subset of {0, ..., n-1}: its line
+    (ids ascending, joined by one space, line feed included) mapped to its
+    mask, in id-tuple order.  The reader and the writer both read it."""
+    return {
+        " ".join(map(str, ids)) + "\n": mask_of(ids)
+        for ids in itertools.combinations(range(n), r)
+    }
 
 
 def matroid_to_text(M: Matroid) -> str:
     """Canonical text form: the header line ``MATROID n r``, then one basis
     per line, its ids in ascending order joined by one space, the lines
-    sorted as id tuples.
-
-    Spelt from the basis masks in byte lanes: one translate per element
-    spells it in the rows of the masks holding it, the bytes of the other
-    rows are dropped, and the rows, one byte per id, sort as the id tuples
-    do.
+    sorted as id tuples (the lines of :func:`_basis_lines` that are bases).
     """
-    n, r, count = M.n, M.rank, M.num_bases
+    n, r = M.n, M.rank
     head = f"MATROID {n} {r}\n"
     if not r:
         return head
-    packed = array.array("H", M.basis_masks).tobytes()
-    halves = packed[_LOW::2], packed[1 - _LOW::2]
-    width = n + 1
-    grid = bytearray(b"\n" * (width * count))  # n id bytes and "\n" per mask
-    for e in range(n):
-        grid[e::width] = halves[e >> 3].translate(_spelling_table(e))
-    ids = b"".join(sorted(grid.translate(None, b"\xff").split()))
-    body = bytearray(2 * len(ids))
-    body[::2] = ids
-    body[1::2] = _separators(r) * count
-    for spelt, stand_in in _STAND_INS:
-        body = body.replace(stand_in, spelt)
-    return head + body.decode()
+    bases = M.mask_set
+    return head + "".join(
+        line for line, mask in _basis_lines(n, r).items() if mask in bases
+    )
 
 
-def _lane_masks(text: str) -> Optional[tuple[int, list[int]]]:
-    """The ground size and basis masks of a text in the canonical
-    spelling, with 0 < r, read in byte lanes; None for any other text.
-
-    Past the header line, ids 10 and 11 are mapped to their stand-ins
-    (declined if a stand-in byte already occurs), so the rows are 2r bytes
-    each and one compare checks every separator.  One translate turns the
-    ids into element bytes, declining any other byte or id >= n.  Column
-    j + 1 exceeds column j in every lane exactly when each lane of
-    (column j + 1 | 0x80) - column j - 1, in 116..138, has bit 7 set.  The
-    columns, translated into the low and high bytes of their bits, are
-    OR'd together and read back as 16-bit lanes.
-    """
+def _canonical_masks(text: str) -> Optional[tuple[int, list[int]]]:
+    """The ground size and basis masks of a text in the canonical spelling,
+    with 0 < r and every line ended by a line feed, each line looked up in
+    :func:`_basis_lines`; None for any other text."""
     head, _, rest = text.partition("\n")
     header = _HEADERS.get(head)
     if header is None:
         return None
-    n, r = header
-    data = rest.encode("ascii", "replace")  # "?" for any other character
-    if n > 10:
-        if any(stand_in in data for _, stand_in in _STAND_INS):
-            return None
-        for spelt, stand_in in _STAND_INS:
-            data = data.replace(spelt, stand_in)
-    count = len(data) // (2 * r)
-    if len(data) != 2 * r * count or data[1::2] != _separators(r) * count:
+    table = _basis_lines(*header)
+    try:
+        return header[0], [table[line] for line in rest.splitlines(True)]
+    except KeyError:
         return None
-    ids = data[::2].translate(_id_table(n))
-    if 0xFF in ids:
-        return None
-    columns = [ids[j::r] for j in range(r)]
-    ones = int.from_bytes(b"\x01" * count, "little")
-    bit7 = ones << 7
-    prev = int.from_bytes(columns[0], "little")
-    for column in columns[1:]:
-        cur = int.from_bytes(column, "little")
-        if ((cur | bit7) - prev - ones) & bit7 != bit7:
-            return None
-        prev = cur
-    lanes = bytearray(2 * count)
-    for offset, table in zip((_LOW, 1 - _LOW), _BIT_BYTES):
-        half = 0
-        for column in columns:
-            half |= int.from_bytes(column.translate(table), "little")
-        lanes[offset::2] = half.to_bytes(count, "little")
-    return n, memoryview(lanes).cast("H").tolist()
 
 
 def _token_lines(text: str) -> list[list[str]]:
@@ -974,14 +899,14 @@ def _header(lines: list[list[str]], text: str, word: str) -> list[int]:
 def matroid_from_text(text: str) -> Matroid:
     """Parse the matroid text format; the family is fully re-validated.
 
-    A text spelt exactly as :func:`matroid_to_text` spells it, ids strictly
-    increasing, is read in byte lanes (:func:`_lane_masks`).  Any other
-    text gets one pass in line order, which raises for the first bad line
-    and reads the other legal spellings (``01``, ``+1``, comments, blank
-    lines, tabs); its rows go to :func:`from_bases` as lists, which
-    reports an element outside 0..n-1.
+    A text spelt exactly as :func:`matroid_to_text` spells it, every line
+    ended by a line feed, is read by one table lookup per line
+    (:func:`_canonical_masks`).  Any other text gets one pass in line
+    order, which raises for the first bad line and reads the other legal
+    spellings (``01``, ``+1``, comments, blank lines, tabs); its rows go to
+    :func:`from_bases` as lists, which reports an element outside 0..n-1.
     """
-    read = _lane_masks(text)
+    read = _canonical_masks(text)
     if read is not None:
         return from_bases(*read)
     lines = _token_lines(text)

@@ -17,8 +17,8 @@ component of at least 6 elements, read from the matroid's cached
 decomposition (``Matroid._parts``), which the oracle and the structural
 recognizer read too.  Keys and clone steps are cached on the
 matroids (``Matroid.degree_key``, ``Matroid._clone_steps``): the catalog
-members are shared objects, so each pattern is keyed once per process, and
-a component's clone steps serve every catalog size.
+members are shared objects, built once per size, so each pattern is keyed
+once per process, and a component's clone steps serve every catalog size.
 """
 
 from __future__ import annotations

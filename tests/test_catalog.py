@@ -158,8 +158,8 @@ def test_catalog_up_to_lists():
 def test_catalog_build_labels_only_on_key_collisions(monkeypatch):
     """A fresh build up to 12 elements keeps all 28 members in (size, name)
     order without a labeling: their degree keys are pairwise distinct."""
-    fresh = lru_cache(maxsize=None)(catalog._catalog_up_to.__wrapped__)
-    monkeypatch.setattr(catalog, "_catalog_up_to", fresh)
+    fresh = lru_cache(maxsize=None)(catalog._catalog_of_size.__wrapped__)
+    monkeypatch.setattr(catalog, "_catalog_of_size", fresh)
     labelled = count_labelings(monkeypatch)
     entries = catalog_up_to(12)
     assert labelled == []
@@ -170,6 +170,14 @@ def test_catalog_build_labels_only_on_key_collisions(monkeypatch):
         "A6", "B4,4", "B5,2", "C7,2", "C8,4", "D6", "E6",
     ]
     assert len({e.matroid.degree_key for e in entries}) == 28
+
+
+def test_catalog_members_are_built_once_per_size():
+    """Every bound shares the members of each size: the minor search keys
+    each pattern once per process, whichever bounds it searches to."""
+    small, large = catalog_up_to(8), catalog_up_to(12)
+    assert len(small) == 12
+    assert all(a.matroid is b.matroid for a, b in zip(small, large))
 
 
 def test_catalog_entry_shape_invariants():

@@ -465,6 +465,11 @@ _PINNED_PRESENTATION = "LPM 12 3\n0 5\n2 8\n4 11\n"
             id="recognize-oracle",
         ),
         pytest.param(
+            ("recognize", "--method", "oracle", "--json", "{realized}"),
+            "c4feb43bd1033756e080a12a2d51d78bb7456f9b562a0d4a6351f41b12a719d0",
+            id="recognize-oracle-json",
+        ),
+        pytest.param(
             ("recognize", "--method", "minors", "--json", "{w3}"),
             "3e4c64b98b35f5e6ffb644949dbea31c16c269826b014bb9b2f8e41ecc7180a9",
             id="recognize-minors",
@@ -483,6 +488,12 @@ _PINNED_PRESENTATION = "LPM 12 3\n0 5\n2 8\n4 11\n"
             ("verify-catalog", "--max-size", "6", "--json"),
             "a7011e6c2d2455deaf5934ef5da12d85d582e031ccc0235bb1795715b305ae4f",
             id="verify-catalog",
+        ),
+        pytest.param(
+            ("verify-theorem", "--corpus",
+             "lpm-random,random-sparse-paving,count=20,max-n=7,seed=5"),
+            "e7a3a32bff58b99d0cac2326453521b9a5a1c30ade1d552c42e8442a2393444f",
+            id="verify-theorem-text",
         ),
     ],
 )

@@ -331,12 +331,12 @@ def test_generate_tagged_labels_only_on_key_collisions(monkeypatch):
     catalog's build labels none of its members."""
     spec = parse_corpus_spec(ACCEPT_SPEC)
     labelled = count_labelings(monkeypatch)
-    fresh = lru_cache(maxsize=None)(catalog._catalog_up_to.__wrapped__)
-    monkeypatch.setattr(catalog, "_catalog_up_to", fresh)
+    fresh = lru_cache(maxsize=None)(catalog._catalog_of_size.__wrapped__)
+    monkeypatch.setattr(catalog, "_catalog_of_size", fresh)
     assert len(generate_tagged(spec)) == 498
-    assert fresh.cache_info().misses == 1
+    assert fresh.cache_info().misses == 3  # sizes 6, 7 and 8
     assert len(labelled) == 25
     labelled.clear()
     assert len(generate_tagged(spec)) == 498
-    assert fresh.cache_info().misses == 1
+    assert fresh.cache_info().misses == 3
     assert len(labelled) == 25

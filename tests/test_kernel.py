@@ -537,6 +537,10 @@ def _read_both(text):
     return out
 
 
+# the line boundaries of ``str.splitlines`` besides "\n" and "\r\n"
+_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+
 def _text_variants(text):
     """Spellings and misspellings of one canonical text, each of which the
     package's reader must read as the line reader does."""
@@ -562,6 +566,8 @@ def _text_variants(text):
     yield head.replace(" ", "  ", 1) + text[len(head):]
     yield head.replace(" ", " 0", 1) + text[len(head):]
     yield head + " " + text[len(head):]
+    for mark in _LINE_BREAKS:
+        yield text[:-1] + mark
     for m in (10, 11, 12):
         yield join(f"MATROID {m} 2", "0 10", "0 11", "10 11")
         yield join(f"MATROID {m} 2", "0 10", "1 a", "2 b")
@@ -572,6 +578,10 @@ def _text_variants(text):
     if not body:
         return
     first, last = body[0].split(), body[-1].split()
+    rows = text[len(head) + 1:]
+    for mark in _LINE_BREAKS:
+        yield join(head) + rows.replace("\n", mark, 1)
+        yield join(head) + rows[:1] + mark + rows[1:]
     yield join(head, body[0] + "  # a trailing comment", *body[1:])
     yield join(head, "0" + body[0], *body[1:])
     yield join(head, "+" + body[0], *body[1:])
@@ -594,11 +604,11 @@ def _text_variants(text):
 
 
 def test_bulk_reader_matches_line_reader():
-    """The package's reader, which reads the canonical spelling in byte
-    lanes, and the reference line reader give the same matroid or the same
-    error on every canonical text and its variants; the lane reader reads
-    every canonical text, and the writer spells it as the reference
-    writer does."""
+    """The package's reader, which looks up each line of the canonical
+    spelling in a table of basis lines, and the reference line reader give
+    the same matroid or the same error on every canonical text and its
+    variants; the table reader reads every canonical text, and the writer
+    spells it as the reference writer does."""
     spec = corpus.CorpusSpec(
         ("random-sparse-paving", "lpm-random", "random-transversal",
          "duals-closure"),
@@ -607,13 +617,14 @@ def test_bulk_reader_matches_line_reader():
         seed=1919,
     )
     family = [e.matroid for e in catalog_up_to(12)] + corpus.generate(spec)
+    family += [uniform(0, 5), uniform(1, 12), uniform(12, 12)]
     assert {M.n for M in family} >= set(range(6, 13))
     for M in family:
         text = matroid_to_text(M)
         assert text == set_matroid_to_text(M)
         assert _read_both(text) == [M, M]
         if M.rank:
-            n, masks = kernel._lane_masks(text)
+            n, masks = kernel._canonical_masks(text)
             assert (n, sorted(masks)) == (M.n, list(M.basis_masks))
         for variant in _text_variants(text):
             got, want = _read_both(variant)

@@ -15,6 +15,7 @@ import ast
 import graphlib
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,29 @@ def test_benchmark_catalog_warm_up_runs(monkeypatch):
     run = _load(PERFBENCH / "run.py", "perfbench_run")
     mods = {m: importlib.import_module("latmat." + m) for m in run.MODULES}
     run.warm_catalog(mods, (6, 7, 8))
+
+
+def test_recognize_large_texts_take_the_table_reader(monkeypatch):
+    """One recognize-large pass at the default seed passes the benchmark's
+    gate, and every one of its texts is read by the table reader: a fast
+    path that declined canonical text would otherwise show only as a
+    slower benchmark run."""
+    # as in run.py: workloads.py imports its sibling inputs.py by bare name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    mods = {m: importlib.import_module("latmat." + m) for m in ("catalog", "kernel", "lpm")}
+    workload = workloads.WORKLOADS["recognize-large"]
+    texts = workload.build(mods, workload.default_seed)
+    assert len(texts) == 21
+    kernel, single_pass = mods["kernel"], []
+    token_lines = kernel._token_lines
+    monkeypatch.setattr(
+        kernel, "_token_lines", lambda text: single_pass.append(text) or token_lines(text)
+    )
+    records = workload.run_pass(mods, texts, time.perf_counter, None, lambda: None)
+    gate = workloads.Gate(mods, max(workload.catalog_sizes))
+    assert workloads.gate_pass(workload, gate, records) == []
+    assert single_pass == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -48,9 +48,9 @@ the package had before its one reader packed well-spelt texts in bulk; it
 shares ``from_bases`` and the error classes with the package.  The
 reference degree-sorted relabelling moves every basis element by element,
 where the package swaps lanes of the family's indicator.  The reference
-text writer is the writer the package had before it spelt the basis masks
-in byte lanes: it sorts the bases as id tuples and spells each id with
-``str``.  The reference path-order oracle is the package's oracle as it was
+text writer sorts the bases as id tuples and spells each id with ``str``,
+where the package keeps the basis lines of one cached table of every
+line.  The reference path-order oracle is the package's oracle as it was
 before it scanned component by component: one scan of the whole loopless
 part, restricted here, with the loops appended; it shares the order scan
 and ``restrict`` with the package.
