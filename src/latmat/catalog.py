@@ -31,7 +31,6 @@ from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
     Matroid,
-    canonical_form,
     direct_sum,
     dual,
     free_extension,
@@ -177,9 +176,10 @@ def build_by_name(name: str) -> Matroid:
 
 
 def catalog_up_to(m: int) -> list[CatalogEntry]:
-    """All excluded-minor family members with at most m elements,
-    deduplicated up to isomorphism and sorted by (size, name); every call
-    shares the members of each size."""
+    """All excluded-minor family members with at most m elements, sorted by
+    (size, name); every call shares the members of each size.  The members
+    are pairwise non-isomorphic, because their degree keys
+    (``Matroid.degree_key``) differ; the tests pin this up to ``MAX_GROUND``."""
     if m < 6:
         raise ValueError(f"the smallest excluded minor has 6 elements, got m={m}")
     if m > MAX_GROUND:
@@ -189,8 +189,8 @@ def catalog_up_to(m: int) -> list[CatalogEntry]:
 
 @lru_cache(maxsize=None)
 def _catalog_of_size(size: int) -> tuple[CatalogEntry, ...]:
-    """The members with exactly ``size`` elements, deduplicated up to
-    isomorphism (isomorphic members have equal size) and sorted by name."""
+    """The members with exactly ``size`` elements, sorted by name; their
+    degree keys differ, so no two are isomorphic (see :func:`catalog_up_to`)."""
     entries: list[CatalogEntry] = []
     if size % 2 == 0:
         n = size // 2
@@ -211,15 +211,4 @@ def _catalog_of_size(size: int) -> tuple[CatalogEntry, ...]:
     if size == 7:
         entries.append(CatalogEntry("R3", (), r3(), "R3"))
         entries.append(CatalogEntry("R4", (), r4(), "R4"))
-    # isomorphic members share a degree key, so a member is labelled only
-    # when its key meets a kept one
-    kept: dict[tuple[int, tuple[int, ...]], list[Matroid]] = {}
-    out = []
-    for entry in sorted(entries, key=lambda e: e.name):
-        M = entry.matroid
-        bucket = kept.setdefault(M.degree_key, [])
-        if any(canonical_form(K) == canonical_form(M) for K in bucket):
-            continue
-        bucket.append(M)
-        out.append(entry)
-    return tuple(out)
+    return tuple(sorted(entries, key=lambda e: e.name))

@@ -165,6 +165,7 @@ def parse_corpus_spec(
     """Parse the comma mini-language: generator names plus ``count=``,
     ``max-n=``, ``seed=`` overrides."""
     gens = []
+    values = {"count": count, "max-n": max_n, "seed": seed}
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -172,16 +173,17 @@ def parse_corpus_spec(
         if "=" in token:
             key, value = token.split("=", 1)
             key = key.strip()
-            if key == "count":
-                count = int(value)
-            elif key == "max-n":
-                max_n = int(value)
-            elif key == "seed":
-                seed = int(value)
-            else:
+            if key not in values:
                 raise MatroidError(f"unknown corpus key {key!r}")
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise MatroidError(
+                    f"corpus key {key!r} needs an integer, got {value!r}"
+                ) from None
         else:
             gens.append(token)
+    count, max_n, seed = values.values()
     return CorpusSpec(tuple(gens), count=count, max_n=max_n, seed=seed)
 
 

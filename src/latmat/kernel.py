@@ -335,7 +335,8 @@ class Matroid:
 
     @cached_property
     def _clone_steps(self) -> tuple[tuple[int, int], ...]:
-        """The clone steps of the bases (:func:`_canonical._clone_steps`)."""
+        """Clone steps of the bases (:func:`_canonical._clone_steps`), for the
+        order walk, the minor search and the catalog-minors corpus."""
         return _canonical._clone_steps(self.n, self.basis_masks)
 
     def __eq__(self, other) -> bool:

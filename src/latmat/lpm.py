@@ -13,11 +13,12 @@ This is the one module that knows all three recognizers:
   realizes it, and concatenates the components' orders.
 - ``is_lpm_char`` -- structural test on fundamental flats and pnc-flats
   of each connected component (four clauses, reported by id).
-
-The components come from one cached decomposition, ``Matroid._parts``,
-which the excluded-minor search reads too.
 - ``minors.is_lpm_via_excluded_minors`` -- catalog search, in
   :mod:`latmat.minors`.
+
+The components come from one cached decomposition, ``Matroid._parts``,
+which the excluded-minor search reads too, as it does each part's cached
+clone steps (``Matroid._clone_steps``).
 
 ``theorem_check`` runs all three over a corpus and reports any disagreement,
 and ``verify_excluded_minor`` checks a catalog member with the oracle.
@@ -267,8 +268,9 @@ def find_path_order(
     set and endpoints so far share every verdict below them, so a failed one
     is never searched twice; the answer is the one an exhaustive scan of
     every order gives.  The scan returns the intervals it accepted along
-    with the order.  Each coloop is a block of its own with the interval
-    (0, 0).
+    with the order; it walks clone-sorted orders only, by the part's cached
+    ``Matroid._clone_steps``.  Each coloop is a block of its own with the
+    interval (0, 0).
 
     The components of an LPM are intervals of each of its path orders
     (Bonin and de Mier, Lattice path matroids: structural properties,
@@ -287,7 +289,7 @@ def find_path_order(
     blocks = []
     for c, part in M._parts:
         found = ordersearch.scan_path_orders(
-            part.n, part.basis_masks, part.rank_table
+            part.n, part.basis_masks, part.rank_table, part._clone_steps
         )
         if found is None:
             return None

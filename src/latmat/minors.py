@@ -18,7 +18,8 @@ decomposition (``Matroid._parts``), which the oracle and the structural
 recognizer read too.  Keys and clone steps are cached on the
 matroids (``Matroid.degree_key``, ``Matroid._clone_steps``): the catalog
 members are shared objects, built once per size, so each pattern is keyed
-once per process, and a component's clone steps serve every catalog size.
+once per process, and a component's clone steps serve every catalog size
+and the oracle's order walk (``lpm.find_path_order``) on the same part.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .kernel import (
     _degree_multiset,
     _greedy_independent,
     _minor_masks,
-    canonical_form,
     is_isomorphic,
     mask_of,
     members,
@@ -90,8 +90,8 @@ def has_minor(
     combination order; a pattern of rank r is sought among those of size
     r(host) - r.  A split whose basis count and degree multiset match an
     open pattern's key (``Matroid.degree_key``, cached on each pattern, so
-    a shared catalog member is keyed once) is built and compared by
-    canonical form; a hit carries an explicit bijection.  The witness is
+    a shared catalog member is keyed once) is built and tested with
+    ``is_isomorphic``, whose bijection a hit carries.  The witness is
     the first split exposing the earliest pattern that has any, so a hit
     retires every later pattern and the pass ends when the first one hits.
     Its ``pattern_name`` is "?" for one pattern, else the exposed pattern's
@@ -135,15 +135,15 @@ def has_minor(
                 continue
             new_n, masks = _minor_masks(host, rm ^ cm, cm)
             got = Matroid._from_masks(new_n, masks)
-            got_canon = canonical_form(got)
             for i in matching:
-                if canonical_form(patterns[i]) == got_canon:
+                # the empty matroid's bijection is {}, so test for None
+                iso = is_isomorphic(got, patterns[i])
+                if iso is not None:
                     break
             else:
                 continue
             found = MinorWitness(
-                str(i) if more else "?", members(rm ^ cm), members(cm),
-                is_isomorphic(got, patterns[i]),
+                str(i) if more else "?", members(rm ^ cm), members(cm), iso
             )
             open_by_size = {
                 size: kept for size, ids in open_by_size.items()

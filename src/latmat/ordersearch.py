@@ -26,20 +26,23 @@ set P_p and on how the order continues.  Two prefixes with the same state
 therefore reach the same endpoint sequences and the same verdicts.
 
 Only clone-sorted orders are walked: a prefix is extended by e only when
-e's next-lower clone is already in it.  Elements e and f are clones when
-swapping them is an automorphism, that is, r(X + e) = r(X + f) for every X
-holding neither; the classes are read off the rank table here, so the
-oracle shares no code with the other recognizers.  Sorting each clone
-class of an accepted order into ascending positions applies automorphisms
-only, so it gives an accepted order that is lexicographically no larger:
-the lexicographically least accepted order is clone-sorted, and the walk
-still finds it.  The record stays exact, because which continuations are
-clone-sorted depends only on the prefix set, part of the state.
+e's next-lower clone is already in it.  Elements are clones when swapping
+them fixes the bases; the caller passes the relation in as clone steps, and
+the oracle passes each part's cached ``Matroid._clone_steps``, which the
+minor search reads too.  The three-way check stays meaningful: a wrong
+relation would make the oracle reject an LPM or return a non-least order,
+but make the minor search miss a pattern and accept; the flats recognizer
+reads no clones; and the tests compare this scan with a brute-force and a
+memoized scan that read none.  Sorting each clone class of an accepted
+order into ascending positions applies automorphisms only, so it gives an
+accepted order that is lexicographically no larger: the lexicographically
+least accepted order is clone-sorted, and the walk still finds it.  The
+record stays exact, because which continuations are clone-sorted depends
+only on the prefix set, part of the state.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Optional, Sequence
 
 
@@ -70,55 +73,18 @@ def _positions(mask: int) -> list[int]:
     return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
 
 
-@cache
-def _outside_lanes(n: int) -> tuple[int, ...]:
-    """For the rank table read as one little-endian int, with subset X in
-    byte X: ``outside[e]`` is 0xFF in the bytes of the sets X not holding
-    e and 0 elsewhere (2^e full bytes then 2^e empty ones, repeated)."""
-    size = 1 << n
-    return tuple(
-        int.from_bytes(
-            (b"\xff" * (1 << e) + bytes(1 << e)) * (size >> (e + 1)), "little"
-        )
-        for e in range(n)
-    )
-
-
-def _lower_clones(n: int, rank_table: bytes) -> list[int]:
-    """``lower[f]``: the bit of f's next-lower clone, or 0 if f is the
-    least of its clone class.
-
-    Shifting the table down by 2^e bytes puts r(X + e) in byte X for the X
-    not holding e, so e and f are clones iff the two shifted tables agree
-    on the bytes of the sets holding neither.  Transpositions that fix the
-    rank function compose, so the relation is transitive and f need only
-    be tested against the least member of each class below it.
-    """
-    table = int.from_bytes(rank_table, "little")
-    outside = _outside_lanes(n)
-    added = [table >> (8 << e) for e in range(n)]
-    last: dict[int, int] = {}  # least member of a class -> its largest yet
-    lower = [0] * n
-    for f in range(n):
-        least = f
-        for e in last:
-            if not (added[e] ^ added[f]) & outside[e] & outside[f]:
-                least = e
-                lower[f] = 1 << last[e]
-                break
-        last[least] = f
-    return lower
-
-
 def scan_path_orders(
     n: int,
     bases: Sequence[int],
     rank_table: bytes,
+    clone_steps: Sequence[tuple[int, int]],
 ) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
     """Lexicographically least accepting order with its intervals, or None.
 
     ``bases``: basis bitmasks; ``rank_table``: the rank of every subset,
-    indexed by bitmask (:attr:`latmat.kernel.Matroid.rank_table`).  On
+    indexed by bitmask (:attr:`latmat.kernel.Matroid.rank_table`);
+    ``clone_steps``: ``(bit of f, bit of e)`` for each element f with a
+    next-lower clone e (:attr:`latmat.kernel.Matroid._clone_steps`).  On
     acceptance returns ``(order, intervals)``, where ``intervals`` are the
     (a_i, b_i) position pairs just tested for that order.
 
@@ -128,7 +94,7 @@ def scan_path_orders(
     be smaller), and it is the order a scan skipping reversals finds.
 
     Only clone-sorted orders are walked, each element after its
-    next-lower clone (:func:`_lower_clones`); by the module docstring's
+    next-lower clone as ``clone_steps`` gives it; by the module docstring's
     argument the least accepted order is one of them, so the result is the
     one the walk over every order returns.
 
@@ -143,7 +109,7 @@ def scan_path_orders(
     if n == 0:
         return (), ()
     nb = len(bases)
-    lower = _lower_clones(n, rank_table)
+    lower = dict(clone_steps)  # bit of f -> bit of f's next-lower clone
     failed: set[int] = set()
     order: list[int] = []
 
@@ -162,7 +128,7 @@ def scan_path_orders(
         return tuple(order), tuple(zip(a, b))
 
     co_ranks = rank_table[::-1]  # r(E - X) in byte X
-    steps = [(e, 1 << e, lower[e]) for e in range(n)]
+    steps = [(e, 1 << e, lower.get(1 << e, 0)) for e in range(n)]
 
     # lo and hi hold the endpoint positions shifted up by n and 2n bits,
     # so a prefix's state is their OR with its prefix set.

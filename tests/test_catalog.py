@@ -156,8 +156,9 @@ def test_catalog_up_to_lists():
 
 
 def test_catalog_build_labels_only_on_key_collisions(monkeypatch):
-    """A fresh build up to 12 elements keeps all 28 members in (size, name)
-    order without a labeling: their degree keys are pairwise distinct."""
+    """A fresh build up to 12 elements gives all 28 members in (size, name)
+    order without a labeling, and their degree keys are pairwise distinct,
+    so no two members are isomorphic."""
     fresh = lru_cache(maxsize=None)(catalog._catalog_of_size.__wrapped__)
     monkeypatch.setattr(catalog, "_catalog_of_size", fresh)
     labelled = count_labelings(monkeypatch)

@@ -333,6 +333,10 @@ def test_error_paths(tmp_path, capsys):
     for spec in ("seed=7", ""):
         code, out, err = run(capsys, "verify-theorem", "--corpus", spec, "--json")
         assert code == 2 and "names no generator" in err and out == ""
+    code, out, err = run(
+        capsys, "verify-theorem", "--corpus", "catalog-minors,count=abc"
+    )
+    assert code == 2 and "'count'" in err and "'abc'" in err and out == ""
 
 
 def test_usage_errors_exit_2(capsys):

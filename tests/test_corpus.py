@@ -83,6 +83,16 @@ def test_parse_corpus_spec():
         parse_corpus_spec("lpm-random,count=5")  # randomized without seed
     with pytest.raises(MatroidError):
         parse_corpus_spec("lpm-random,seed=1,fuel=9")
+    for text, key, value in (
+        ("catalog-minors,count=abc", "count", "abc"),
+        ("catalog-minors,max-n=x", "max-n", "x"),
+        ("lpm-random,seed=1.5", "seed", "1.5"),
+    ):
+        with pytest.raises(
+            MatroidError, match=f"corpus key '{key}' needs an integer, got '{value}'"
+        ):
+            parse_corpus_spec(text)
+    assert parse_corpus_spec("catalog-minors,max-n=5,max-n=6").max_n == 6
     for text in ("", "seed=7", "count=5,max-n=6"):
         with pytest.raises(MatroidError, match="names no generator"):
             parse_corpus_spec(text)

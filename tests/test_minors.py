@@ -431,7 +431,8 @@ def test_multi_pattern_call_is_first_single_hit(small_corpus):
 def test_catalog_keys_and_host_clone_steps_are_computed_once(monkeypatch):
     """U6,12 has no catalog minor, so its search keys every catalog member
     up to 12 elements, over seven pattern sizes.  A second search keys no
-    pattern again, and each search finds its host's clone steps once."""
+    pattern again, and each search finds its host's clone steps once; the
+    oracle, run on the first host before its search, finds them for both."""
     patterns = [entry.matroid for entry in catalog_up_to(12)]
     for p in patterns:
         p.__dict__.pop("degree_key", None)
@@ -447,7 +448,10 @@ def test_catalog_keys_and_host_clone_steps_are_computed_once(monkeypatch):
         _canonical, "_clone_steps",
         lambda n, masks: stepped.append(n) or real_steps(n, masks),
     )
-    assert find_catalog_minor(uniform(6, 12)) is None
+    host = uniform(6, 12)
+    assert find_path_order(host) is not None
+    assert stepped == [12]
+    assert find_catalog_minor(host) is None
     assert len(keyed) == len(patterns)
     assert stepped == [12]
     keyed.clear()

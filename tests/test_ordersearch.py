@@ -6,6 +6,7 @@ import pytest
 
 import util
 from latmat import corpus, ordersearch
+from latmat._canonical import _clone_steps
 from latmat.catalog import catalog_up_to
 from latmat.kernel import contract, delete, from_bases, uniform
 from latmat.lpm import realize
@@ -46,23 +47,30 @@ def test_transversal_count_against_enumeration():
 
 def test_scan_returns_lex_least():
     U = uniform(2, 4)
-    got = ordersearch.scan_path_orders(U.n, U.basis_masks, U.rank_table)
+    got = ordersearch.scan_path_orders(
+        U.n, U.basis_masks, U.rank_table, U._clone_steps
+    )
     assert got == ((0, 1, 2, 3), ((0, 2), (1, 3)))
 
 
 def test_scan_rank_zero_and_empty():
     M = uniform(0, 0)
-    assert ordersearch.scan_path_orders(0, M.basis_masks, M.rank_table) == ((), ())
+    got = ordersearch.scan_path_orders(0, M.basis_masks, M.rank_table, ())
+    assert got == ((), ())
 
 
 def test_scan_intervals_match_p3():
     M = from_bases(6, p3_bases())
-    got = ordersearch.scan_path_orders(M.n, M.basis_masks, M.rank_table)
+    got = ordersearch.scan_path_orders(
+        M.n, M.basis_masks, M.rank_table, M._clone_steps
+    )
     assert got == ((0, 1, 2, 3, 4, 5), ((0, 2), (1, 4), (3, 5)))
 
 
 def _assert_scan_matches_brute_force(M):
-    got = ordersearch.scan_path_orders(M.n, M.basis_masks, M.rank_table)
+    got = ordersearch.scan_path_orders(
+        M.n, M.basis_masks, M.rank_table, M._clone_steps
+    )
     want = brute_scan_path_orders(
         M.n, M.rank, M.basis_masks, brute_independent_sets(M.basis_masks)
     )
@@ -108,7 +116,9 @@ def _assert_scan_matches_memo_scan(M, monkeypatch):
         ordersearch, "transversal_count", counting("scan", count)
     )
     monkeypatch.setattr(util, "transversal_count", counting("memo", count))
-    got = ordersearch.scan_path_orders(M.n, M.basis_masks, M.rank_table)
+    got = ordersearch.scan_path_orders(
+        M.n, M.basis_masks, M.rank_table, M._clone_steps
+    )
     want = memo_scan_path_orders(M.n, M.basis_masks, M.rank_table)
     monkeypatch.undo()
     assert got == want, M
@@ -159,6 +169,8 @@ def _reference_lower_clones(M) -> list[int]:
 
 
 def test_lower_clones_match_reference_classes(small_corpus):
+    """The clone steps the scan reads (``_canonical._clone_steps``) give
+    each element's next-lower clone from the reference classes."""
     hosts = list(small_corpus) + [entry.matroid for entry in catalog_up_to(12)]
     hosts += [
         realize(P)
@@ -166,7 +178,9 @@ def test_lower_clones_match_reference_classes(small_corpus):
     ]
     with_clones = 0
     for M in hosts:
-        lower = ordersearch._lower_clones(M.n, M.rank_table)
+        lower = [0] * M.n
+        for upper, low in _clone_steps(M.n, M.basis_masks):
+            lower[upper.bit_length() - 1] = low
         assert lower == _reference_lower_clones(M), M
         with_clones += any(lower)
     # not met vacuously: some hosts have clones and some have none

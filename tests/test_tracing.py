@@ -177,9 +177,10 @@ def test_internal_import_graph_is_acyclic():
 
 
 def test_oracle_imports_nothing_from_the_package():
-    """The exact oracle's scan shares no code with the other recognizers,
-    so the three-way check compares independent answers: ``ordersearch``
-    reads its clone classes off the rank table itself."""
+    """The exact oracle's scan imports nothing from the package: it takes
+    the clone steps it prunes by as an argument, and a wrong clone relation
+    would make the oracle and the minor search err in opposite directions,
+    so the three-way check still compares independent verdicts."""
     path = Path(latmat.__file__).parent / "ordersearch.py"
     assert {
         name

@@ -510,7 +510,9 @@ def whole_scan_find_path_order(M: Matroid):
     presentation)`` or None, like ``lpm.find_path_order``."""
     kept = M.full_mask & ~M.loops_mask
     part = M if kept == M.full_mask else restrict(M, kept)
-    found = scan_path_orders(part.n, part.basis_masks, part.rank_table)
+    found = scan_path_orders(
+        part.n, part.basis_masks, part.rank_table, part._clone_steps
+    )
     if found is None:
         return None
     perm, intervals = found
