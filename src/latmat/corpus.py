@@ -75,14 +75,6 @@ GENERATORS = (
     "duals-closure",
 )
 
-# The random generators and the smallest ground set each one draws.
-_RANDOM_GENERATORS = {
-    "random-transversal": 3,
-    "random-sparse-paving": 3,
-    "lpm-random": 2,
-}
-
-
 class SplitMix64:
     """SplitMix64 (Steele-Lea-Flood): 64-bit state advanced by the golden
     gamma, output finalized with two xor-shift multiplies."""
@@ -126,7 +118,7 @@ class CorpusSpec:
         for g in self.generators:
             if g not in GENERATORS:
                 raise MatroidError(f"unknown corpus generator {g!r}")
-            least = _RANDOM_GENERATORS.get(g, 0)
+            least, _ = _RANDOM_GENERATORS.get(g, (0, None))
             if self.max_n < least:
                 raise MatroidError(f"{g} needs max-n >= {least}, got {self.max_n}")
         if self.count < 0:
@@ -222,19 +214,16 @@ def transversal_matroid(n: int, sets: list[int]) -> Matroid:
 # individual generators
 
 
-def _gen_transversal(rng: SplitMix64, count: int, max_n: int):
-    out = []
-    for _ in range(count):
-        n = rng.randint(3, max_n)
-        r = rng.randint(1, max(1, (2 * n) // 3))
-        sets = []
-        for _ in range(r):
-            m = 0
-            while m == 0:
-                m = rng.next_u64() & ((1 << n) - 1)
-            sets.append(m)
-        out.append(transversal_matroid(n, sets))
-    return out
+def _draw_transversal(rng: SplitMix64, max_n: int) -> Matroid:
+    n = rng.randint(3, max_n)
+    r = rng.randint(1, max(1, (2 * n) // 3))
+    sets = []
+    for _ in range(r):
+        m = 0
+        while m == 0:
+            m = rng.next_u64() & ((1 << n) - 1)
+        sets.append(m)
+    return transversal_matroid(n, sets)
 
 
 def _distinct_subset(rng: SplitMix64, n: int, r: int) -> int:
@@ -244,24 +233,21 @@ def _distinct_subset(rng: SplitMix64, n: int, r: int) -> int:
     return got
 
 
-def _gen_sparse_paving(rng: SplitMix64, count: int, max_n: int):
-    out = []
-    for _ in range(count):
-        n = rng.randint(3, max_n)
-        r = rng.randint(2, n - 1)
-        chs: list[int] = []
-        for _ in range(rng.randint(1, n)):
-            cand = _distinct_subset(rng, n, r)
-            if all((cand & c).bit_count() <= r - 2 for c in chs):
-                chs.append(cand)
-        blocked = set(chs)
-        masks = [
-            mask_of(c)
-            for c in itertools.combinations(range(n), r)
-            if mask_of(c) not in blocked
-        ]
-        out.append(Matroid._from_masks(n, masks))
-    return out
+def _draw_sparse_paving(rng: SplitMix64, max_n: int) -> Matroid:
+    n = rng.randint(3, max_n)
+    r = rng.randint(2, n - 1)
+    chs: list[int] = []
+    for _ in range(rng.randint(1, n)):
+        cand = _distinct_subset(rng, n, r)
+        if all((cand & c).bit_count() <= r - 2 for c in chs):
+            chs.append(cand)
+    blocked = set(chs)
+    masks = [
+        mask_of(c)
+        for c in itertools.combinations(range(n), r)
+        if mask_of(c) not in blocked
+    ]
+    return Matroid._from_masks(n, masks)
 
 
 def _gen_catalog_minors(max_n: int):
@@ -322,19 +308,23 @@ def _gen_catalog_minors(max_n: int):
     return out
 
 
-def _gen_lpm_random(rng: SplitMix64, count: int, max_n: int):
-    out = []
-    for _ in range(count):
-        n = rng.randint(2, max_n)
-        r = rng.randint(1, n)
-        while True:
-            a = sorted(_bits(_distinct_subset(rng, n, r)))
-            b = sorted(_bits(_distinct_subset(rng, n, r)))
-            if all(x <= y for x, y in zip(a, b)):
-                break
-        pres = lpm.IntervalPresentation(n, tuple(zip(a, b)))
-        out.append(lpm.realize(pres))
-    return out
+def _draw_lpm_random(rng: SplitMix64, max_n: int) -> Matroid:
+    n = rng.randint(2, max_n)
+    r = rng.randint(1, n)
+    while True:
+        a = sorted(_bits(_distinct_subset(rng, n, r)))
+        b = sorted(_bits(_distinct_subset(rng, n, r)))
+        if all(x <= y for x, y in zip(a, b)):
+            break
+    return lpm.realize(lpm.IntervalPresentation(n, tuple(zip(a, b))))
+
+
+# Each random generator: the smallest ground set it draws, and one draw.
+_RANDOM_GENERATORS = {
+    "random-transversal": (3, _draw_transversal),
+    "random-sparse-paving": (3, _draw_sparse_paving),
+    "lpm-random": (2, _draw_lpm_random),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +345,12 @@ def _generated(
     raw: list[tuple[str, Matroid]] = []
     primal_of: dict[int, int] = {}  # position of a dual -> of its primal
     for g in spec.generators:
-        if g == "random-transversal":
-            raw.extend(
-                ("random-transversal", M)
-                for M in _gen_transversal(rng, spec.count, spec.max_n)
-            )
-        elif g == "random-sparse-paving":
-            raw.extend(
-                ("random-sparse-paving", M)
-                for M in _gen_sparse_paving(rng, spec.count, spec.max_n)
-            )
+        if g in _RANDOM_GENERATORS:
+            _, draw = _RANDOM_GENERATORS[g]
+            raw.extend((g, draw(rng, spec.max_n)) for _ in range(spec.count))
         elif g == "catalog-minors":
             raw.extend(
                 ("catalog-minors", M) for M in _gen_catalog_minors(spec.max_n)
-            )
-        elif g == "lpm-random":
-            raw.extend(
-                ("lpm-random", M)
-                for M in _gen_lpm_random(rng, spec.count, spec.max_n)
             )
         elif g == "duals-closure":
             primal_of.update((len(raw) + i, i) for i in range(len(raw)))

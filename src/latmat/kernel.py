@@ -102,12 +102,7 @@ def mask_of(elements: ElementSetLike, n: Optional[int] = None) -> int:
 
 def members(mask: int) -> frozenset[int]:
     """Unpack a bitmask into a frozenset of element ids."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(_bits(mask))
 
 
 def _bits(mask: int):

@@ -313,105 +313,103 @@ def find_path_order(
 # structural recognizer
 
 
-def _chain_partition(fund: tuple[int, ...]):
-    """Split fundamental flats into the components of their comparability
-    graph.  Valid structure: each component totally ordered (there are at
-    most two once no three flats are mutually incomparable), which makes
-    every cross pair incomparable.  Returns the components and, when some
-    component is not a chain, a comparability path whose endpoints are
-    incomparable: a certificate that one chain must hold both."""
-    # near[i]: the flats comparable with flat i, itself included
-    near = [
-        sum(1 << j for j, g in enumerate(fund) if f & g in (f, g)) for f in fund
+def _comparability_rows(flats: tuple[int, ...]) -> list[int]:
+    """rows[i]: bit j set iff flats i and j are comparable (i itself too)."""
+    return [
+        sum(1 << j for j, g in enumerate(flats) if f & g in (f, g))
+        for f in flats
     ]
-    comps = sorted(
-        (list(_bits(c)) for c in _merge_overlapping(near)),
-        key=lambda g: min(fund[i] for i in g),
-    )
-    for g in comps:
-        for i in g:
-            far = [j for j in g if not (near[i] >> j) & 1]
+
+
+def _chain_partition(fund: tuple[int, ...]):
+    """The chains of the fundamental flats (ascending, as
+    :func:`latmat.flats._fundamental_masks` returns them) or a clause (i)
+    certificate, both read off one table of comparability rows.
+
+    Valid structure: no three flats mutually incomparable and each
+    component of the comparability graph a chain, so at most two chains
+    with every cross pair incomparable.  Returns ``((chain1, chain2),
+    None)``, sorted by least flat, a missing chain empty; else ``(None,
+    certificate)``: the first mutually incomparable triple by index or,
+    failing that, a shortest comparability path from the first flat with an
+    incomparable partner in its component to the first such partner, which
+    one chain would have to hold."""
+    rows = _comparability_rows(fund)
+    everyone = (1 << len(fund)) - 1
+    for i, row in enumerate(rows):
+        far = everyone & ~row & -(2 << i)  # later flats incomparable with i
+        for j in _bits(far):
+            third = far & ~rows[j] & -(2 << j)
+            if third:
+                return None, (fund[i], fund[j], fund[next(_bits(third))])
+    comps = _merge_overlapping(rows)  # sorted by least index, so least flat
+    for comp in comps:
+        for i in _bits(comp):
+            far = comp & ~rows[i]
             if far:
-                return comps, _comparability_path(near, g, i, far[0])
-    return comps, None
+                path = _comparability_path(rows, i, next(_bits(far)))
+                return None, tuple(fund[p] for p in path)
+    chains = [tuple(fund[i] for i in _bits(c)) for c in comps]
+    return (*chains, (), ())[:2], None
 
 
-def _comparability_path(near, comp, src, dst):
-    """Shortest path from src to dst along comparable pairs (BFS)."""
+def _comparability_path(rows, src, dst):
+    """Shortest path from src to dst along comparable pairs (breadth first,
+    neighbours in index order)."""
     prev = {src: None}
     queue = deque([src])
-    while queue:
+    while dst not in prev:
         cur = queue.popleft()
-        if cur == dst:
-            path = []
-            while cur is not None:
-                path.append(cur)
-                cur = prev[cur]
-            return tuple(reversed(path))
-        for other in comp:
-            if other not in prev and (near[cur] >> other) & 1:
+        for other in _bits(rows[cur]):
+            if other not in prev:
                 prev[other] = cur
                 queue.append(other)
-    raise AssertionError("endpoints share a comparability component")
+    path = [dst]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def _check_component(Mi: Matroid):
     """None if the component passes the four structural clauses, else
-    (clause id, offending flats as masks)."""
+    (clause id, offending flats as masks).
+
+    Clause (i) and the two chains come from :func:`_chain_partition`.  One
+    walk over the cross pairs then returns clause (ii) at its first failing
+    pair, and collects the crossings clause (iii) compares and the first
+    pair failing clause (iv); after the walk (iii) is reported before (iv).
+    """
     pncs = _flats._pnc_masks(Mi)
     fund = _flats._fundamental_masks(Mi, pncs)
-    # clause i: no three mutually incomparable fundamental flats, and the
-    # comparability components (the forced chains) number at most two
-    for i in range(len(fund)):
-        for j in range(i + 1, len(fund)):
-            mij = fund[i] & fund[j]
-            if mij == fund[i] or mij == fund[j]:
-                continue
-            for k in range(j + 1, len(fund)):
-                mik = fund[i] & fund[k]
-                mjk = fund[j] & fund[k]
-                if (
-                    mik != fund[i]
-                    and mik != fund[k]
-                    and mjk != fund[j]
-                    and mjk != fund[k]
-                ):
-                    return "i", (fund[i], fund[j], fund[k])
-    comps, bad_path = _chain_partition(fund)
-    # no three mutually incomparable flats here, so at most two components
-    assert len(comps) <= 2
-    if bad_path is not None:
-        # consecutive flats comparable, endpoints not: no chain pair fits
-        return "i", tuple(fund[i] for i in bad_path)
-    chain1 = [fund[i] for i in comps[0]] if comps else []
-    chain2 = [fund[i] for i in comps[1]] if len(comps) > 1 else []
+    chains, certificate = _chain_partition(fund)
+    if certificate:
+        return "i", certificate
     full = Mi.full_mask
     ranks = Mi.rank_table
     r = Mi.rank
     nullity = lambda x: x.bit_count() - ranks[x]
-    # clause ii: overlapping cross pairs must cover the ground set
-    for f in chain1:
-        for g in chain2:
-            if f & g and (f | g) != full:
-                return "ii", (f, g)
-    # clause iii: leftover pnc-flats are exactly the high-nullity crossings
     eta_m = nullity(full)
-    qualifying = {
-        f & g
-        for f in chain1
-        for g in chain2
-        if eta_m < nullity(f) + nullity(g)
-    }
-    remaining = set(pncs) - set(fund)
-    if remaining != qualifying:
-        diff = sorted(remaining.symmetric_difference(qualifying))
-        return "iii", tuple(diff)
-    # clause iv: pnc crossings sit at the modular rank
+    pnc_set = set(pncs)
+    crossings = set()  # meets of the cross pairs of high total nullity
+    off_modular = None
+    chain1, chain2 = chains
     for f in chain1:
         for g in chain2:
             meet = f & g
-            if meet in pncs and ranks[meet] != ranks[f] + ranks[g] - r:
-                return "iv", (f, g)
+            # clause ii: overlapping cross pairs must cover the ground set
+            if meet and f | g != full:
+                return "ii", (f, g)
+            if eta_m < nullity(f) + nullity(g):
+                crossings.add(meet)
+            if meet in pnc_set and ranks[meet] != ranks[f] + ranks[g] - r:
+                off_modular = off_modular or (f, g)
+    # clause iii: leftover pnc-flats are exactly the high-nullity crossings
+    remaining = pnc_set.difference(fund)
+    if remaining != crossings:
+        return "iii", tuple(sorted(remaining ^ crossings))
+    # clause iv: pnc crossings sit at the modular rank
+    if off_modular:
+        return "iv", off_modular
     return None
 
 
@@ -440,15 +438,12 @@ def is_lpm_char(M: Matroid) -> RecognitionResult:
 
 
 def is_nested(M: Matroid) -> bool:
-    """Do the pnc-flats of the loopless part form a chain?"""
+    """Do the pnc-flats of the loopless part form a chain?  They do iff
+    every row of their comparability table is full."""
     kept = M.full_mask & ~M.loops_mask
     pncs = _flats._pnc_masks(M if kept == M.full_mask else restrict(M, kept))
-    for i in range(len(pncs)):
-        for j in range(i + 1, len(pncs)):
-            meet = pncs[i] & pncs[j]
-            if meet != pncs[i] and meet != pncs[j]:
-                return False
-    return True
+    everyone = (1 << len(pncs)) - 1
+    return all(row == everyone for row in _comparability_rows(pncs))
 
 
 def is_nested_via_pn(M: Matroid) -> bool:

@@ -44,6 +44,7 @@ from latmat.lpm import (
 from test_acceptance import ACCEPT_SPEC
 from util import (
     brute_transversal_bases,
+    loop_check_component,
     p3_bases,
     spanning_trees_k4,
     whole_scan_find_path_order,
@@ -393,13 +394,101 @@ def test_is_lpm_char_chain_path_witness():
 
 
 def test_chain_partition_path_joins_least_incomparable_pair():
-    # components sorted by least flat; the path runs from the first flat
-    # with an incomparable partner to the first such partner
-    assert _chain_partition((1, 3, 2, 6)) == ([[0, 1, 2, 3]], (0, 1, 2))
-    assert _chain_partition((16, 48, 6, 2, 3, 1)) == (
-        [[2, 3, 4, 5], [0, 1]], (2, 3, 4),
-    )
-    assert _chain_partition((1, 3, 16)) == ([[0, 1], [2]], None)
+    # the first mutually incomparable triple by index; failing that, a
+    # comparability path from the first flat with an incomparable partner
+    # to the first such partner; failing that, the chains by least flat
+    assert _chain_partition((1, 3, 2, 6)) == (None, (1, 3, 2))
+    assert _chain_partition((16, 48, 6, 2, 3, 1)) == (None, (16, 6, 3))
+    assert _chain_partition((1, 3, 16)) == (((1, 3), (16,)), None)
+    assert _chain_partition((1, 3)) == (((1, 3), ()), None)
+    assert _chain_partition(()) == (((), ()), None)
+
+
+# Every catalog member's flats witness, its flats spelt in hex digits:
+# clause (ii) for A3-A6, (iii) for C4,2, and otherwise clause (i), a
+# mutually incomparable triple, or a comparability path whose endpoints
+# are incomparable (R3, R4, D4-D6, E4-E6).
+CATALOG_FLATS_WITNESSES = {
+    "A3": ("ii", "012 234"),
+    "B2,2": ("i", "01 23 45"),
+    "C4,2": ("iii", "0123 0145 2345"),
+    "W3": ("i", "012 034 235"),
+    "Whirl3": ("i", "034 235 145"),
+    "R3": ("i", "01 01345 45"),
+    "R4": ("i", "01236 26 23456"),
+    "A4": ("ii", "0123 3456"),
+    "B3,2": ("i", "012 345 67"),
+    "C5,2": ("i", "012345 01267 34567"),
+    "D4": ("i", "012 012345 345"),
+    "E4": ("i", "01267 67 34567"),
+    "B3,3": ("i", "012 345 678"),
+    "C6,3": ("i", "012345 012678 345678"),
+    "A5": ("ii", "01234 45678"),
+    "B4,2": ("i", "0123 4567 89"),
+    "C6,2": ("i", "01234567 012389 456789"),
+    "D5": ("i", "0123 01234567 4567"),
+    "E5": ("i", "012389 89 456789"),
+    "B4,3": ("i", "0123 4567 89a"),
+    "C7,3": ("i", "01234567 012389a 456789a"),
+    "A6": ("ii", "012345 56789a"),
+    "B4,4": ("i", "0123 4567 89ab"),
+    "B5,2": ("i", "01234 56789 ab"),
+    "C7,2": ("i", "0123456789 01234ab 56789ab"),
+    "C8,4": ("i", "01234567 012389ab 456789ab"),
+    "D6": ("i", "01234 0123456789 56789"),
+    "E6": ("i", "01234ab ab 56789ab"),
+}
+
+
+def test_catalog_flats_witnesses():
+    got = {}
+    for entry in catalog_up_to(12):
+        M = entry.matroid
+        res = is_lpm_char(M)
+        assert not res.verdict
+        assert res.witness.component == frozenset(range(M.n))
+        got[entry.name] = (
+            res.witness.clause,
+            " ".join(
+                "".join(f"{e:x}" for e in sorted(f)) for f in res.witness.flats
+            ),
+        )
+    assert got == CATALOG_FLATS_WITNESSES
+
+
+# The acceptance and reject specs, and one seeded set of raw draws.
+REFERENCE_SPECS = (
+    ACCEPT_SPEC,
+    "random-sparse-paving,duals-closure,count=300,max-n=8,seed=20261017",
+)
+RAW_DRAW_SPEC = (
+    "random-transversal,random-sparse-paving,duals-closure,"
+    "count=300,max-n=9,seed=100"
+)
+
+
+def _outcome(hit):
+    if hit is None or hit[0] != "i":
+        return hit and hit[0]
+    f, g = hit[1][:2]  # a path's first two flats are comparable
+    return "path" if f & g in (f, g) else "triple"
+
+
+def test_check_component_matches_loop_reference():
+    hosts = [
+        M for spec in REFERENCE_SPECS
+        for M in corpus.generate(corpus.parse_corpus_spec(spec))
+    ]
+    hosts += [entry.matroid for entry in catalog_up_to(12)]
+    raw, _ = corpus._generated(corpus.parse_corpus_spec(RAW_DRAW_SPEC))
+    hosts += [M for _, M in raw]
+    outcomes = set()
+    for M in hosts:
+        for _, Mi in M._parts:
+            hit = lpm._check_component(Mi)
+            assert hit == loop_check_component(Mi)
+            outcomes.add(_outcome(hit))
+    assert outcomes == {"triple", "path", "ii", "iii", None}
 
 
 def test_is_lpm_char_componentwise_and_loops():

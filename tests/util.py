@@ -33,8 +33,7 @@ components below.  The reference components
 of a restriction join the circuits inside it, where the package reads the
 fundamental circuits of one basis off the rank table.  The reference
 clone classes try every transposition on every basis of the family, where
-the package compares two shifted bit lanes of the family's indicator, and
-the order scan two shifted copies of the rank table.  The
+the package compares two shifted bit lanes of the family's indicator.  The
 reference canonical labeling is the package's search as it was before it
 refined only against freshly split cells: every round recomputes each
 element's signature against every cell, every node down to the leaf
@@ -53,25 +52,35 @@ where the package keeps the basis lines of one cached table of every
 line.  The reference path-order oracle is the package's oracle as it was
 before it scanned component by component: one scan of the whole loopless
 part, restricted here, with the loops appended; it shares the order scan
-and ``restrict`` with the package.
+and ``restrict`` with the package.  The reference component check is the
+structural recognizer's check as it was before one table of comparability
+rows gave clause (i) and the chains and one walk over the cross pairs gave
+clauses (ii)-(iv): a triple loop for mutually incomparable flats, then the
+comparability components, then one walk per clause; it shares the
+pnc-flats, the fundamental flats and ``_merge_overlapping`` with the
+package.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import deque
 from math import comb
 from typing import Union
 
 from latmat import corpus
 from latmat.catalog import catalog_up_to
+from latmat.flats import _fundamental_masks, _pnc_masks
 from latmat.kernel import (
     MAX_GROUND,
     Matroid,
     MatroidError,
     MixedCardinality,
     canonical_form,
+    _bits,
     _components_within,
+    _merge_overlapping,
     dual,
     from_bases,
     is_isomorphic,
@@ -522,6 +531,98 @@ def whole_scan_find_path_order(M: Matroid):
     return order, IntervalPresentation(M.n, intervals, order)
 
 
+def _loop_chain_partition(fund: tuple[int, ...]):
+    """Reference chain split: the components of the comparability graph,
+    sorted by least flat, and, when one is not a chain, a comparability
+    path from its first flat with an incomparable partner to the first such
+    partner, as index tuples."""
+    near = [
+        sum(1 << j for j, g in enumerate(fund) if f & g in (f, g)) for f in fund
+    ]
+    comps = sorted(
+        (list(_bits(c)) for c in _merge_overlapping(near)),
+        key=lambda g: min(fund[i] for i in g),
+    )
+    for g in comps:
+        for i in g:
+            far = [j for j in g if not (near[i] >> j) & 1]
+            if far:
+                return comps, _loop_comparability_path(near, g, i, far[0])
+    return comps, None
+
+
+def _loop_comparability_path(near, comp, src, dst):
+    prev = {src: None}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        if cur == dst:
+            path = []
+            while cur is not None:
+                path.append(cur)
+                cur = prev[cur]
+            return tuple(reversed(path))
+        for other in comp:
+            if other not in prev and (near[cur] >> other) & 1:
+                prev[other] = cur
+                queue.append(other)
+    raise AssertionError("endpoints share a comparability component")
+
+
+def loop_check_component(Mi: Matroid):
+    """Reference ``lpm._check_component``: clause (i) by a triple loop over
+    the fundamental flats and then the comparability components, and one
+    walk over the cross pairs per clause (ii), (iii) and (iv)."""
+    pncs = _pnc_masks(Mi)
+    fund = _fundamental_masks(Mi, pncs)
+    for i in range(len(fund)):
+        for j in range(i + 1, len(fund)):
+            mij = fund[i] & fund[j]
+            if mij == fund[i] or mij == fund[j]:
+                continue
+            for k in range(j + 1, len(fund)):
+                mik = fund[i] & fund[k]
+                mjk = fund[j] & fund[k]
+                if (
+                    mik != fund[i]
+                    and mik != fund[k]
+                    and mjk != fund[j]
+                    and mjk != fund[k]
+                ):
+                    return "i", (fund[i], fund[j], fund[k])
+    comps, bad_path = _loop_chain_partition(fund)
+    assert len(comps) <= 2
+    if bad_path is not None:
+        return "i", tuple(fund[i] for i in bad_path)
+    chain1 = [fund[i] for i in comps[0]] if comps else []
+    chain2 = [fund[i] for i in comps[1]] if len(comps) > 1 else []
+    full = Mi.full_mask
+    ranks = Mi.rank_table
+    r = Mi.rank
+    nullity = lambda x: x.bit_count() - ranks[x]
+    for f in chain1:
+        for g in chain2:
+            if f & g and (f | g) != full:
+                return "ii", (f, g)
+    eta_m = nullity(full)
+    qualifying = {
+        f & g
+        for f in chain1
+        for g in chain2
+        if eta_m < nullity(f) + nullity(g)
+    }
+    remaining = set(pncs) - set(fund)
+    if remaining != qualifying:
+        diff = sorted(remaining.symmetric_difference(qualifying))
+        return "iii", tuple(diff)
+    for f in chain1:
+        for g in chain2:
+            meet = f & g
+            if meet in pncs and ranks[meet] != ranks[f] + ranks[g] - r:
+                return "iv", (f, g)
+    return None
+
+
 def _swap_bits(mask: int, e: int, f: int) -> int:
     be = (mask >> e) & 1
     bf = (mask >> f) & 1
@@ -889,16 +990,17 @@ def brute_generate_tagged(spec):
     then the canonical form of every generated matroid, keeping the first
     of each form."""
     rng = corpus.SplitMix64(spec.seed if spec.seed is not None else 0)
+    draws = lambda draw: [draw(rng, spec.max_n) for _ in range(spec.count)]
     raw = []
     for g in spec.generators:
         if g == "random-transversal":
             got = brute_gen_transversal(rng, spec.count, spec.max_n)
         elif g == "random-sparse-paving":
-            got = corpus._gen_sparse_paving(rng, spec.count, spec.max_n)
+            got = draws(corpus._draw_sparse_paving)
         elif g == "catalog-minors":
             got = brute_catalog_minors(spec.max_n)
         elif g == "lpm-random":
-            got = corpus._gen_lpm_random(rng, spec.count, spec.max_n)
+            got = draws(corpus._draw_lpm_random)
         else:
             got = [dual(M) for _, M in raw]
         raw.extend((g, M) for M in got)
