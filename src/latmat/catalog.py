@@ -16,13 +16,15 @@ Families (element count / rank):
 
 Helper families ``P{n}`` (truncated direct sum of two circuits) and
 ``Pprime{n}`` (truncated parallel connection of two circuits) are exposed
-for construction and nestedness tests but are not excluded minors.
+for construction and nestedness tests but are not excluded minors.  The
+truncations read the kernel's one list of k-subsets (``kernel.truncate``),
+and ``W3`` and the core of ``R4`` are sparse paving matroids, U(r, n) less
+their circuit-hyperplanes (``kernel._sparse_paving``).
 :func:`latmat.lpm.verify_excluded_minor` checks each member's minimality.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,10 +33,10 @@ from .kernel import (
     MAX_GROUND,
     GroundTooLarge,
     Matroid,
+    _sparse_paving,
     direct_sum,
     dual,
     free_extension,
-    mask_of,
     parallel_connection,
     relax,
     truncate,
@@ -73,6 +75,8 @@ def a_n(n: int) -> Matroid:
 
 
 def b_nk(n: int, k: int) -> Matroid:
+    """Rank-n truncation of the direct sum of two n-element circuits and a
+    k-element circuit."""
     if not n >= k >= 2:
         raise ValueError(f"B needs n >= k >= 2, got ({n},{k})")
     return truncate(
@@ -100,15 +104,9 @@ def e_n(n: int) -> Matroid:
 
 
 def wheel3() -> Matroid:
-    """Rank-3 wheel: 3-element circuits are the triangles of K4."""
-    triangles = [(0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5)]
-    tri_masks = {mask_of(t) for t in triangles}
-    masks = [
-        mask_of(c)
-        for c in itertools.combinations(range(6), 3)
-        if mask_of(c) not in tri_masks
-    ]
-    return Matroid._from_masks(6, masks)
+    """Rank-3 wheel: the sparse paving U3,6 whose circuit-hyperplanes, its
+    3-element circuits, are the triangles of K4."""
+    return _sparse_paving(6, 3, [(0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5)])
 
 
 def whirl3() -> Matroid:
@@ -116,15 +114,9 @@ def whirl3() -> Matroid:
 
 
 def r4() -> Matroid:
-    """Parallel-extend, at a shared element, the 6-element rank-4 matroid
-    whose circuit-hyperplanes are {0,1,2,3} and {2,3,4,5}."""
-    blocked = {mask_of((0, 1, 2, 3)), mask_of((2, 3, 4, 5))}
-    masks = [
-        mask_of(c)
-        for c in itertools.combinations(range(6), 4)
-        if mask_of(c) not in blocked
-    ]
-    core = Matroid._from_masks(6, masks)
+    """Parallel-extend, at a shared element, the sparse paving U4,6 whose
+    circuit-hyperplanes are {0,1,2,3} and {2,3,4,5}."""
+    core = _sparse_paving(6, 4, [(0, 1, 2, 3), (2, 3, 4, 5)])
     return parallel_connection(core, 2, uniform(1, 2), 0)
 
 

@@ -44,7 +44,6 @@ are labelled, each once, and its canonical form is compared with theirs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,9 +61,9 @@ from .kernel import (
     _lane_members,
     _lanes,
     _minor_masks,  # unused here; perfbench/tracing.py wraps corpus._minor_masks
+    _sparse_paving,
     canonical_form,
     dual,
-    mask_of,
 )
 
 GENERATORS = (
@@ -241,13 +240,7 @@ def _draw_sparse_paving(rng: SplitMix64, max_n: int) -> Matroid:
         cand = _distinct_subset(rng, n, r)
         if all((cand & c).bit_count() <= r - 2 for c in chs):
             chs.append(cand)
-    blocked = set(chs)
-    masks = [
-        mask_of(c)
-        for c in itertools.combinations(range(n), r)
-        if mask_of(c) not in blocked
-    ]
-    return Matroid._from_masks(n, masks)
+    return _sparse_paving(n, r, chs)
 
 
 def _gen_catalog_minors(max_n: int):

@@ -20,6 +20,10 @@ three invariants keep lanes apart when whole ints are added or subtracted:
   nor in validation's count check c(X) - c(X + e), taken only on lanes
   where e is spanned by X, where it is at least 1 (see ``from_bases``).
 
+Every r-subset family (uniform and sparse paving bases, truncations, the
+basis lines of the text format, the minor search's removed sets) is read
+from one cached list of masks per (n, r), :func:`_subset_masks`.
+
 Ground sets are capped at 12 elements: all algorithms here are exponential
 and the cap keeps worst cases interactive.  Element subsets may be passed to
 any operation either as an iterable of element ids or as a bitmask int;
@@ -116,6 +120,13 @@ def _degree_multiset(elements: Iterable[int], masks) -> tuple[int, ...]:
     """How many of the masks hold each element, sorted; `masks` is read
     once per element.  The masks holding e sum to their count times 2^e."""
     return tuple(sorted(sum(map((1 << e).__and__, masks)) >> e for e in elements))
+
+
+@cache
+def _subset_masks(n: int, r: int) -> tuple[int, ...]:
+    """The masks of the r-subsets of {0, ..., n-1}, in id-tuple order: the
+    one list every r-subset family is read from (see the module docstring)."""
+    return tuple(map(mask_of, itertools.combinations(range(n), r)))
 
 
 @cache
@@ -346,10 +357,6 @@ class Matroid:
         return f"Matroid(n={self.n}, rank={self.rank}, bases={self.num_bases})"
 
 
-def _as_mask(M: Matroid, X: ElementSetLike) -> int:
-    return mask_of(X, M.n)
-
-
 # ---------------------------------------------------------------------------
 # construction and validation
 
@@ -444,8 +451,15 @@ def uniform(r: int, n: int) -> Matroid:
         raise ValueError(f"uniform needs 0 <= r <= n, got r={r}, n={n}")
     if n > MAX_GROUND:
         raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
-    masks = [mask_of(c) for c in itertools.combinations(range(n), r)]
-    return Matroid._from_masks(n, masks)
+    return Matroid._from_masks(n, _subset_masks(n, r))
+
+
+def _sparse_paving(n: int, r: int, circuit_hyperplanes: Iterable[ElementSetLike]) -> Matroid:
+    """U(r, n) less the given r-sets, its circuit-hyperplanes.  Trusted, like
+    :meth:`Matroid._from_masks`: the sets must pairwise meet in at most r - 2
+    elements, which makes the rest a basis family."""
+    blocked = {mask_of(c, n) for c in circuit_hyperplanes}
+    return Matroid._from_masks(n, [m for m in _subset_masks(n, r) if m not in blocked])
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +467,11 @@ def uniform(r: int, n: int) -> Matroid:
 
 
 def rank_of(M: Matroid, X: ElementSetLike) -> int:
-    return M.rank_table[_as_mask(M, X)]
+    return M.rank_table[mask_of(X, M.n)]
 
 
 def closure(M: Matroid, X: ElementSetLike) -> frozenset[int]:
-    xm = _as_mask(M, X)
+    xm = mask_of(X, M.n)
     return members(_closure_mask(M, xm))
 
 
@@ -620,8 +634,8 @@ def minor(M: Matroid, delete_set: ElementSetLike, contract_set: ElementSetLike) 
     The relabeling is the order-preserving compaction of the kept elements
     (see :func:`removal_relabeling`).
     """
-    dm = _as_mask(M, delete_set)
-    cm = _as_mask(M, contract_set)
+    dm = mask_of(delete_set, M.n)
+    cm = mask_of(contract_set, M.n)
     if dm & cm:
         raise OverlappingSets(
             f"delete and contract sets overlap on {sorted(members(dm & cm))}"
@@ -639,7 +653,7 @@ def contract(M: Matroid, X: ElementSetLike) -> Matroid:
 
 
 def restrict(M: Matroid, X: ElementSetLike) -> Matroid:
-    xm = _as_mask(M, X)
+    xm = mask_of(X, M.n)
     return minor(M, M.full_mask & ~xm, 0)
 
 
@@ -666,16 +680,14 @@ def direct_sum(M1: Matroid, M2: Matroid) -> Matroid:
 
 
 def truncate(M: Matroid, k: int) -> Matroid:
-    """Truncation to rank k: bases become the independent k-sets."""
+    """Truncation to rank k: bases become the independent k-sets, the
+    k-subsets of :func:`_subset_masks` of rank k in the rank table."""
     if not 0 <= k <= M.rank:
         raise ValueError(f"truncation rank {k} not in 0..{M.rank}")
     if k == M.rank:
         return M
-    out = set()
-    for b in M.basis_masks:
-        for combo in itertools.combinations(tuple(_bits(b)), k):
-            out.add(mask_of(combo))
-    return Matroid._from_masks(M.n, sorted(out))
+    ranks = M.rank_table
+    return Matroid._from_masks(M.n, [m for m in _subset_masks(M.n, k) if ranks[m] == k])
 
 
 def free_extension(M: Matroid) -> Matroid:
@@ -728,7 +740,7 @@ def parallel_connection(M1: Matroid, x1: int, M2: Matroid, x2: int) -> Matroid:
 
 def relax(M: Matroid, X: ElementSetLike) -> Matroid:
     """Turn a circuit-hyperplane into a basis."""
-    xm = _as_mask(M, X)
+    xm = mask_of(X, M.n)
     ranks = M.rank_table
     size = xm.bit_count()
     # a circuit: r(X) = |X| - 1 = r(X - e) for every e in X
@@ -823,11 +835,9 @@ _HEADERS = {
 def _basis_lines(n: int, r: int) -> dict[str, int]:
     """The canonical spelling of every r-subset of {0, ..., n-1}: its line
     (ids ascending, joined by one space, line feed included) mapped to its
-    mask, in id-tuple order.  The reader and the writer both read it."""
-    return {
-        " ".join(map(str, ids)) + "\n": mask_of(ids)
-        for ids in itertools.combinations(range(n), r)
-    }
+    mask, in the id-tuple order of :func:`_subset_masks`.  The reader and
+    the writer both read it."""
+    return {" ".join(map(str, _bits(m))) + "\n": m for m in _subset_masks(n, r)}
 
 
 def matroid_to_text(M: Matroid) -> str:

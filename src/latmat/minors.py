@@ -39,8 +39,8 @@ from .kernel import (
     _degree_multiset,
     _greedy_independent,
     _minor_masks,
+    _subset_masks,
     is_isomorphic,
-    mask_of,
     members,
     minor,
 )
@@ -82,7 +82,8 @@ def has_minor(
     """First delete/contract split exposing a pattern, or None.
 
     All patterns must have one ground-set size.  For each removed set of
-    n_host - n_pattern elements, the splits with C independent and the
+    n_host - n_pattern elements, in the id-tuple order of
+    :func:`kernel._subset_masks`, the splits with C independent and the
     rest coindependent expose every minor (Oxley, Matroid Theory, Lemma
     3.3.2); these C are the traces of the host's bases on the removed set
     (:func:`kernel._bases_by_trace`), and the bases of trace C, less the
@@ -114,8 +115,7 @@ def has_minor(
         open_by_size.setdefault(host.rank - p.rank, []).append(i)
     steps = host._clone_steps
     found = None
-    for removed in itertools.combinations(range(host.n), host.n - pattern.n):
-        rm = mask_of(removed)
+    for rm in _subset_masks(host.n, host.n - pattern.n):
         if not _clone_minimal(rm, steps):
             continue
         by_trace = _bases_by_trace(host, rm)

@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from latmat import corpus
+from latmat import corpus, lpm
 from latmat.cli import main
 from latmat.catalog import build_by_name, p_n, wheel3
 from latmat.kernel import (
     direct_sum,
     is_connected,
+    is_isomorphic,
     matroid_from_text,
     matroid_to_text,
     uniform,
@@ -229,6 +231,36 @@ def test_verify_theorem_nine_elements(capsys):
         capsys, "verify-theorem", "--corpus", spec.format(13), "--json"
     )
     assert code == 2 and "exceeds the cap of 12" in err and out == ""
+
+
+def test_verify_theorem_prints_disagreements_and_exits_1(capsys, monkeypatch):
+    spec = "catalog-minors,max-n=6"
+    W = next(
+        M for M in corpus.generate(corpus.parse_corpus_spec(spec))
+        if is_isomorphic(M, wheel3()) is not None
+    )
+    char = lpm.is_lpm_char
+
+    def flipped(M):
+        got = char(M)
+        return replace(got, verdict=not got.verdict) if M == W else got
+
+    monkeypatch.setattr(lpm, "is_lpm_char", flipped)
+    code, out, err = run(capsys, "verify-theorem", "--corpus", spec)
+    assert code == 1
+    row = {
+        "n": 6,
+        "rank": 3,
+        "bases": sorted(sorted(b) for b in W.bases),
+        "oracle": False,
+        "characterization": True,
+        "excluded_minor": False,
+    }
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("DISAGREEMENT")] == [
+        f"DISAGREEMENT: {row}"
+    ]
+    assert lines[-1] == "disagreements: 1"
 
 
 def test_verify_theorem_requires_seed(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from latmat import corpus, kernel, lpm
 from latmat.catalog import a_n, catalog_up_to
 from latmat.kernel import (
+    MAX_GROUND,
     AxiomViolation,
     EmptyFamily,
     GroundTooLarge,
@@ -18,6 +19,7 @@ from latmat.kernel import (
     NotCircuitHyperplane,
     OutOfRange,
     OverlappingSets,
+    _subset_masks,
     automorphisms,
     canonical_form,
     circuits,
@@ -57,6 +59,7 @@ from util import (
     brute_minimal_dependent,
     brute_rank_table,
     brute_span_counts,
+    combo_truncate,
     line_matroid_from_text,
     p3_bases,
     set_matroid_to_text,
@@ -337,6 +340,46 @@ def test_truncate_examples():
     assert truncate(B, B.rank) == B
     with pytest.raises(ValueError):
         truncate(B, 3)
+
+
+def _catalog_truncation_inputs():
+    """The matroids the catalog's builders truncate: two n-circuits summed
+    (P) or glued at a point (P'), and two n-circuits plus a k-circuit (B)."""
+    circ = lambda n: uniform(n - 1, n)
+    out = []
+    for n in range(2, 7):
+        out.append(direct_sum(circ(n), circ(n)))
+        if n >= 3:
+            out.append(parallel_connection(circ(n), n - 1, circ(n), 0))
+        out += [
+            direct_sum(direct_sum(circ(n), circ(n)), circ(k))
+            for k in range(2, min(n, 12 - 2 * n) + 1)
+        ]
+    return out
+
+
+def test_truncate_matches_combination_reference(small_corpus):
+    spec = corpus.CorpusSpec(
+        ("random-transversal", "random-sparse-paving", "lpm-random",
+         "duals-closure"),
+        count=15,
+        max_n=10,
+        seed=33,
+    )
+    pool = _catalog_truncation_inputs() + small_corpus + corpus.generate(spec)
+    assert max(M.n for M in pool) == 12
+    for M in pool:
+        for k in range(M.rank):
+            assert truncate(M, k) == combo_truncate(M, k), (M, k)
+
+
+def test_subset_masks_follow_combinations():
+    for n in range(MAX_GROUND + 1):
+        for r in range(n + 1):
+            assert _subset_masks(n, r) == tuple(
+                sum(1 << e for e in ids)
+                for ids in itertools.combinations(range(n), r)
+            ), (n, r)
 
 
 def test_free_extension_coextension():

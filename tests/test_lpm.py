@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +338,37 @@ def test_three_recognizers_restrict_once_per_part(monkeypatch):
     assert minors.find_catalog_minor(M) is None
     assert len(M._parts) == 2
     assert sorted(calls) == sorted(c for c, _ in M._parts)
+
+
+def test_theorem_check_reports_a_disagreement(monkeypatch):
+    """A structural verdict flipped on W3 alone gives one disagreement row:
+    W3's ground size, rank and bases, and the three verdicts."""
+    W = wheel3()
+    char = lpm.is_lpm_char
+
+    def flipped(M):
+        got = char(M)
+        return replace(got, verdict=not got.verdict) if M == W else got
+
+    monkeypatch.setattr(lpm, "is_lpm_char", flipped)
+    report = lpm.theorem_check([uniform(2, 4), W, whirl3()], "three")
+    assert not report.ok
+    triangles = {(0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5)}
+    assert json.loads(report.to_json()) == {
+        "corpus": "three",
+        "total": 3,
+        "lpm": 1,
+        "non_lpm": 2,
+        "disagreements": [{
+            "n": 6,
+            "rank": 3,
+            "bases": [list(c) for c in itertools.combinations(range(6), 3)
+                      if c not in triangles],
+            "oracle": False,
+            "characterization": True,
+            "excluded_minor": False,
+        }],
+    }
 
 
 def test_find_path_order_cap():

@@ -41,6 +41,7 @@ from util import (
     brute_find_catalog_minor,
     brute_has_minor,
     brute_minor_masks,
+    degree_twins,
     is_clone_minimal,
     spanning_trees_k4,
 )
@@ -69,6 +70,19 @@ def test_has_minor_identity():
     w = has_minor(M, M)
     assert w is not None and w.delete == frozenset() and w.contract == frozenset()
     assert w.replay(M, M)
+
+
+def test_has_minor_refuses_a_split_that_only_shares_the_key():
+    # the one split of an equal-size search matches both twins' degree
+    # key, so each pattern reaches the isomorphism test
+    a, b = degree_twins()
+    assert a.degree_key == b.degree_key
+    assert has_minor(a, b) is None
+    assert brute_has_minor(a, b) is None
+    w = has_minor(a, b, a)
+    assert w is not None and w.pattern_name == "1"
+    assert (w.delete, w.contract, w.iso) == brute_has_minor(a, a)
+    assert w.replay(a, a)
 
 
 def test_has_minor_size_guard():

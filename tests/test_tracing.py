@@ -4,9 +4,10 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.  Two
-more tests pin the package's import structure: every import sits at module
-level, and the internal import graph has no cycle.
+only for a hook is the one import the package may leave unused.  Three
+more tests pin the package's structure: every import sits at module level,
+one cached list gives every r-subset family, and the internal import graph
+has no cycle.
 """
 
 from __future__ import annotations
@@ -135,6 +136,38 @@ def test_no_function_local_imports():
             if isinstance(node, (ast.Import, ast.ImportFrom))
         }
     assert local == set()
+
+
+def _combinations_scopes(node: ast.AST, scope: str) -> set[str]:
+    """The dotted scopes (module, then class and function names) under
+    `node` that read ``itertools.combinations`` or import it by name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    here = (
+        isinstance(node, ast.Attribute)
+        and node.attr == "combinations"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "itertools"
+    ) or (
+        isinstance(node, ast.ImportFrom)
+        and node.module == "itertools"
+        and any(alias.name == "combinations" for alias in node.names)
+    )
+    found = {scope} if here else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _combinations_scopes(child, scope)
+    return found
+
+
+def test_one_list_enumerates_the_r_subsets():
+    """Every r-subset family of the package (uniform and sparse paving
+    bases, truncations, the basis-line table, the minor search's removed
+    sets) is read from ``kernel._subset_masks``, the one place that calls
+    ``itertools.combinations``."""
+    scopes = set()
+    for path in sorted(Path(latmat.__file__).parent.glob("*.py")):
+        scopes |= _combinations_scopes(ast.parse(path.read_text()), path.stem)
+    assert scopes == {"kernel._subset_masks"}
 
 
 def _package_imports(path: Path) -> set[str]:

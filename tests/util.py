@@ -58,7 +58,9 @@ rows gave clause (i) and the chains and one walk over the cross pairs gave
 clauses (ii)-(iv): a triple loop for mutually incomparable flats, then the
 comparability components, then one walk per clause; it shares the
 pnc-flats, the fundamental flats and ``_merge_overlapping`` with the
-package.
+package.  The reference truncation takes every k-combination of every
+basis, where the package keeps the k-subsets of one cached list whose rank
+is k; it shares nothing with the package but the trusted constructor.
 """
 
 from __future__ import annotations
@@ -880,6 +882,17 @@ def brute_minor_masks(M, dmask: int, cmask: int):
         if ranks[indep] == indep.bit_count():
             out.append(sum(1 << i for i in combo))
     return len(kept), tuple(sorted(out))
+
+
+def combo_truncate(M: Matroid, k: int) -> Matroid:
+    """Reference ``kernel.truncate`` below the rank: the k-combinations of
+    the bases, as element sets, packed and deduplicated."""
+    out = set()
+    for b in M.basis_masks:
+        ids = [e for e in range(M.n) if (b >> e) & 1]
+        for combo in itertools.combinations(ids, k):
+            out.add(sum(1 << e for e in combo))
+    return Matroid._from_masks(M.n, sorted(out))
 
 
 def brute_has_minor(host, pattern):
