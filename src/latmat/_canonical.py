@@ -23,15 +23,16 @@ There is one search: the automorphism group is closed from what it
 absorbs, the clone transpositions and the automorphisms found at the
 leaves (see ``automorphism_group``).
 
-Set-up per family: each element's column, a bitset over the bases holding
-it, and the co-occurrence table read off the columns by popcount, with the
-basis degrees on its diagonal; clone classes come from one bit-lane test
-per pair of elements: the family as one int with a bit per subset, whose
-lanes holding e but not f, shifted onto those holding f but not e, must
-match (see ``_clone_classes``).  The catalog search and the catalog-minors
-corpus read the same classes to walk only clone-minimal splits, and corpus
-deduplication relabels a family by ascending degree with the same lane
-shifts before any labeling (see ``_degree_sorted_family``).
+Set-up per family reads the family as one int with a bit per subset (see
+``_family_int``) and each element's lane of it, the sets holding that
+element.  The co-occurrence table is the popcount of each pair of lanes'
+meet, with the basis degrees on its diagonal; clone classes come from one
+lane test per pair of elements: the lanes holding e but not f, shifted
+onto those holding f but not e, must match (see ``_clone_classes``).  The
+catalog search and the catalog-minors corpus read the same classes to
+walk only clone-minimal splits, and corpus deduplication relabels a
+family by ascending degree with the same lane shifts before any labeling
+(see ``_degree_sorted_family``).
 """
 
 from __future__ import annotations
@@ -151,11 +152,10 @@ class _Search:
     def __init__(self, n: int, masks):
         self.n = n
         self.masks = tuple(masks)
-        # col[e]: bit j set iff basis j holds e
-        col = [sum(1 << j for j, b in enumerate(self.masks) if b >> e & 1)
-               for e in range(n)]
+        family = _family_int(self.masks)
+        holding = [family & lane for lane in _element_lanes(n)]
         # cooc[e][f]: bases holding both e and f; the diagonal is the degree
-        self.cooc = [[(ce & cf).bit_count() for cf in col] for ce in col]
+        self.cooc = [[(he & hf).bit_count() for hf in holding] for he in holding]
         self.deg = [self.cooc[e][e] for e in range(n)]
         self.clone = _clone_classes(n, self.masks)
         # every automorphism absorbed at the root, as p with p[e] = image

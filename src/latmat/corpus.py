@@ -6,9 +6,9 @@ re-implement elsewhere.  Draw protocols, in stream order:
 
 - ``random-transversal``: n = randint(3, max_n); r = randint(1, max(1,
   2n//3)); r set masks each drawn as ``next_u64() & (2^n - 1)`` rerolled
-  while zero; the matroid is the transversal matroid of the system, its
-  partial transversals built set by set on the kernel's lanes
-  (deliberately not the interval realizer).
+  while zero; the matroid is the transversal matroid of the system, built
+  by ``kernel.transversal_matroid``, the constructor the interval realizer
+  calls too (the tests check it against an augmenting-path matching).
 - ``random-sparse-paving``: n = randint(3, max_n); r = randint(2, n-1);
   t = randint(1, n) candidate circuit-hyperplanes, each drawn as r distinct
   ``randrange(n)`` values, kept when it meets every kept one in at most r-2
@@ -54,16 +54,14 @@ from .kernel import (
     GroundTooLarge,
     Matroid,
     MatroidError,
-    _at_least,
     _bits,
     _compress,
     _kept_runs,
-    _lane_members,
-    _lanes,
     _minor_masks,  # unused here; perfbench/tracing.py wraps corpus._minor_masks
     _sparse_paving,
     canonical_form,
     dual,
+    transversal_matroid,
 )
 
 GENERATORS = (
@@ -176,37 +174,6 @@ def parse_corpus_spec(
             gens.append(token)
     count, max_n, seed = values.values()
     return CorpusSpec(tuple(gens), count=count, max_n=max_n, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# transversal matroids by one lane sweep
-
-
-def transversal_matroid(n: int, sets: list[int]) -> Matroid:
-    """The transversal matroid of a set system: its bases are the largest
-    partial transversals.
-
-    The partial transversals are built in one sweep over the kernel's
-    lanes (one byte per subset): starting from the empty set, each set A
-    of the system in turn adds X + e for every partial transversal X so far
-    and every e in A - X, that is, matches A to at most one new element.
-    """
-    if n > MAX_GROUND:
-        raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
-    ones, single = _lanes(n)
-    partial = 1  # the empty set's lane
-    for a in sets:
-        grown = partial
-        for e in _bits(a):
-            grown |= (partial & (ones ^ single[e])) << (8 << e)
-        partial = grown
-    sizes = sum(single)
-    r = 0
-    while partial & _at_least(sizes, r + 1, ones):
-        r += 1
-    return Matroid._from_masks(
-        n, _lane_members(partial & _at_least(sizes, r, ones), n)
-    )
 
 
 # ---------------------------------------------------------------------------

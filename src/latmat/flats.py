@@ -117,9 +117,9 @@ def _fundamental_masks(M: Matroid, pncs: tuple[int, ...]) -> tuple[int, ...]:
     not inside F, or the proper flat F would span M, so F & C is a proper
     subset of the circuit C, independent, and at most r(F) in size.
     """
-    ones, single = _lanes(M.n)
+    ones, single, sizes = _lanes(M.n)
     ranks = M.rank_table
-    spanning = _circuit_lanes(M) & _at_least(sum(single), M.rank + 1, ones)
+    spanning = _circuit_lanes(M) & _at_least(sizes, M.rank + 1, ones)
     out = []
     for f in pncs:
         meet = sum(single[e] for e in _bits(f))

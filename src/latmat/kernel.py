@@ -20,6 +20,9 @@ three invariants keep lanes apart when whole ints are added or subtracted:
   nor in validation's count check c(X) - c(X + e), taken only on lanes
   where e is spanned by X, where it is at least 1 (see ``from_bases``).
 
+The rule for lane widths: a family of sets lives on bit lanes, one bit per
+subset (the family ints of :mod:`._canonical`; :func:`transversal_matroid`
+sweeps one), and per-subset values such as ranks and counts on byte lanes.
 Every r-subset family (uniform and sparse paving bases, truncations, the
 basis lines of the text format, the minor search's removed sets) is read
 from one cached list of masks per (n, r), :func:`_subset_masks`.
@@ -130,11 +133,11 @@ def _subset_masks(n: int, r: int) -> tuple[int, ...]:
 
 
 @cache
-def _lanes(n: int) -> tuple[int, tuple[int, ...]]:
+def _lanes(n: int) -> tuple[int, tuple[int, ...], int]:
     """The lane constants of an n-element ground set (lanes as in the
-    module docstring), as ``(ones, single)``: ``ones`` holds 1 in every
-    lane, and ``single[e]`` holds 1 in the lanes of the sets holding e;
-    their sum is |X| in lane X."""
+    module docstring), as ``(ones, single, sizes)``: ``ones`` holds 1 in
+    every lane, ``single[e]`` holds 1 in the lanes of the sets holding e,
+    and ``sizes``, their sum, holds |X| in lane X."""
     size = 1 << n
     ones = int.from_bytes(b"\x01" * size, "little")
     single = tuple(
@@ -143,16 +146,7 @@ def _lanes(n: int) -> tuple[int, tuple[int, ...]]:
         )
         for e in range(n)
     )
-    return ones, single
-
-
-@cache
-def _max_step_lanes(n: int) -> tuple[int, int]:
-    """The lane constants of the rank table's max steps, as ``(sizes,
-    high)``: ``sizes`` holds |X| in lane X, and ``high`` holds 0x80 in
-    every lane."""
-    ones, single = _lanes(n)
-    return sum(single), ones << 7
+    return ones, single, sum(single)
 
 
 def _at_least(lanes: int, k: int, ones: int) -> int:
@@ -172,7 +166,7 @@ def _rank_steps(M: "Matroid") -> list[int]:
     """For each e, the lanes r(X + e) - r(X) for X not holding e, and 0 in
     the lanes of sets holding e.  Rank is monotone, so each lane of the
     subtraction is at least 0 and nothing borrows across lanes."""
-    ones, single = _lanes(M.n)
+    ones, single, _ = _lanes(M.n)
     table = int.from_bytes(M.rank_table, "little")
     out = []
     for e, s in enumerate(single):
@@ -183,28 +177,28 @@ def _rank_steps(M: "Matroid") -> list[int]:
 
 def _spanned_lanes(M: "Matroid") -> list[int]:
     """For each e, 1 in the lanes X with e outside X and r(X + e) = r(X)."""
-    ones, single = _lanes(M.n)
+    ones, single, _ = _lanes(M.n)
     return [ones ^ s ^ step for s, step in zip(single, _rank_steps(M))]
 
 
 def _flat_lanes(M: "Matroid") -> int:
     """1 in the lanes of the flats: the lanes X where no element outside X
     keeps the rank, c(X) = 0 in :attr:`Matroid._span_counts`."""
-    ones, _ = _lanes(M.n)
+    ones = _lanes(M.n)[0]
     return ones ^ _at_least(M._span_counts, 1, ones)
 
 
 def _dependent_lanes(M: "Matroid") -> int:
     """1 in the lanes of the dependent sets, where r(X) < |X|."""
-    ones, single = _lanes(M.n)
+    ones, _, sizes = _lanes(M.n)
     table = int.from_bytes(M.rank_table, "little")
-    return _at_least(sum(single) - table, 1, ones)
+    return _at_least(sizes - table, 1, ones)
 
 
 def _circuit_lanes(M: "Matroid") -> int:
     """1 in the lanes of the circuits: the dependent sets X whose every
     X - e is independent, that is, no dependent lane below them."""
-    _, single = _lanes(M.n)
+    single = _lanes(M.n)[1]
     dependent = _dependent_lanes(M)
     above = 0
     for e, s in enumerate(single):
@@ -270,8 +264,8 @@ class Matroid:
         relies on this to validate an unchecked family through its table.
         """
         n = self.n
-        _, single = _lanes(n)
-        sizes, high = _max_step_lanes(n)
+        ones, single, sizes = _lanes(n)
+        high = ones << 7  # 0x80 in every lane
         inside = bytearray(1 << n)
         for b in self.basis_masks:
             inside[b] = 1
@@ -460,6 +454,43 @@ def _sparse_paving(n: int, r: int, circuit_hyperplanes: Iterable[ElementSetLike]
     elements, which makes the rest a basis family."""
     blocked = {mask_of(c, n) for c in circuit_hyperplanes}
     return Matroid._from_masks(n, [m for m in _subset_masks(n, r) if m not in blocked])
+
+
+@cache
+def _size_family(n: int, k: int) -> int:
+    """The k-subsets of {0, ..., n-1} as one family int (bit X set iff
+    |X| = k, see :func:`_canonical._family_int`)."""
+    return _canonical._family_int(_subset_masks(n, k))
+
+
+def transversal_matroid(n: int, sets: Iterable[int]) -> Matroid:
+    """The transversal matroid of a set system, given as bitmasks over
+    {0, ..., n-1}: its bases are the largest partial transversals.
+
+    The partial transversals are one family int, bit X set iff X is one,
+    swept set by set on the bit lanes of :func:`_canonical._element_lanes`:
+    starting from the empty set, each set A adds X + e for every partial
+    transversal X so far and every e in A - X, that is, matches A to at
+    most one new element.  A shift by 2^e moves bit X to bit X + e, so
+    each e in A costs one mask and one shift over all 2^n subsets.  The
+    rank r is the largest k with a partial transversal of size k, and the
+    bases are the r-subsets of :func:`_subset_masks` whose bit is set.
+    """
+    if n > MAX_GROUND:
+        raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
+    lanes = _canonical._element_lanes(n)
+    partial = 1  # the empty set's bit
+    for a in sets:
+        grown = partial
+        for e in _bits(a):
+            grown |= (partial & ~lanes[e]) << (1 << e)
+        partial = grown
+    r = 0
+    while partial & _size_family(n, r + 1):
+        r += 1
+    return Matroid._from_masks(
+        n, [m for m in _subset_masks(n, r) if partial >> m & 1]
+    )
 
 
 # ---------------------------------------------------------------------------

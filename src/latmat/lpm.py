@@ -48,6 +48,7 @@ from .kernel import (
     delete,
     members,
     restrict,
+    transversal_matroid,
 )
 
 
@@ -130,21 +131,11 @@ class RecognitionResult:
 
 
 def realize(P: IntervalPresentation) -> Matroid:
-    """The transversal matroid of the intervals (uncovered positions = loops)."""
-    r = P.rank
-    order = P.order
-    masks: list[int] = []
-
-    def rec(i: int, start: int, acc: int) -> None:
-        if i == r:
-            masks.append(acc)
-            return
-        a, b = P.intervals[i]
-        for p in range(max(a, start), b + 1):
-            rec(i + 1, p + 1, acc | (1 << order[p]))
-
-    rec(0, 0, 0)
-    return Matroid._from_masks(P.n, sorted(masks))
+    """The transversal matroid of the intervals, each the set of elements
+    at its positions of the order (uncovered positions carry loops), built
+    by :func:`kernel.transversal_matroid`."""
+    bits = [1 << e for e in P.order]
+    return transversal_matroid(P.n, [sum(bits[a : b + 1]) for a, b in P.intervals])
 
 
 def presentation_connected(P: IntervalPresentation) -> bool:

@@ -153,6 +153,15 @@ def test_transversal_matroid_against_matching_reference():
         M = transversal_matroid(n, sets)
         assert M.n == n
         assert M.basis_masks == tuple(sorted(matching_transversal_masks(n, sets)))
+    # the empty system, and systems of rank below their size at the cap
+    for n, sets in (
+        (0, []),
+        (12, [0b11] * 12),
+        (12, [0b111000000111] * 4 + [1 << 8] * 3 + [0]),
+    ):
+        M = transversal_matroid(n, sets)
+        assert M.n == n
+        assert M.basis_masks == tuple(sorted(matching_transversal_masks(n, sets)))
 
 
 def test_generate_deterministic():

@@ -888,8 +888,8 @@ def test_lane_members_match_find_loop(n):
 def test_at_least_on_size_lanes(n):
     # k = 0 and k = r + 1 = 13 are read too: a loop flat has rank 0, and
     # the spanning circuits of a rank-12 matroid would have 13 elements
-    ones, single = kernel._lanes(n)
-    sizes = sum(single)
+    ones, single, sizes = kernel._lanes(n)
+    assert sizes == sum(single)
     for k in range(14):
         got = kernel._at_least(sizes, k, ones).to_bytes(1 << n, "little")
         assert got == bytes(x.bit_count() >= k for x in range(1 << n)), k

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
+import random
 from dataclasses import replace
 
 import pytest
@@ -48,6 +51,7 @@ from util import (
     brute_transversal_bases,
     loop_check_component,
     p3_bases,
+    recursive_realize,
     spanning_trees_k4,
     whole_scan_find_path_order,
 )
@@ -127,6 +131,71 @@ def test_realize_nonidentity_order():
     assert M.bases == {
         frozenset({a, b}) for a in (3, 1) for b in (0, 2)
     }
+
+
+def _connected_presentations(n):
+    """Every connected presentation of n elements in the identity order:
+    both endpoint sequences strictly increasing, a_1 = 0, b_r = n - 1 and
+    each interval meeting the next."""
+    out = []
+    for r in range(1, n + 1):
+        for a in itertools.combinations(range(n), r):
+            for b in itertools.combinations(range(n), r):
+                if (
+                    a[0] == 0
+                    and b[-1] == n - 1
+                    and all(map(operator.le, a, b))
+                    and all(map(operator.le, a[1:], b))
+                ):
+                    out.append(IntervalPresentation(n, tuple(zip(a, b))))
+    return out
+
+
+def test_realize_matches_recursion_on_connected_presentations():
+    # Catalan(n - 1) connected presentations of n elements: 626 up to 8,
+    # each realized in the identity order and in a seeded random one
+    rng = random.Random(626)
+    total = 0
+    for n in range(1, 9):
+        pres = _connected_presentations(n)
+        assert len(pres) == math.comb(2 * n - 2, n - 1) // n
+        total += len(pres)
+        for P in pres:
+            order = list(range(n))
+            rng.shuffle(order)
+            for Q in (P, replace(P, order=tuple(order))):
+                M, ref = realize(Q), recursive_realize(Q)
+                assert (M.n, M.basis_masks) == (ref.n, ref.basis_masks), Q
+    assert total == 626
+
+
+def test_realize_matches_recursion_on_seeded_and_degenerate_presentations():
+    # seeded presentations up to 12 elements in seeded orders, uncovered
+    # positions (loops) included, then no interval at all and loops at
+    # either end or between the intervals
+    rng = random.Random(1212)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        r = rng.randint(0, n)
+        while True:
+            a = sorted(rng.sample(range(n), r))
+            b = sorted(rng.sample(range(n), r))
+            if all(map(operator.le, a, b)):
+                break
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append(IntervalPresentation(n, tuple(zip(a, b)), tuple(order)))
+    assert any(not presentation_connected(P) for P in cases if P.rank)
+    cases += [IntervalPresentation(n, ()) for n in range(13)]
+    cases += [
+        IntervalPresentation(5, ((1, 2),)),
+        IntervalPresentation(7, ((1, 2), (4, 5)), (6, 2, 0, 4, 1, 3, 5)),
+        IntervalPresentation(12, ((0, 3), (2, 5), (8, 10)), tuple(range(11, -1, -1))),
+    ]
+    for P in cases:
+        M, ref = realize(P), recursive_realize(P)
+        assert (M.n, M.basis_masks) == (ref.n, ref.basis_masks), P
 
 
 def test_presentation_connected():

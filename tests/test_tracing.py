@@ -4,10 +4,11 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.  Three
+only for a hook is the one import the package may leave unused.  Five
 more tests pin the package's structure: every import sits at module level,
-one cached list gives every r-subset family, and the internal import graph
-has no cycle.
+one cached list gives every r-subset family, only ``kernel`` and ``flats``
+read the byte-lane helpers, the internal import graph has no cycle, and
+the oracle's scan imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -168,6 +169,31 @@ def test_one_list_enumerates_the_r_subsets():
     for path in sorted(Path(latmat.__file__).parent.glob("*.py")):
         scopes |= _combinations_scopes(ast.parse(path.read_text()), path.stem)
     assert scopes == {"kernel._subset_masks"}
+
+
+def test_only_kernel_and_flats_read_the_byte_lanes():
+    """The byte-lane helpers ``_lanes``, ``_at_least`` and ``_lane_members``
+    (one byte per subset, for per-subset values) are read by ``kernel``,
+    which defines them, and ``flats`` alone; families of sets elsewhere
+    live on the bit lanes of ``_canonical``."""
+    helpers = {"_lanes", "_at_least", "_lane_members"}
+    readers = set()
+    for path in sorted(Path(latmat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if names & helpers:
+            readers.add(path.stem)
+    assert readers == {"kernel", "flats"}
 
 
 def _package_imports(path: Path) -> set[str]:

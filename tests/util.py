@@ -19,7 +19,11 @@ the sparse-paving and lpm-random generators, ``dual`` and
 draw with the reference transversal builder, every catalog minor split by
 split with the reference minor, and labels every generated matroid.  The
 reference transversal builder is the augmenting-path matching the
-package's partial-transversal lane sweep replaced.  The subset-lattice
+package's partial-transversal lane sweep replaced.  The reference realizer
+is the recursion over increasing position tuples x_1 < ... < x_r with x_i
+in interval i that ``lpm.realize`` ran before it became one call of the
+kernel's transversal constructor; it shares nothing with the package but
+the trusted constructor.  The subset-lattice
 references (rank table, local submodularity, circuits, flats) are the
 per-subset loops the package's lane sweeps replaced; they share nothing
 with the package but the table they are handed.  The reference lane
@@ -390,6 +394,24 @@ def brute_gen_transversal(rng, count: int, max_n: int) -> list[Matroid]:
             sets.append(m)
         out.append(Matroid._from_masks(n, matching_transversal_masks(n, sets)))
     return out
+
+
+def recursive_realize(P: IntervalPresentation) -> Matroid:
+    """Reference realization of an interval presentation: every increasing
+    tuple of positions x_1 < ... < x_r with x_i in interval i, read back
+    through the order (uncovered positions carry loops)."""
+    masks: list[int] = []
+
+    def rec(i: int, start: int, acc: int) -> None:
+        if i == P.rank:
+            masks.append(acc)
+            return
+        a, b = P.intervals[i]
+        for p in range(max(a, start), b + 1):
+            rec(i + 1, p + 1, acc | (1 << P.order[p]))
+
+    rec(0, 0, 0)
+    return Matroid._from_masks(P.n, masks)
 
 
 def p3_bases() -> set[frozenset[int]]:
