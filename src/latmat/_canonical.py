@@ -104,19 +104,20 @@ def _degree_sorted_family(n: int, masks) -> int:
     return family
 
 
-def _clone_classes(n: int, masks) -> list[int]:
-    """The least member of each element's clone class.
+def _clone_classes(holding: list[int]) -> list[int]:
+    """The least member of each element's clone class, given the family's
+    element lanes: ``holding[e]`` is the family as one int F (bit X set iff
+    X is in it) masked by ``_element_lanes(n)[e]``, the sets holding e.
 
-    Elements e < f are clones when swapping them fixes the family.  With
-    the family as one int F (bit X set iff X is in it), the swap fixes the
-    sets holding both or neither and moves each X holding e but not f to
-    X - e + f = X + 2^f - 2^e, so it fixes F exactly when the lanes of F
-    holding e but not f, shifted up by 2^f - 2^e, are those holding f but
-    not e.  Transpositions fixing the family compose, so the relation is
-    transitive and f need only be tested against least members below it.
+    Elements e < f are clones when swapping them fixes the family.  The
+    swap fixes the sets holding both or neither and moves each X holding e
+    but not f to X - e + f = X + 2^f - 2^e, so it fixes F exactly when the
+    lanes of F holding e but not f, shifted up by 2^f - 2^e, are those
+    holding f but not e.  Transpositions fixing the family compose, so the
+    relation is transitive and f need only be tested against least members
+    below it.
     """
-    family = _family_int(masks)
-    holding = [family & lane for lane in _element_lanes(n)]
+    n = len(holding)
     least = list(range(n))
     for f in range(1, n):
         for e in range(f):
@@ -133,7 +134,8 @@ def _clone_steps(n: int, masks) -> tuple[tuple[int, int], ...]:
     clone e, from :func:`_clone_classes`.  A set is *clone-minimal*, holding
     the lowest members of each clone class, iff it holds e wherever it
     holds f (see :func:`_clone_minimal`)."""
-    least = _clone_classes(n, masks)
+    family = _family_int(masks)
+    least = _clone_classes([family & lane for lane in _element_lanes(n)])
     last: dict[int, int] = {}
     steps = []
     for f in range(n):
@@ -157,7 +159,7 @@ class _Search:
         # cooc[e][f]: bases holding both e and f; the diagonal is the degree
         self.cooc = [[(he & hf).bit_count() for hf in holding] for he in holding]
         self.deg = [self.cooc[e][e] for e in range(n)]
-        self.clone = _clone_classes(n, self.masks)
+        self.clone = _clone_classes(holding)
         # every automorphism absorbed at the root, as p with p[e] = image
         self.autos: set[tuple[int, ...]] = set()
         self.best_prof: list[tuple[int, ...]] = []

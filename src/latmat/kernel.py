@@ -211,6 +211,8 @@ class Matroid:
 
     Construct through :func:`from_bases` (validates the family through its
     rank table) or the internal :meth:`_from_masks` (trusted constructors).
+    The constructor sorts the basis masks, so callers may pass them in any
+    order, but without duplicates.
     Rank, independence, circuit and closure queries read :attr:`rank_table`,
     of which :attr:`indep_masks` is a view.  Equality and hashing compare
     the labelled basis family, not isomorphism type.
@@ -731,7 +733,7 @@ def free_extension(M: Matroid) -> Matroid:
     for b in M.basis_masks:
         for e in _bits(b):
             out.add((b ^ (1 << e)) | bit)
-    return Matroid._from_masks(n, sorted(out))
+    return Matroid._from_masks(n, out)
 
 
 def free_coextension(M: Matroid) -> Matroid:
@@ -761,12 +763,12 @@ def parallel_connection(M1: Matroid, x1: int, M2: Matroid, x2: int) -> Matroid:
     ]
     base = 1 << x1
     # B1 | B2 holds the basepoint only when both parts do
-    return Matroid._from_masks(n, sorted({
+    return Matroid._from_masks(n, {
         (b1 | b2) ^ ((b1 ^ b2) & base)
         for b1 in M1.basis_masks
         for b2 in lifted
         if (b1 | b2) & base
-    }))
+    })
 
 
 def relax(M: Matroid, X: ElementSetLike) -> Matroid:
@@ -781,7 +783,7 @@ def relax(M: Matroid, X: ElementSetLike) -> Matroid:
         raise NotCircuitHyperplane(f"{sorted(members(xm))} is not a circuit")
     if ranks[xm] != M.rank - 1 or _closure_mask(M, xm) != xm:
         raise NotCircuitHyperplane(f"{sorted(members(xm))} is not a hyperplane")
-    return Matroid._from_masks(M.n, sorted(M.mask_set | {xm}))
+    return Matroid._from_masks(M.n, M.mask_set | {xm})
 
 
 # ---------------------------------------------------------------------------

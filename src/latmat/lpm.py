@@ -280,7 +280,7 @@ def find_path_order(
     blocks = []
     for c, part in M._parts:
         found = ordersearch.scan_path_orders(
-            part.n, part.basis_masks, part.rank_table, part._clone_steps
+            part.n, part.num_bases, part.rank_table, part._clone_steps
         )
         if found is None:
             return None

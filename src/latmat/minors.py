@@ -24,7 +24,6 @@ and the oracle's order walk (``lpm.find_path_order``) on the same part.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,11 +172,8 @@ def find_catalog_minor(M: Matroid) -> Optional[MinorWitness]:
     parts = [(c, part) for c, part in M._parts if part.n >= 6]
     if not parts:
         return None
-    for size, group in itertools.groupby(
-        catalog.catalog_up_to(max(part.n for _, part in parts)),
-        key=lambda entry: entry.matroid.n,
-    ):
-        group = list(group)
+    for size in range(6, max(part.n for _, part in parts) + 1):
+        group = catalog._catalog_of_size(size)
         for cmask, part in parts:
             if part.n < size:
                 continue

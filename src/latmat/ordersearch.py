@@ -5,11 +5,9 @@ ground set with prefix sets P_0 < P_1 < ... < P_n, the only candidate
 presentation has position p as a lower endpoint iff r(P_{p+1}) > r(P_p)
 (the greedy minimum basis) and as an upper endpoint iff
 r(E - P_p) > r(E - P_{p+1}) (the greedy maximum basis).  The order is
-accepted iff that candidate realizes the input family.
-
-Acceptance test per complete order: the number of increasing transversals
-of the candidate intervals must equal the number of bases, and every basis
-must fit the intervals position-wise.
+accepted iff that candidate realizes the input family, which its number of
+increasing transversals decides: it realizes the input iff it has exactly
+as many transversals as the input has bases (see below).
 
 The search is a depth-first walk over prefixes, extending each prefix by the
 unused elements in ascending label order, so complete orders are reached in
@@ -17,9 +15,10 @@ lexicographic order and the first accepted one is the lexicographically
 least.  Each step reads both endpoint tests off the rank table.  A prefix's
 state is (prefix set, lower endpoints so far, upper endpoints so far); a
 state whose subtree accepted nothing is recorded, and any later prefix with
-the same state is skipped.  The record is exact: every basis B of the input
-fits the candidate intervals of every order, because |B & P_p| <= r(P_p)
-and |B - P_p| <= r(E - P_p), so an order is accepted iff its intervals have
+the same state is skipped.  The count decides, and the record is exact: every
+basis B of the input fits the candidate intervals of every order, because
+|B & P_p| <= r(P_p) and |B - P_p| <= r(E - P_p), so the bases are among the
+candidate's transversals and an order is accepted iff its intervals have
 exactly |bases| transversals, which depends on the endpoint sequences
 alone; and the endpoints at positions p and later depend only on the prefix
 set P_p and on how the order continues.  Two prefixes with the same state
@@ -75,14 +74,14 @@ def _positions(mask: int) -> list[int]:
 
 def scan_path_orders(
     n: int,
-    bases: Sequence[int],
+    num_bases: int,
     rank_table: bytes,
     clone_steps: Sequence[tuple[int, int]],
 ) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
     """Lexicographically least accepting order with its intervals, or None.
 
-    ``bases``: basis bitmasks; ``rank_table``: the rank of every subset,
-    indexed by bitmask (:attr:`latmat.kernel.Matroid.rank_table`);
+    ``num_bases``: the number of bases; ``rank_table``: the rank of every
+    subset, indexed by bitmask (:attr:`latmat.kernel.Matroid.rank_table`);
     ``clone_steps``: ``(bit of f, bit of e)`` for each element f with a
     next-lower clone e (:attr:`latmat.kernel.Matroid._clone_steps`).  On
     acceptance returns ``(order, intervals)``, where ``intervals`` are the
@@ -99,34 +98,18 @@ def scan_path_orders(
     one the walk over every order returns.
 
     Each complete order reached, that is, one whose state was not already
-    recorded as failed, gets the leaf test: the transversal count, then the
-    basis fit, which by the module docstring's argument never rejects an
-    order the count accepted.  The count is called through this module's
-    :func:`transversal_count`, so the benchmark's
-    ``ordersearch.orders_tested`` counter, which wraps that attribute,
-    counts complete orders reached rather than every order.
+    recorded as failed, gets the leaf test: it is accepted iff its
+    intervals have ``num_bases`` transversals, which by the module
+    docstring's argument decides whether they realize the input.  The count
+    is called through this module's :func:`transversal_count`, so the
+    benchmark's ``ordersearch.orders_tested`` counter, which wraps that
+    attribute, counts complete orders reached rather than every order.
     """
     if n == 0:
         return (), ()
-    nb = len(bases)
     lower = dict(clone_steps)  # bit of f -> bit of f's next-lower clone
     failed: set[int] = set()
     order: list[int] = []
-
-    def leaf(lo: int, hi: int):
-        a = _positions(lo)
-        b = _positions(hi)
-        if transversal_count(n, a, b) != nb:
-            return None
-        for bm in bases:
-            j = 0
-            for i in range(n):
-                if (bm >> order[i]) & 1:
-                    if not (a[j] <= i <= b[j]):
-                        return None
-                    j += 1
-        return tuple(order), tuple(zip(a, b))
-
     co_ranks = rank_table[::-1]  # r(E - X) in byte X
     steps = [(e, 1 << e, lower.get(1 << e, 0)) for e in range(n)]
 
@@ -135,7 +118,11 @@ def scan_path_orders(
     def extend(mask: int, lo: int, hi: int):
         p = len(order)
         if p == n:
-            return leaf(lo >> n, hi >> 2 * n)
+            a = _positions(lo >> n)
+            b = _positions(hi >> 2 * n)
+            if transversal_count(n, a, b) != num_bases:
+                return None
+            return tuple(order), tuple(zip(a, b))
         lo_p = 1 << (p + n)
         hi_p = 1 << (p + 2 * n)
         r_in = rank_table[mask]

@@ -17,6 +17,8 @@ from latmat._canonical import (
     _clone_minimal,
     _clone_steps,
     _degree_sorted_family,
+    _element_lanes,
+    _family_int,
     _Search,
     automorphism_group,
     canonical_labeling,
@@ -235,7 +237,8 @@ def test_clone_classes_match_swap_test(small_corpus):
     nontrivial = 0
     for M in pool:
         ref = brute_clone_classes(M.n, M.basis_masks)
-        got = _clone_classes(M.n, M.basis_masks)
+        family = _family_int(M.basis_masks)
+        got = _clone_classes([family & lane for lane in _element_lanes(M.n)])
         assert got == [
             min(f for f in range(M.n) if ref[f] == ref[e]) for e in range(M.n)
         ], M

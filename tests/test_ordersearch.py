@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from latmat import corpus, ordersearch
 from latmat._canonical import _clone_steps
 from latmat.catalog import catalog_up_to
 from latmat.kernel import contract, delete, from_bases, uniform
-from latmat.lpm import realize
+from latmat.lpm import IntervalPresentation, realize
 from test_properties import random_presentations
 from util import (
     brute_clone_classes,
@@ -48,28 +49,28 @@ def test_transversal_count_against_enumeration():
 def test_scan_returns_lex_least():
     U = uniform(2, 4)
     got = ordersearch.scan_path_orders(
-        U.n, U.basis_masks, U.rank_table, U._clone_steps
+        U.n, U.num_bases, U.rank_table, U._clone_steps
     )
     assert got == ((0, 1, 2, 3), ((0, 2), (1, 3)))
 
 
 def test_scan_rank_zero_and_empty():
     M = uniform(0, 0)
-    got = ordersearch.scan_path_orders(0, M.basis_masks, M.rank_table, ())
+    got = ordersearch.scan_path_orders(0, M.num_bases, M.rank_table, ())
     assert got == ((), ())
 
 
 def test_scan_intervals_match_p3():
     M = from_bases(6, p3_bases())
     got = ordersearch.scan_path_orders(
-        M.n, M.basis_masks, M.rank_table, M._clone_steps
+        M.n, M.num_bases, M.rank_table, M._clone_steps
     )
     assert got == ((0, 1, 2, 3, 4, 5), ((0, 2), (1, 4), (3, 5)))
 
 
 def _assert_scan_matches_brute_force(M):
     got = ordersearch.scan_path_orders(
-        M.n, M.basis_masks, M.rank_table, M._clone_steps
+        M.n, M.num_bases, M.rank_table, M._clone_steps
     )
     want = brute_scan_path_orders(
         M.n, M.rank, M.basis_masks, brute_independent_sets(M.basis_masks)
@@ -117,7 +118,7 @@ def _assert_scan_matches_memo_scan(M, monkeypatch):
     )
     monkeypatch.setattr(util, "transversal_count", counting("memo", count))
     got = ordersearch.scan_path_orders(
-        M.n, M.basis_masks, M.rank_table, M._clone_steps
+        M.n, M.num_bases, M.rank_table, M._clone_steps
     )
     want = memo_scan_path_orders(M.n, M.basis_masks, M.rank_table)
     monkeypatch.undo()
@@ -185,3 +186,47 @@ def test_lower_clones_match_reference_classes(small_corpus):
         with_clones += any(lower)
     # not met vacuously: some hosts have clones and some have none
     assert 0 < with_clones < len(hosts)
+
+
+def test_every_basis_fits_every_orders_greedy_intervals():
+    """The lemma the scan's leaf test rests on: under any order, every basis
+    fits the greedy intervals position by position, since |B & P_p| <=
+    r(P_p) and |B - P_p| <= r(E - P_p).  The bases are then among the
+    candidate's transversals, so an equal count means the candidate
+    realizes M."""
+    spec = corpus.parse_corpus_spec(
+        "random-transversal,random-sparse-paving,lpm-random,duals-closure,"
+        "count=40,max-n=9,seed=35"
+    )
+    hosts = corpus.generate(spec) + [e.matroid for e in catalog_up_to(9)]
+    rng = random.Random(35)
+    checked = accepted = 0
+    for M in hosts:
+        ranks = M.rank_table
+        for _ in range(20):
+            order = list(range(M.n))
+            rng.shuffle(order)
+            prefixes = [0]
+            for e in order:
+                prefixes.append(prefixes[-1] | 1 << e)
+            co_prefixes = [M.full_mask ^ x for x in prefixes]
+            a = [
+                p for p in range(M.n)
+                if ranks[prefixes[p + 1]] > ranks[prefixes[p]]
+            ]
+            b = [
+                p for p in range(M.n)
+                if ranks[co_prefixes[p]] > ranks[co_prefixes[p + 1]]
+            ]
+            assert len(a) == len(b) == M.rank
+            for basis in M.basis_masks:
+                positions = [p for p, e in enumerate(order) if basis >> e & 1]
+                assert all(
+                    lo <= p <= hi for p, lo, hi in zip(positions, a, b)
+                ), (M, order, basis)
+            checked += 1
+            if ordersearch.transversal_count(M.n, a, b) == M.num_bases:
+                accepted += 1
+                P = IntervalPresentation(M.n, tuple(zip(a, b)), tuple(order))
+                assert realize(P).basis_masks == M.basis_masks, (M, order)
+    assert 0 < accepted < checked

@@ -4,11 +4,12 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.  Five
+only for a hook is the one import the package may leave unused.  Six
 more tests pin the package's structure: every import sits at module level,
 one cached list gives every r-subset family, only ``kernel`` and ``flats``
-read the byte-lane helpers, the internal import graph has no cycle, and
-the oracle's scan imports nothing from the package.
+read the byte-lane helpers, the internal import graph has no cycle, the
+oracle's scan imports nothing from the package, and it takes the basis
+count rather than the bases.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import ast
 import graphlib
 import importlib
 import importlib.util
+import inspect
 import time
 from pathlib import Path
 
@@ -24,6 +26,7 @@ import pytest
 
 import latmat
 from latmat.catalog import wheel3
+from latmat.ordersearch import scan_path_orders
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -246,3 +249,11 @@ def test_oracle_imports_nothing_from_the_package():
         for name in _package_imports(path)
         if name == "latmat" or name.startswith(("latmat.", "."))
     } == set()
+
+
+def test_oracle_scan_takes_the_basis_count():
+    """The scan's leaf test is the transversal count alone, so it is handed
+    the number of bases and never a basis family."""
+    assert tuple(inspect.signature(scan_path_orders).parameters) == (
+        "n", "num_bases", "rank_table", "clone_steps",
+    )

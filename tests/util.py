@@ -6,7 +6,9 @@ the code paths under test.  The reference order scan shares only
 ``transversal_count`` with the package, and that is checked against
 enumeration in ``test_ordersearch``; so does the reference memoized
 scan, which is the package's scan as it was before it walked only
-clone-sorted orders.  The reference minor is the
+clone-sorted orders.  Both reference scans keep the basis-fit test after
+the transversal count, which the package's scan dropped because the count
+decides, so they check that argument too.  The reference minor is the
 r'-subset scan the package's one basis rule replaced, sharing only the
 rank table.  The reference catalog minor search shares the catalog, the
 rank table and the isomorphism test, each checked in its own test module,
@@ -544,7 +546,7 @@ def whole_scan_find_path_order(M: Matroid):
     kept = M.full_mask & ~M.loops_mask
     part = M if kept == M.full_mask else restrict(M, kept)
     found = scan_path_orders(
-        part.n, part.basis_masks, part.rank_table, part._clone_steps
+        part.n, part.num_bases, part.rank_table, part._clone_steps
     )
     if found is None:
         return None
