@@ -23,16 +23,17 @@ There is one search: the automorphism group is closed from what it
 absorbs, the clone transpositions and the automorphisms found at the
 leaves (see ``automorphism_group``).
 
-Set-up per family reads the family as one int with a bit per subset (see
-``_family_int``) and each element's lane of it, the sets holding that
-element.  The co-occurrence table is the popcount of each pair of lanes'
-meet, with the basis degrees on its diagonal; clone classes come from one
-lane test per pair of elements: the lanes holding e but not f, shifted
-onto those holding f but not e, must match (see ``_clone_classes``).  The
-catalog search and the catalog-minors corpus read the same classes to
-walk only clone-minimal splits, and corpus deduplication relabels a
-family by ascending degree with the same lane shifts before any labeling
-(see ``_degree_sorted_family``).
+Every entry point takes the family as one int with a bit per subset (see
+``_family_int``), which ``Matroid._family`` builds once per matroid, and
+set-up reads each element's lane of it, the sets holding that element.
+The co-occurrence table is the popcount of each pair of lanes' meet, with
+the basis degrees on its diagonal; clone classes come from one lane test
+per pair of elements: the lanes holding e but not f, shifted onto those
+holding f but not e, must match (see ``_clone_classes``).  The catalog
+search and the catalog-minors corpus read the same classes to walk only
+clone-minimal splits, and corpus deduplication relabels a family by
+ascending degree with the same lane shifts before any labeling (see
+``_degree_sorted_family``).
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def _family_int(masks) -> int:
     return family
 
 
-def _degree_sorted_family(n: int, masks) -> int:
-    """The family relabelled so that basis degrees ascend, ties kept in
-    label order, as one int (see :func:`_family_int`).
+def _degree_sorted_family(n: int, family: int) -> int:
+    """The family int `family` (see :func:`_family_int`) relabelled so
+    that basis degrees ascend, ties kept in label order.
 
     The relabelling is a bijection of the ground set, so families with
     equal results are isomorphic; isomorphic families need not give equal
@@ -84,7 +85,6 @@ def _degree_sorted_family(n: int, masks) -> int:
     holding f but not e down by as much.  The cost depends on n, not on
     the number of sets.
     """
-    family = _family_int(masks)
     lanes = _element_lanes(n)
     degree = [(family & lane).bit_count() for lane in lanes]
     at = list(range(n))  # at[pos]: the element now labelled pos
@@ -129,12 +129,11 @@ def _clone_classes(holding: list[int]) -> list[int]:
     return least
 
 
-def _clone_steps(n: int, masks) -> tuple[tuple[int, int], ...]:
+def _clone_steps(n: int, family: int) -> tuple[tuple[int, int], ...]:
     """``(bit of f, bit of e)`` for each element f and its next-lower
-    clone e, from :func:`_clone_classes`.  A set is *clone-minimal*, holding
-    the lowest members of each clone class, iff it holds e wherever it
-    holds f (see :func:`_clone_minimal`)."""
-    family = _family_int(masks)
+    clone e, from :func:`_clone_classes` on the family int `family`.  A set
+    is *clone-minimal*, holding the lowest members of each clone class, iff
+    it holds e wherever it holds f (see :func:`_clone_minimal`)."""
     least = _clone_classes([family & lane for lane in _element_lanes(n)])
     last: dict[int, int] = {}
     steps = []
@@ -151,10 +150,13 @@ def _clone_minimal(mask: int, steps: tuple[tuple[int, int], ...]) -> bool:
 
 
 class _Search:
-    def __init__(self, n: int, masks):
+    """The labeling search on the family given as its masks and as its
+    family int (see :func:`_family_int`), which set-up reads for the
+    co-occurrence table and the clone classes."""
+
+    def __init__(self, n: int, masks, family: int):
         self.n = n
         self.masks = tuple(masks)
-        family = _family_int(self.masks)
         holding = [family & lane for lane in _element_lanes(n)]
         # cooc[e][f]: bases holding both e and f; the diagonal is the degree
         self.cooc = [[(he & hf).bit_count() for hf in holding] for he in holding]
@@ -303,8 +305,12 @@ class _Search:
                     parent[rb] = ra
 
 
-def canonical_labeling(n: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (canonical mask family, order), where order[pos] = element.
+def canonical_labeling(
+    n: int, masks, family: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Return (canonical mask family, order), where order[pos] = element,
+    for the family given both as its masks and as its family int (see
+    :func:`_family_int`).
 
     Relabelling the family through the order and sorting yields the first
     component.  Two families give equal canonical masks iff some bijection
@@ -315,15 +321,16 @@ def canonical_labeling(n: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]
         return masks, ()
     if len(masks) == comb(n, masks[0].bit_count()):
         return masks, tuple(range(n))
-    search = _Search(n, masks)
+    search = _Search(n, masks, family)
     search.run()
     # the profile at the last position is the family relabelled through
     # the order of the best leaf
     return search.best_prof[-1], search.best_leaves[0]
 
 
-def automorphism_group(n: int, masks) -> set[tuple[int, ...]]:
-    """Full automorphism group as permutation tuples (p[e] = image of e).
+def automorphism_group(n: int, masks, family: int) -> set[tuple[int, ...]]:
+    """Full automorphism group as permutation tuples (p[e] = image of e),
+    of the family given as its masks and its family int.
 
     The group is closed under composition from what the labeling search
     absorbs: the transposition of each element with the least member of
@@ -349,7 +356,7 @@ def automorphism_group(n: int, masks) -> set[tuple[int, ...]]:
         return {()}
     if n <= 9 and len(masks) == comb(n, masks[0].bit_count()):
         return set(itertools.permutations(range(n)))
-    search = _Search(n, masks)
+    search = _Search(n, masks, family)
     bound = prod(factorial(search.clone.count(c)) for c in set(search.clone))
     if bound > factorial(9):
         raise ValueError(f"automorphism group on {n} elements has at least "

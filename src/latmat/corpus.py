@@ -342,7 +342,7 @@ def _first_of_each_class(
         if c is None and p is not None:
             c = dual_class.get(classes[p])
         if c is None:
-            relabelled = (M.n, _degree_sorted_family(*family))
+            relabelled = (M.n, _degree_sorted_family(M.n, M._family))
             c = relabelled_class.get(relabelled)
             if c is None:
                 bucket = buckets.setdefault(M.degree_key, [])

@@ -1,6 +1,9 @@
 """Finite matroids as explicit basis families on ground sets {0, ..., n-1}.
 
-Bases are stored internally as integer bitmasks (bit i = element i); every
+Bases are stored once, as the sorted tuple ``Matroid.basis_masks`` of
+integer bitmasks (bit i = element i), and a matroid caches them as one
+family int (bit X set iff X is a basis), ``Matroid._family``, for the
+labeling search, clone steps and relabelling of :mod:`._canonical`; every
 rank, independence, circuit and closure query reads one derived table,
 ``Matroid.rank_table``, of which ``Matroid.indep_masks`` is a view.  Every
 operation is a pure function and every value is immutable after
@@ -212,7 +215,9 @@ class Matroid:
     Construct through :func:`from_bases` (validates the family through its
     rank table) or the internal :meth:`_from_masks` (trusted constructors).
     The constructor sorts the basis masks, so callers may pass them in any
-    order, but without duplicates.
+    order, but without duplicates.  The sorted tuple :attr:`basis_masks` is
+    the one stored copy of the bases; :attr:`_family` caches them as a
+    family int on first use.
     Rank, independence, circuit and closure queries read :attr:`rank_table`,
     of which :attr:`indep_masks` is a view.  Equality and hashing compare
     the labelled basis family, not isomorphism type.
@@ -224,7 +229,6 @@ class Matroid:
         mask_tuple = tuple(sorted(masks))
         self.n = n
         self.basis_masks = mask_tuple
-        self.mask_set = frozenset(mask_tuple)
         self.rank = mask_tuple[0].bit_count() if mask_tuple else 0
         self.full_mask = (1 << n) - 1
 
@@ -332,22 +336,31 @@ class Matroid:
         return self.num_bases, _degree_multiset(range(self.n), self.basis_masks)
 
     @cached_property
+    def _family(self) -> int:
+        """The bases as one family int, bit X set iff X is a basis
+        (:func:`_canonical._family_int`), for the labeling search, the clone
+        steps and the degree-sorted relabelling of the corpus."""
+        return _canonical._family_int(self.basis_masks)
+
+    @cached_property
     def _canon(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _canonical.canonical_labeling(self.n, self.basis_masks)
+        return _canonical.canonical_labeling(
+            self.n, self.basis_masks, self._family
+        )
 
     @cached_property
     def _clone_steps(self) -> tuple[tuple[int, int], ...]:
         """Clone steps of the bases (:func:`_canonical._clone_steps`), for the
         order walk, the minor search and the catalog-minors corpus."""
-        return _canonical._clone_steps(self.n, self.basis_masks)
+        return _canonical._clone_steps(self.n, self._family)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matroid):
             return NotImplemented
-        return self.n == other.n and self.mask_set == other.mask_set
+        return self.n == other.n and self.basis_masks == other.basis_masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mask_set))
+        return hash((self.n, self.basis_masks))
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank}, bases={self.num_bases})"
@@ -783,7 +796,7 @@ def relax(M: Matroid, X: ElementSetLike) -> Matroid:
         raise NotCircuitHyperplane(f"{sorted(members(xm))} is not a circuit")
     if ranks[xm] != M.rank - 1 or _closure_mask(M, xm) != xm:
         raise NotCircuitHyperplane(f"{sorted(members(xm))} is not a hyperplane")
-    return Matroid._from_masks(M.n, M.mask_set | {xm})
+    return Matroid._from_masks(M.n, M.basis_masks + (xm,))
 
 
 # ---------------------------------------------------------------------------
@@ -839,9 +852,9 @@ def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
     out = {}
     for pos in range(M1.n):
         out[order1[pos]] = order2[pos]
-    assert frozenset(
-        mask_of(out[e] for e in _bits(b)) for b in M1.basis_masks
-    ) == M2.mask_set
+    assert tuple(
+        sorted(mask_of(out[e] for e in _bits(b)) for b in M1.basis_masks)
+    ) == M2.basis_masks
     return out
 
 
@@ -850,7 +863,7 @@ def automorphisms(M: Matroid) -> set[tuple[int, ...]]:
     with p[e] = image of e, closed from the generators the labeling search
     finds; :func:`_canonical.automorphism_group` gives the cost and when
     it raises ``ValueError``."""
-    return _canonical.automorphism_group(M.n, M.basis_masks)
+    return _canonical.automorphism_group(M.n, M.basis_masks, M._family)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +895,7 @@ def matroid_to_text(M: Matroid) -> str:
     head = f"MATROID {n} {r}\n"
     if not r:
         return head
-    bases = M.mask_set
+    bases = set(M.basis_masks)
     return head + "".join(
         line for line, mask in _basis_lines(n, r).items() if mask in bases
     )

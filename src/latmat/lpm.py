@@ -27,6 +27,7 @@ and ``verify_excluded_minor`` checks a catalog member with the oracle.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -64,14 +65,25 @@ class NotConnected(MatroidError):
     pass
 
 
+def _index(value, what: str) -> int:
+    """`value` as an int through ``operator.index``, else a MatroidError
+    naming it as `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MatroidError(f"{what} {value!r} is not an int") from None
+
+
 @dataclass(frozen=True)
 class IntervalPresentation:
     """r intervals of positions over a path order of n elements.
 
     ``order[p]`` is the element at position p (identity when omitted);
     ``intervals[i] = (a_i, b_i)`` are 0-based positions with a_i <= b_i and
-    both endpoint sequences strictly increasing.  Raises GroundTooLarge past
-    ``MAX_GROUND`` elements, like every other matroid constructor.
+    both endpoint sequences strictly increasing.  Every value must be an
+    int (``operator.index``), else MatroidError names it.  Raises
+    GroundTooLarge past ``MAX_GROUND`` elements, like every other matroid
+    constructor.
     """
 
     n: int
@@ -79,16 +91,18 @@ class IntervalPresentation:
     order: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "ground size"))
         if self.n < 0:
             raise MatroidError(f"negative ground size n={self.n}")
         if self.n > MAX_GROUND:
             raise GroundTooLarge(f"n={self.n} exceeds the cap of {MAX_GROUND}")
-        object.__setattr__(
-            self, "order", tuple(int(e) for e in self.order or range(self.n))
-        )
-        object.__setattr__(
-            self, "intervals", tuple((int(a), int(b)) for a, b in self.intervals)
-        )
+        object.__setattr__(self, "order", tuple(
+            _index(e, "order element") for e in self.order or range(self.n)
+        ))
+        object.__setattr__(self, "intervals", tuple(
+            (_index(a, "interval endpoint"), _index(b, "interval endpoint"))
+            for a, b in self.intervals
+        ))
         if sorted(self.order) != list(range(self.n)):
             raise MatroidError("order is not a permutation of 0..n-1")
         prev_a, prev_b = -1, -1
@@ -104,7 +118,12 @@ class IntervalPresentation:
         return len(self.intervals)
 
     def position_of(self, element: int) -> int:
-        return self.order.index(element)
+        try:
+            return self.order.index(element)
+        except ValueError:
+            raise MatroidError(
+                f"element {element!r} is not in the ground set 0..{self.n - 1}"
+            ) from None
 
     def reversed(self) -> "IntervalPresentation":
         n = self.n
@@ -190,9 +209,13 @@ def contract_presentation(P: IntervalPresentation, y: int) -> IntervalPresentati
     return IntervalPresentation(P.n - 1, tuple(ivs), new_order)
 
 
-def _delete_first(P: IntervalPresentation) -> IntervalPresentation:
+def _delete_first(P: IntervalPresentation, end: str) -> IntervalPresentation:
+    """Delete P's first element, the `end` ("first" or "last") element of
+    the presentation the caller was asked about, which errors name."""
+    if not P.n:
+        raise LoopDeletion(f"an empty presentation has no {end} element")
     if P.rank == 0 or P.intervals[0][0] != 0:
-        raise LoopDeletion("first element is a loop")
+        raise LoopDeletion(f"{end} element {P.order[0]} is a loop")
     y = P.order[0]
     if P.intervals[0] == (0, 0):
         ivs = tuple((a - 1, b - 1) for a, b in P.intervals[1:])
@@ -207,9 +230,9 @@ def _delete_first(P: IntervalPresentation) -> IntervalPresentation:
 def delete_terminal_presentation(P: IntervalPresentation, end: str) -> IntervalPresentation:
     """Presentation of the deletion of the first or last (non-loop) element."""
     if end == "first":
-        return _delete_first(P)
+        return _delete_first(P, end)
     if end == "last":
-        return _delete_first(P.reversed()).reversed()
+        return _delete_first(P.reversed(), end).reversed()
     raise ValueError(f"end must be 'first' or 'last', got {end!r}")
 
 

@@ -72,7 +72,7 @@ class MinorWitness:
         mapped = frozenset(
             sum(1 << self.iso[e] for e in b) if b else 0 for b in got.bases
         )
-        return mapped == pattern.mask_set
+        return mapped == frozenset(pattern.basis_masks)
 
 
 def has_minor(

@@ -59,7 +59,7 @@ from util import (
 def brute_isomorphic(M1, M2) -> bool:
     if (M1.n, M1.rank, M1.num_bases) != (M2.n, M2.rank, M2.num_bases):
         return False
-    target = M2.mask_set
+    target = frozenset(M2.basis_masks)
     for perm in itertools.permutations(range(M1.n)):
         mapped = frozenset(
             sum(1 << perm[e] for e in b) if b else 0 for b in M1.bases
@@ -75,7 +75,7 @@ def brute_automorphisms(M) -> set[tuple[int, ...]]:
         mapped = frozenset(
             sum(1 << perm[e] for e in b) if b else 0 for b in M.bases
         )
-        if mapped == M.mask_set:
+        if mapped == frozenset(M.basis_masks):
             out.add(perm)
     return out
 
@@ -181,7 +181,7 @@ def test_canonical_form_distinguishes_degree_twins():
 
     def meets(M):
         missing = [mask_of(c) for c in itertools.combinations(range(8), 3)
-                   if mask_of(c) not in M.mask_set]
+                   if mask_of(c) not in frozenset(M.basis_masks)]
         return sorted(sum(1 for g in missing if g != h and g & h)
                       for h in missing)
 
@@ -212,7 +212,7 @@ def test_search_tables_match_first_principles(small_corpus):
     fixing it compose, so this relation is already transitive)."""
     pool = list(small_corpus) + [e.matroid for e in catalog_up_to(8)]
     for M in pool:
-        search = _Search(M.n, M.basis_masks)
+        search = _Search(M.n, M.basis_masks, M._family)
         for e in range(M.n):
             assert search.deg[e] == sum(1 for b in M.bases if e in b)
             for f in range(M.n):
@@ -244,7 +244,7 @@ def test_clone_classes_match_swap_test(small_corpus):
         ], M
         nontrivial += got != list(range(M.n))
         if M.n <= 8:
-            steps = _clone_steps(M.n, M.basis_masks)
+            steps = _clone_steps(M.n, M._family)
             for s in range(1 << M.n):
                 assert _clone_minimal(s, steps) == is_clone_minimal(
                     ref, set(_bits(s))
@@ -270,11 +270,12 @@ def test_degree_sorted_family_matches_reference():
     assert max(M.n for M in pool) == 12
     moved = 0
     for M in pool:
-        masks = family_masks(M.n, _degree_sorted_family(M.n, M.basis_masks))
+        family = _degree_sorted_family(M.n, M._family)
+        masks = family_masks(M.n, family)
         assert masks == brute_degree_sorted_masks(M.n, M.basis_masks), M
         degrees = [sum((b >> e) & 1 for b in masks) for e in range(M.n)]
         assert degrees == sorted(degrees), M
-        assert canonical_labeling(M.n, masks)[0] == M._canon[0], M
+        assert canonical_labeling(M.n, masks, family)[0] == M._canon[0], M
         moved += tuple(masks) != M.basis_masks
     assert moved >= 500
 
@@ -302,7 +303,9 @@ def test_labeling_and_groups_match_reference(small_corpus):
     )
     for M in pool:
         masks = M.basis_masks
-        assert canonical_labeling(M.n, masks) == brute_canonical_labeling(
+        assert canonical_labeling(
+            M.n, masks, M._family
+        ) == brute_canonical_labeling(
             M.n, masks
         ), M
     grouped = (
@@ -313,7 +316,9 @@ def test_labeling_and_groups_match_reference(small_corpus):
     )
     for M in grouped:
         masks = M.basis_masks
-        assert automorphism_group(M.n, masks) == brute_automorphism_group(
+        assert automorphism_group(
+            M.n, masks, M._family
+        ) == brute_automorphism_group(
             M.n, masks
         ), M
 
@@ -334,7 +339,7 @@ def test_group_orders_of_the_largest_catalog_members():
         group = automorphisms(M)
         assert len(group) == orders[e.name], e.name
         for p in sorted(group)[::1000]:
-            assert M.mask_set == frozenset(
+            assert frozenset(M.basis_masks) == frozenset(
                 sum(1 << p[x] for x in _bits(b)) for b in M.basis_masks
             ), (e.name, p)
         seen.add(e.name)

@@ -45,7 +45,7 @@ def count_labelings(monkeypatch) -> list[int]:
     real = _canonical.canonical_labeling
     monkeypatch.setattr(
         _canonical, "canonical_labeling",
-        lambda n, masks: labelled.append(n) or real(n, masks),
+        lambda n, masks, family: labelled.append(n) or real(n, masks, family),
     )
     return labelled
 
@@ -299,7 +299,7 @@ def _twin_items():
     assert len({(M.n, M.basis_masks) for M in primals}) == 4
     # a' and b relabel by degree to new families, so only the buckets can
     # place them, b against the bucket's second class
-    assert len({_canonical._degree_sorted_family(M.n, M.basis_masks)
+    assert len({_canonical._degree_sorted_family(M.n, M._family)
                 for M in primals}) == 4
     return ([("primal", M) for M in primals]
             + [("dual", dual(M)) for M in primals])
@@ -331,7 +331,7 @@ def test_relabelled_copy_is_dropped_unlabelled(monkeypatch):
     both are kept."""
     a, _ = degree_twins()
     a1 = _twin_items()[2][1]  # a relabelled
-    relabelled = _canonical._degree_sorted_family(a.n, a1.basis_masks)
+    relabelled = _canonical._degree_sorted_family(a.n, a1._family)
     a2 = Matroid._from_masks(a.n, family_masks(a.n, relabelled))
     assert len({a.basis_masks, a1.basis_masks, a2.basis_masks}) == 3
     raw = [("a'", a1), ("a", a), ("a''", a2),

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmat import corpus, kernel, lpm
-from latmat.catalog import a_n, catalog_up_to
+from latmat.catalog import a_n, catalog_up_to, wheel3
 from latmat.kernel import (
     MAX_GROUND,
     AxiomViolation,
@@ -507,6 +508,30 @@ def test_text_roundtrip():
         assert matroid_from_text(text) == M
         # canonical: re-serialization is identical
         assert matroid_to_text(matroid_from_text(text)) == text
+
+
+def test_equality_and_hash_read_the_labelled_family():
+    """Equal matroids hash alike however their family was given: shuffled,
+    as element sets or through the text format.  The ground size counts:
+    one loop and two loops have the same bases.  A relaxation equals the
+    matroid built from its bases."""
+    rng = random.Random(7)
+    pool = [e.matroid for e in catalog_up_to(12)] + [uniform(0, 3)]
+    for M in pool:
+        masks = list(M.basis_masks)
+        rng.shuffle(masks)
+        copies = (
+            from_bases(M.n, masks),
+            from_bases(M.n, [kernel.members(b) for b in masks]),
+            matroid_from_text(matroid_to_text(M)),
+        )
+        for copy in copies:
+            assert copy == M and hash(copy) == hash(M), M
+    loop, loops = uniform(0, 1), uniform(0, 2)
+    assert loop.basis_masks == loops.basis_masks == (0,)
+    assert loop != loops
+    W = wheel3()
+    assert relax(W, (0, 1, 2)) == from_bases(W.n, [*W.bases, {0, 1, 2}])
 
 
 def test_text_comments_and_blanks():

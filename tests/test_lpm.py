@@ -84,6 +84,19 @@ def test_presentation_validation():
         IntervalPresentation(-1, ())
 
 
+def test_presentation_rejects_values_that_are_not_ints():
+    """Floats and strings are refused, not truncated or parsed, and an
+    element outside the ground set is named."""
+    with pytest.raises(MatroidError, match="interval endpoint 0.9 is not an int"):
+        IntervalPresentation(2, ((0.9, 1.7),))
+    with pytest.raises(MatroidError, match="order element '2' is not an int"):
+        IntervalPresentation(3, ((0, 1),), ("2", "0", "1"))
+    with pytest.raises(MatroidError, match="ground size 2.0 is not an int"):
+        IntervalPresentation(2.0, ((0, 1),))
+    with pytest.raises(MatroidError, match="element 5 is not in the ground set"):
+        contract_presentation(IntervalPresentation(3, ((0, 1),)), 5)
+
+
 def test_presentation_order_is_a_tuple():
     P = IntervalPresentation(3, [[0, 1]], [0, 1, 2])
     assert P.order == (0, 1, 2) and P.intervals == ((0, 1),)
@@ -259,11 +272,16 @@ def test_delete_last_mirror_rule():
 
 
 def test_delete_terminal_loop():
-    P = IntervalPresentation(4, ((1, 2),))
-    with pytest.raises(LoopDeletion):
+    """The error names the end asked for and the loop's label."""
+    P = IntervalPresentation(4, ((1, 2),), (3, 1, 2, 0))
+    with pytest.raises(LoopDeletion, match="^first element 3 is a loop$"):
         delete_terminal_presentation(P, "first")
-    with pytest.raises(LoopDeletion):
+    with pytest.raises(LoopDeletion, match="^last element 0 is a loop$"):
         delete_terminal_presentation(P, "last")
+    with pytest.raises(LoopDeletion, match="^last element 2 is a loop$"):
+        delete_terminal_presentation(IntervalPresentation(3, ((0, 1),)), "last")
+    with pytest.raises(LoopDeletion, match="^an empty presentation has no last"):
+        delete_terminal_presentation(IntervalPresentation(0, ()), "last")
 
 
 # --- fundamental flats from endpoints ------------------------------------------

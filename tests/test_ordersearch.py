@@ -180,7 +180,7 @@ def test_lower_clones_match_reference_classes(small_corpus):
     with_clones = 0
     for M in hosts:
         lower = [0] * M.n
-        for upper, low in _clone_steps(M.n, M.basis_masks):
+        for upper, low in _clone_steps(M.n, M._family):
             lower[upper.bit_length() - 1] = low
         assert lower == _reference_lower_clones(M), M
         with_clones += any(lower)

@@ -4,12 +4,13 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.  Six
+only for a hook is the one import the package may leave unused.  Seven
 more tests pin the package's structure: every import sits at module level,
 one cached list gives every r-subset family, only ``kernel`` and ``flats``
 read the byte-lane helpers, the internal import graph has no cycle, the
-oracle's scan imports nothing from the package, and it takes the basis
-count rather than the bases.
+oracle's scan imports nothing from the package, it takes the basis count
+rather than the bases, and a matroid stores its bases once and builds its
+family int in one place.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import pytest
 
 import latmat
 from latmat.catalog import wheel3
+from latmat.kernel import from_bases, uniform
 from latmat.ordersearch import scan_path_orders
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -257,3 +259,38 @@ def test_oracle_scan_takes_the_basis_count():
     assert tuple(inspect.signature(scan_path_orders).parameters) == (
         "n", "num_bases", "rank_table", "clone_steps",
     )
+
+
+def _scopes_calling(node: ast.AST, scope: str, name: str) -> set[str]:
+    """The dotted scopes under `node` that call `name`, bare or as an
+    attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    func = node.func if isinstance(node, ast.Call) else None
+    here = (isinstance(func, ast.Name) and func.id == name) or (
+        isinstance(func, ast.Attribute) and func.attr == name
+    )
+    found = {scope} if here else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _scopes_calling(child, scope, name)
+    return found
+
+
+def test_one_copy_of_the_bases_and_one_family_int_builder():
+    """A matroid stores its bases once, as the sorted ``basis_masks``, with
+    no set of them beside it, and the family int the labeling search, the
+    clone steps and the corpus relabelling read is built only by
+    ``kernel``: cached per matroid as ``Matroid._family``, and per size as
+    ``_size_family``."""
+    for M in (from_bases(3, [{0, 1}, {0, 2}]), uniform(2, 4), wheel3()):
+        held = {
+            name for name, value in vars(M).items()
+            if isinstance(value, (set, frozenset))
+        }
+        assert held == set(), held
+    scopes = set()
+    for path in sorted(Path(latmat.__file__).parent.glob("*.py")):
+        scopes |= _scopes_calling(
+            ast.parse(path.read_text()), path.stem, "_family_int"
+        )
+    assert scopes == {"kernel.Matroid._family", "kernel._size_family"}
