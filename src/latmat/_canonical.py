@@ -21,7 +21,14 @@ computed form, only the work done.
 
 There is one search: the automorphism group is closed from what it
 absorbs, the clone transpositions and the automorphisms found at the
-leaves (see ``automorphism_group``).
+leaves (see ``automorphism_group``), and an isomorphism test runs it
+toward a target (see ``order_onto``).  The best profile at depth d is the
+profile of the best leaf there, so it is the canonical masks truncated to
+their low d + 1 bits and sorted: a family's canonical masks fix its whole
+sequence of best profiles.  Run toward another family's canonical masks,
+the search cuts worse profiles as always, stops at the first better one,
+which no isomorphic family has, and returns the first leaf that matches
+them all, which is the leaf its full labeling would pick.
 
 Every entry point takes the family as one int with a bit per subset (see
 ``_family_int``), which ``Matroid._family`` builds once per matroid, and
@@ -71,14 +78,11 @@ def _family_int(masks) -> int:
     return family
 
 
-def _degree_sorted_family(n: int, family: int) -> int:
+def _relabelled_family(n: int, family: int, order) -> int:
     """The family int `family` (see :func:`_family_int`) relabelled so
-    that basis degrees ascend, ties kept in label order.
+    that element ``order[pos]`` becomes pos.
 
-    The relabelling is a bijection of the ground set, so families with
-    equal results are isomorphic; isomorphic families need not give equal
-    results, since the order of elements of equal degree depends on the
-    labels.  It is applied as at most n - 1 transpositions (a selection
+    The relabelling is applied as at most n - 1 transpositions (a selection
     sort of the positions), each a lane shift with the test of
     :func:`_clone_classes`: swapping e < f fixes the sets holding both or
     neither, moves those holding e but not f up by 2^f - 2^e and those
@@ -86,9 +90,8 @@ def _degree_sorted_family(n: int, family: int) -> int:
     the number of sets.
     """
     lanes = _element_lanes(n)
-    degree = [(family & lane).bit_count() for lane in lanes]
     at = list(range(n))  # at[pos]: the element now labelled pos
-    for e, x in enumerate(sorted(range(n), key=degree.__getitem__)):
+    for e, x in enumerate(order):
         f = at.index(x)
         if f == e:
             continue
@@ -102,6 +105,20 @@ def _degree_sorted_family(n: int, family: int) -> int:
         )
         at[e], at[f] = x, at[e]
     return family
+
+
+def _degree_sorted_family(n: int, family: int) -> int:
+    """The family int `family` (see :func:`_family_int`) relabelled so
+    that basis degrees ascend, ties kept in label order
+    (:func:`_relabelled_family`).
+
+    The relabelling is a bijection of the ground set, so families with
+    equal results are isomorphic; isomorphic families need not give equal
+    results, since the order of elements of equal degree depends on the
+    labels.
+    """
+    degree = [(family & lane).bit_count() for lane in _element_lanes(n)]
+    return _relabelled_family(n, family, sorted(range(n), key=degree.__getitem__))
 
 
 def _clone_classes(holding: list[int]) -> list[int]:
@@ -152,9 +169,18 @@ def _clone_minimal(mask: int, steps: tuple[tuple[int, int], ...]) -> bool:
 class _Search:
     """The labeling search on the family given as its masks and as its
     family int (see :func:`_family_int`), which set-up reads for the
-    co-occurrence table and the clone classes."""
+    co-occurrence table and the clone classes.
 
-    def __init__(self, n: int, masks, family: int):
+    With a `target`, the canonical masks of a family, the search runs
+    toward it instead: the best profile at depth d is the target truncated
+    to its low d + 1 bits, sorted (the profile of a leaf at depth d is the
+    family it relabels to, so truncated), a worse profile is cut as
+    always, and the search is ``done`` at the first better profile, which
+    proves the family is not isomorphic to the target's, or at the first
+    leaf, which is the full search's first best leaf.
+    """
+
+    def __init__(self, n: int, masks, family: int, target=None):
         self.n = n
         self.masks = tuple(masks)
         holding = [family & lane for lane in _element_lanes(n)]
@@ -167,6 +193,13 @@ class _Search:
         self.best_prof: list[tuple[int, ...]] = []
         self.best_leaves: list[tuple[int, ...]] = []
         self.order: list[int] = []
+        self.targeted = target is not None
+        self.done = False
+        if self.targeted:
+            self.best_prof = [
+                tuple(sorted([m & ((2 << d) - 1) for m in target]))
+                for d in range(n)
+            ]
 
     def refine(self, cells: list[list[int]], key) -> list[list[int]]:
         """Split every cell by ``key[x]``, then round after round by each
@@ -222,7 +255,8 @@ class _Search:
     def _admit(self, depth: int, e: int, part: list[int]) -> list[int] | None:
         """``part`` with e placed at position ``depth``, or None when the
         sorted profile of the result is worse than the best branch's at this
-        depth.  A better profile makes this branch the best one."""
+        depth.  A better profile makes this branch the best one, or, toward
+        a target, ends the search."""
         bit = 1 << depth
         newpart = [
             p | bit if m >> e & 1 else p for m, p in zip(self.masks, part)
@@ -234,6 +268,9 @@ class _Search:
             if prof > ref:
                 return None
             if prof < ref:
+                if self.targeted:
+                    self.done = True
+                    return None
                 del best[depth:]
                 best.append(prof)
                 self.best_leaves.clear()
@@ -257,6 +294,8 @@ class _Search:
         root_done: list[int] = []
 
         for e in candidates.values():
+            if self.done:
+                return
             if at_root:
                 if any(_find(root_orbit, e) == _find(root_orbit, p)
                        for p in root_done):
@@ -287,6 +326,7 @@ class _Search:
             depth += 1
         else:
             self.best_leaves.append(tuple(order))
+            self.done = self.targeted
         del order[start:]
 
     def _absorb_autos(self, parent: list[int]) -> None:
@@ -326,6 +366,26 @@ def canonical_labeling(
     # the profile at the last position is the family relabelled through
     # the order of the best leaf
     return search.best_prof[-1], search.best_leaves[0]
+
+
+def order_onto(n: int, masks, family: int, target) -> tuple[int, ...] | None:
+    """An order (order[pos] = element) relabelling the family, given as
+    its masks and its family int, onto `target`, the canonical masks of a
+    family on the same n elements with as many sets, or None when the two
+    families are not isomorphic.
+
+    The order is the one :func:`canonical_labeling` would return: the
+    search runs toward the target (see :class:`_Search`) with the same
+    refinement, clone collapsing and root orbits, so the first leaf it
+    reaches is the full search's first best leaf, and nothing is labelled
+    in full.  Uniform and empty families get the identity, as there.
+    """
+    masks = tuple(sorted(masks))
+    if n == 0 or len(masks) == comb(n, masks[0].bit_count()):
+        return tuple(range(n)) if masks == tuple(target) else None
+    search = _Search(n, masks, family, target)
+    search.run()
+    return search.best_leaves[0] if search.best_leaves else None
 
 
 def automorphism_group(n: int, masks, family: int) -> set[tuple[int, ...]]:

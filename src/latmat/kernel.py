@@ -840,21 +840,30 @@ def canonical_form(M: Matroid) -> bytes:
 
 
 def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
-    """A bijection M1 -> M2 carrying bases to bases, or None."""
-    # the key fixes n (the degrees' count) and the rank (their sum / |B|)
+    """A bijection M1 -> M2 carrying bases to bases, or None.
+
+    Unequal degree keys refuse unlabelled.  Otherwise only M2 is labelled
+    (its cached ``_canon``, so a shared catalog pattern is labelled once
+    per process), and M1's search runs toward M2's canonical masks
+    (:func:`_canonical.order_onto`).  It stops at the first better profile
+    with None, or at the first leaf reaching them, which is the leaf M1's
+    own labeling would pick, so the bijection maps M1's canonical order
+    onto M2's position by position, as comparing both labelings would.
+    """
+    # the key fixes n (the degrees' count) and the rank (their sum / |B|),
+    # so equal keys make both sides uniform, or both empty, or neither
     if M1.degree_key != M2.degree_key:
         return None
-    if canonical_form(M1) != canonical_form(M2):
+    canon2, order2 = M2._canon
+    order1 = _canonical.order_onto(M1.n, M1.basis_masks, M1._family, canon2)
+    if order1 is None:
         return None
-    _, order1 = M1._canon
-    _, order2 = M2._canon
-    # order[pos] = element; both relabelings reach the same canonical family
-    out = {}
-    for pos in range(M1.n):
-        out[order1[pos]] = order2[pos]
-    assert tuple(
-        sorted(mask_of(out[e] for e in _bits(b)) for b in M1.basis_masks)
-    ) == M2.basis_masks
+    # order[pos] = element; both orders relabel onto the same canonical family
+    out = dict(zip(order1, order2))
+    onto = [0] * M1.n  # onto[f]: the element of M1 mapped to f
+    for e, f in out.items():
+        onto[f] = e
+    assert _canonical._relabelled_family(M1.n, M1._family, onto) == M2._family
     return out
 
 

@@ -74,16 +74,26 @@ def _index(value, what: str) -> int:
         raise MatroidError(f"{what} {value!r} is not an int") from None
 
 
+def _interval(value) -> tuple[int, int]:
+    """`value` as a pair of ints (see :func:`_index`), else a MatroidError
+    naming it."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise MatroidError(f"interval {value!r} is not a pair") from None
+    return _index(a, "interval endpoint"), _index(b, "interval endpoint")
+
+
 @dataclass(frozen=True)
 class IntervalPresentation:
     """r intervals of positions over a path order of n elements.
 
     ``order[p]`` is the element at position p (identity when omitted);
     ``intervals[i] = (a_i, b_i)`` are 0-based positions with a_i <= b_i and
-    both endpoint sequences strictly increasing.  Every value must be an
-    int (``operator.index``), else MatroidError names it.  Raises
-    GroundTooLarge past ``MAX_GROUND`` elements, like every other matroid
-    constructor.
+    both endpoint sequences strictly increasing.  Every interval must be a
+    pair and every value an int (``operator.index``), else MatroidError
+    names it.  Raises GroundTooLarge past ``MAX_GROUND`` elements, like
+    every other matroid constructor.
     """
 
     n: int
@@ -99,10 +109,7 @@ class IntervalPresentation:
         object.__setattr__(self, "order", tuple(
             _index(e, "order element") for e in self.order or range(self.n)
         ))
-        object.__setattr__(self, "intervals", tuple(
-            (_index(a, "interval endpoint"), _index(b, "interval endpoint"))
-            for a, b in self.intervals
-        ))
+        object.__setattr__(self, "intervals", tuple(map(_interval, self.intervals)))
         if sorted(self.order) != list(range(self.n)):
             raise MatroidError("order is not a permutation of 0..n-1")
         prev_a, prev_b = -1, -1

@@ -4,22 +4,25 @@
 splits of the right co-size with an independent contract set and a
 coindependent delete set (read off the host's bases grouped by trace),
 prunes by basis count and degree multiset, builds only the splits that
-pass, and certifies hits with an explicit bijection.  It walks only the
-clone-minimal splits: clones are elements whose swap fixes the host's
-bases (:func:`_canonical._clone_classes`), and a split whose removed or
-contract set holds some element without its next-lower clone is skipped.
-Swapping clones maps a split to one with an isomorphic minor, and trading
-a clone for a lower one gives a set earlier in the walk, so the first
-split exposing each pattern is clone-minimal and every witness is the one
-the full walk finds.  ``find_catalog_minor``
-makes one pass per catalog size, smallest first, on each connected
-component of at least 6 elements, read from the matroid's cached
-decomposition (``Matroid._parts``), which the oracle and the structural
-recognizer read too.  Keys and clone steps are cached on the
-matroids (``Matroid.degree_key``, ``Matroid._clone_steps``): the catalog
-members are shared objects, built once per size, so each pattern is keyed
-once per process, and a component's clone steps serve every catalog size
-and the oracle's order walk (``lpm.find_path_order``) on the same part.
+pass, and certifies hits with an explicit bijection, found by running
+the built minor's labeling search toward the pattern's cached labeling
+(:func:`kernel.is_isomorphic`), so no minor is labelled in full.  It
+walks only the clone-minimal splits: clones are elements whose swap
+fixes the host's bases (:func:`_canonical._clone_classes`), and a split
+whose removed or contract set holds some element without its next-lower
+clone is skipped.  Swapping clones maps a split to one with an
+isomorphic minor, and trading a clone for a lower one gives a set
+earlier in the walk, so the first split exposing each pattern is
+clone-minimal and every witness is the one the full walk finds.
+``find_catalog_minor`` makes one pass per catalog size, smallest first,
+on each connected component of at least 6 elements, read from the
+matroid's cached decomposition (``Matroid._parts``), which the oracle
+and the structural recognizer read too.  Keys and clone steps are cached
+on the matroids (``Matroid.degree_key``, ``Matroid._clone_steps``): the
+catalog members are shared objects, built once per size, so each pattern
+is keyed once per process and labelled at most once, and a component's
+clone steps serve every catalog size and the oracle's order walk
+(``lpm.find_path_order``) on the same part.
 """
 
 from __future__ import annotations
@@ -91,7 +94,9 @@ def has_minor(
     r(host) - r.  A split whose basis count and degree multiset match an
     open pattern's key (``Matroid.degree_key``, cached on each pattern, so
     a shared catalog member is keyed once) is built and tested with
-    ``is_isomorphic``, whose bijection a hit carries.  The witness is
+    ``is_isomorphic``, whose bijection a hit carries: the minor's search
+    runs toward the pattern's labeling, which is cached on the pattern,
+    so a shared catalog member is labelled once too.  The witness is
     the first split exposing the earliest pattern that has any, so a hit
     retires every later pattern and the pass ends when the first one hits.
     Its ``pattern_name`` is "?" for one pattern, else the exposed pattern's

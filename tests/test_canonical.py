@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from latmat import _canonical
 from latmat._canonical import (
     _clone_classes,
     _clone_minimal,
@@ -34,6 +35,8 @@ from latmat.corpus import (
 from latmat.kernel import (
     Matroid,
     _bits,
+    _sparse_paving,
+    _subset_masks,
     automorphisms,
     canonical_form,
     dual,
@@ -53,6 +56,7 @@ from util import (
     degree_twins,
     family_masks,
     is_clone_minimal,
+    labeling_is_isomorphic,
 )
 
 
@@ -190,11 +194,110 @@ def test_canonical_form_distinguishes_degree_twins():
 
 
 def test_is_isomorphic_labels_only_on_equal_degree_keys(monkeypatch):
+    """Unequal keys label nothing; equal keys label the second side only,
+    and the first side's search runs toward it."""
     labelled = count_labelings(monkeypatch)
     assert is_isomorphic(*near_twins()) is None
     assert labelled == []
     assert is_isomorphic(*degree_twins()) is None
-    assert labelled == [8, 8]
+    assert labelled == [8]
+
+
+def _shuffled(M, rng):
+    """A fresh copy of M relabelled by a seeded permutation."""
+    perm = list(range(M.n))
+    for i in range(M.n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Matroid._from_masks(
+        M.n, [mask_of(perm[e] for e in _bits(b)) for b in M.basis_masks]
+    )
+
+
+def iso_items(iso):
+    """A bijection's pairs in insertion order, the order it prints in."""
+    return None if iso is None else list(iso.items())
+
+
+def sparse_paving_key_twins() -> list[tuple[Matroid, Matroid]]:
+    """Ordered pairs of non-isomorphic matroids with equal degree keys:
+    U3,8 and U3,9 less 3 to 6 circuit-hyperplanes drawn by a seeded rng,
+    one matroid per canonical form within each key."""
+    rng = SplitMix64(99)
+    classes: dict = {}
+    for n in (8, 9):
+        triples = _subset_masks(n, 3)
+        for k in (3, 4, 5, 6):
+            for _ in range(40):
+                chosen = []
+                for _ in range(40):
+                    t = triples[rng.randrange(len(triples))]
+                    if all((t & c).bit_count() <= 1 for c in chosen):
+                        chosen.append(t)
+                    if len(chosen) == k:
+                        break
+                M = _sparse_paving(n, 3, chosen)
+                key = classes.setdefault(M.degree_key, {})
+                key.setdefault(canonical_form(M), M)
+    return [
+        pair for key in classes.values()
+        for pair in itertools.permutations(key.values(), 2)
+    ]
+
+
+def test_is_isomorphic_matches_labeling_reference(small_corpus):
+    """The targeted search gives the bijection, or None, of comparing both
+    full labelings: on every same-size pair of catalog members up to 12
+    elements and each member against seeded relabellings, the small corpus
+    against seeded relabellings and within each degree key, and the near,
+    degree and sparse paving key twins, all in both orders."""
+    rng = SplitMix64(3712)
+    catalog = [e.matroid for e in catalog_up_to(12)]
+    pairs = [(a, b) for a in catalog for b in catalog if a.n == b.n]
+    for M in catalog + list(small_corpus):
+        copy = _shuffled(M, rng)
+        pairs += [(M, copy), (copy, M), (copy, _shuffled(M, rng))]
+    by_key: dict = {}
+    for M in small_corpus:
+        by_key.setdefault(M.degree_key, []).append(M)
+    pairs += [
+        (a, b) for group in by_key.values() for a in group for b in group
+        if a is not b
+    ]
+    for twins in (near_twins(), degree_twins()):
+        pairs += [twins, twins[::-1]]
+    pairs += sparse_paving_key_twins()
+    hits = misses = 0
+    for M1, M2 in pairs:
+        want = labeling_is_isomorphic(M1, M2)
+        assert iso_items(is_isomorphic(M1, M2)) == iso_items(want), (M1, M2)
+        if want is None and M1.degree_key == M2.degree_key:
+            misses += 1
+        hits += want is not None
+    assert hits >= 600 and misses >= 100
+
+
+def test_targeted_miss_and_hits_label_nothing_more(monkeypatch):
+    """With the second side labelled, a miss on the degree twins labels
+    nothing and returns None, and a hit labels nothing either."""
+    a, b = degree_twins()
+    b._canon
+    labelled = count_labelings(monkeypatch)
+    assert is_isomorphic(a, b) is None
+    assert is_isomorphic(_shuffled(b, SplitMix64(5)), b) is not None
+    assert labelled == []
+
+
+def test_uniform_and_empty_pairs_map_by_the_identity():
+    """Uniform and empty families take the identity, as their labelings
+    do; a uniform family relabels onto no other target of as many sets."""
+    for n, r in ((0, 0), (1, 0), (1, 1), (4, 2), (6, 3), (12, 6)):
+        assert is_isomorphic(uniform(r, n), uniform(r, n)) == {
+            e: e for e in range(n)
+        }
+    U14, U34 = uniform(1, 4), uniform(3, 4)
+    target = U34._canon[0]
+    assert _canonical.order_onto(4, U14.basis_masks, U14._family, target) is None
 
 
 def test_loop_and_coloop_heavy_inputs():

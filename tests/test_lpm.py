@@ -97,6 +97,15 @@ def test_presentation_rejects_values_that_are_not_ints():
         contract_presentation(IntervalPresentation(3, ((0, 1),)), 5)
 
 
+def test_presentation_rejects_intervals_that_are_not_pairs():
+    """A triple or a bare int where a pair belongs is named, not left to
+    fail as a bare unpacking error."""
+    with pytest.raises(MatroidError, match=r"interval \(0, 1, 2\) is not a pair"):
+        IntervalPresentation(3, ((0, 1, 2),))
+    with pytest.raises(MatroidError, match="interval 5 is not a pair"):
+        IntervalPresentation(3, (5,))
+
+
 def test_presentation_order_is_a_tuple():
     P = IntervalPresentation(3, [[0, 1]], [0, 1, 2])
     assert P.order == (0, 1, 2) and P.intervals == ((0, 1),)

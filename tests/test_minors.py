@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from latmat import _canonical, corpus, kernel
+from latmat import _canonical, corpus, kernel, minors
 from latmat.catalog import build_by_name, catalog_up_to, e_n, p_n, whirl3, wheel3
 from latmat.kernel import (
     GroundTooLarge,
@@ -36,6 +36,7 @@ from latmat.minors import (
     has_minor,
     is_lpm_via_excluded_minors,
 )
+from test_corpus import count_labelings
 from util import (
     brute_clone_classes,
     brute_find_catalog_minor,
@@ -43,6 +44,7 @@ from util import (
     brute_minor_masks,
     degree_twins,
     is_clone_minimal,
+    labeling_is_isomorphic,
     spanning_trees_k4,
 )
 
@@ -478,3 +480,37 @@ def test_catalog_keys_and_host_clone_steps_are_computed_once(monkeypatch):
 def test_has_minor_patterns_share_one_size():
     with pytest.raises(ValueError):
         has_minor(uniform(2, 6), uniform(2, 4), uniform(2, 5))
+
+
+REJECT_SPEC = "random-sparse-paving,duals-closure,count=300,max-n=8,seed=20261017"
+
+
+def test_minor_hits_take_the_labeling_reference_bijection(monkeypatch):
+    """Every (built minor, pattern) pair that passes ``has_minor``'s key
+    filter on the reject spec gets the bijection of comparing both full
+    labelings."""
+    pairs = []
+    real = minors.is_isomorphic
+    monkeypatch.setattr(
+        minors, "is_isomorphic",
+        lambda got, pattern: pairs.append((got, pattern)) or real(got, pattern),
+    )
+    hosts = corpus.generate(corpus.parse_corpus_spec(REJECT_SPEC))
+    assert sum(find_catalog_minor(M) is not None for M in hosts) == 44
+    assert len(pairs) == 50
+    for got, pattern in pairs:
+        iso = real(got, pattern)
+        want = labeling_is_isomorphic(got, pattern)
+        assert iso is not None and list(iso.items()) == list(want.items())
+
+
+def test_catalog_search_labels_nothing_once_patterns_are(monkeypatch):
+    """With the catalog's patterns labelled, the catalog search over the
+    reject spec's inputs labels nothing: each hit runs the minor's search
+    toward its pattern's labeling."""
+    for entry in catalog_up_to(8):
+        entry.matroid._canon
+    hosts = corpus.generate(corpus.parse_corpus_spec(REJECT_SPEC))
+    labelled = count_labelings(monkeypatch)
+    assert sum(find_catalog_minor(M) is not None for M in hosts) == 44
+    assert labelled == []

@@ -4,13 +4,14 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.  Seven
+only for a hook is the one import the package may leave unused.  Eight
 more tests pin the package's structure: every import sits at module level,
 one cached list gives every r-subset family, only ``kernel`` and ``flats``
 read the byte-lane helpers, the internal import graph has no cycle, the
 oracle's scan imports nothing from the package, it takes the basis count
-rather than the bases, and a matroid stores its bases once and builds its
-family int in one place.
+rather than the bases, a matroid stores its bases once and builds its
+family int in one place, and there is one labeling search, which an
+isomorphism test runs on one side toward the other side's labeling.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ def test_trace_hooks_count_every_layer():
         assert mods["lpm"].find_path_order(W) is None
         assert not mods["lpm"].is_lpm_char(W).verdict
         assert mods["minors"].find_catalog_minor(W) is not None
+        # a minor hit labels only the pattern, which an earlier test may
+        # have labelled already; W itself is fresh from the text
+        assert kernel.canonical_form(W) == kernel.canonical_form(wheel3())
         counts = tracer.counters()
     finally:
         tracer.uninstall()
@@ -294,3 +298,25 @@ def test_one_copy_of_the_bases_and_one_family_int_builder():
             ast.parse(path.read_text()), path.stem, "_family_int"
         )
     assert scopes == {"kernel.Matroid._family", "kernel._size_family"}
+
+
+def test_one_search_class_and_one_labelled_side():
+    """``_canonical`` defines one class, the labeling search, and
+    ``kernel.is_isomorphic`` reads the cached labeling ``_canon`` of its
+    second argument only: the first side's search runs toward it."""
+    package = Path(latmat.__file__).parent
+    tree = ast.parse((package / "_canonical.py").read_text())
+    assert [
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ] == ["_Search"]
+    tree = ast.parse((package / "kernel.py").read_text())
+    (func,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "is_isomorphic"
+    ]
+    readers = {
+        ast.unparse(node.value)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "_canon"
+    }
+    assert readers == {func.args.args[1].arg}

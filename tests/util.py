@@ -45,6 +45,10 @@ refined only against freshly split cells: every round recomputes each
 element's signature against every cell, every node down to the leaf
 refines and recurses, co-occurrences are counted basis by basis and the
 clone classes are the reference ones; it shares nothing with the package.
+The reference isomorphism test is the package's as it was before
+it ran one side's search toward the other side's labeling: it labels both
+sides in full, compares the forms and maps one canonical order onto the
+other; it shares the labeling with the package.
 The reference automorphism group is the exhaustive mode the package's
 search no longer has, kept only as a reference: the same search with clone
 skipping and orbit pruning off, keeping one leaf per group element, where
@@ -92,6 +96,7 @@ from latmat.kernel import (
     dual,
     from_bases,
     is_isomorphic,
+    mask_of,
     restrict,
 )
 from latmat.lpm import IntervalPresentation
@@ -862,6 +867,25 @@ def brute_canonical_labeling(n: int, masks):
     search.run()
     order = search.best_leaves[0]
     return _relabel(masks, order), order
+
+
+def labeling_is_isomorphic(M1: Matroid, M2: Matroid):
+    """Reference ``kernel.is_isomorphic``: a bijection M1 -> M2 carrying
+    bases to bases, or None, from both sides' full canonical labelings."""
+    if M1.degree_key != M2.degree_key:
+        return None
+    if canonical_form(M1) != canonical_form(M2):
+        return None
+    _, order1 = M1._canon
+    _, order2 = M2._canon
+    # order[pos] = element; both relabelings reach the same canonical family
+    out = {}
+    for pos in range(M1.n):
+        out[order1[pos]] = order2[pos]
+    assert tuple(
+        sorted(mask_of(out[e] for e in _bits(b)) for b in M1.basis_masks)
+    ) == M2.basis_masks
+    return out
 
 
 def brute_automorphism_group(n: int, masks) -> set[tuple[int, ...]]:
