@@ -219,10 +219,11 @@ def _gen_catalog_minors(max_n: int):
     built once per member, in one pass over the subsets (the greedy scan
     of :func:`kernel._greedy_independent` is ascending, so a set's top
     element t is tried last, on the greedy basis of the set less t), and
-    per removed set the bases are grouped by
-    their trace on it with each kept part compressed once (see
-    :func:`kernel._bases_by_trace`).  A split whose group is missing lost
-    rank by the deletion and is skipped: its normal trace T
+    per removed set the bases are grouped by their trace on it with each
+    kept part compressed once (see :func:`kernel._bases_by_trace`); the
+    compressed bases of one group already ascend, as in
+    :func:`kernel._minor_masks`.  A split whose group is missing lost rank
+    by the deletion and is skipped: its normal trace T
     (:func:`kernel._split_trace`) is the greedy basis of its contract set
     plus some deleted elements, a larger independent contract set of the
     same removed set, and the walk reads the same minor off the group of T
@@ -258,7 +259,7 @@ def _gen_catalog_minors(max_n: int):
             while True:
                 survivors = groups.get(greedy[sub])
                 if survivors:
-                    key = (new_n, tuple(sorted(survivors)))
+                    key = (new_n, tuple(survivors))
                     if key not in seen:
                         seen.add(key)
                         out.append(Matroid._from_masks(*key))

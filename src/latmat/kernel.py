@@ -95,15 +95,34 @@ class AxiomViolation(MatroidError):
         )
 
 
+def _index(value, what: str) -> int:
+    """`value` as an int through ``operator.index``, else a MatroidError
+    naming it as `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MatroidError(f"{what} {value!r} is not an int") from None
+
+
 def mask_of(elements: ElementSetLike, n: Optional[int] = None) -> int:
-    """Pack an element set into a bitmask, range-checking against n if given."""
+    """Pack an element set into a bitmask, range-checking against n if given.
+
+    An int is a bitmask as it stands; any other set is iterated, and each
+    element goes through ``operator.index`` (so bools are 0 and 1).  A set
+    that is not iterable, or an element that is not an int, raises
+    MatroidError naming it."""
     if isinstance(elements, int):
         m = elements
         if m < 0 or (n is not None and m >> n):
             raise OutOfRange(f"bitmask {m:#x} not within 0..{n}")
         return m
+    try:
+        items = iter(elements)
+    except TypeError:
+        raise MatroidError(f"element set {elements!r} is not iterable") from None
     m = 0
-    for e in elements:
+    for e in items:
+        e = _index(e, "element")
         if e < 0 or (n is not None and e >= n):
             raise OutOfRange(f"element {e} not in 0..{(n or 0) - 1}")
         m |= 1 << e
@@ -490,6 +509,8 @@ def transversal_matroid(n: int, sets: Iterable[int]) -> Matroid:
     each e in A costs one mask and one shift over all 2^n subsets.  The
     rank r is the largest k with a partial transversal of size k, and the
     bases are the r-subsets of :func:`_subset_masks` whose bit is set.
+    Each set goes through :func:`mask_of`, so a mask that is negative or
+    has a bit at n or above raises OutOfRange.
     """
     if n > MAX_GROUND:
         raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
@@ -497,7 +518,7 @@ def transversal_matroid(n: int, sets: Iterable[int]) -> Matroid:
     partial = 1  # the empty set's bit
     for a in sets:
         grown = partial
-        for e in _bits(a):
+        for e in _bits(mask_of(a, n)):
             grown |= (partial & ~lanes[e]) << (1 << e)
         partial = grown
     r = 0
@@ -869,9 +890,10 @@ def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
 
 def automorphisms(M: Matroid) -> set[tuple[int, ...]]:
     """All ground-set permutations fixing the basis family, as tuples p
-    with p[e] = image of e, closed from the generators the labeling search
-    finds; :func:`_canonical.automorphism_group` gives the cost and when
-    it raises ``ValueError``."""
+    with p[e] = image of e, read off the labeling search's final best
+    leaves and composed with its clone transpositions;
+    :func:`_canonical.automorphism_group` gives the cost and when it
+    raises ``ValueError``."""
     return _canonical.automorphism_group(M.n, M.basis_masks, M._family)
 
 

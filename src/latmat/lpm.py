@@ -27,7 +27,6 @@ and ``verify_excluded_minor`` checks a catalog member with the oracle.
 from __future__ import annotations
 
 import json
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -41,6 +40,7 @@ from .kernel import (
     MatroidError,
     _bits,
     _header,
+    _index,
     _ints,
     _merge_overlapping,
     _raw_line,
@@ -63,15 +63,6 @@ class LoopDeletion(MatroidError):
 
 class NotConnected(MatroidError):
     pass
-
-
-def _index(value, what: str) -> int:
-    """`value` as an int through ``operator.index``, else a MatroidError
-    naming it as `what`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise MatroidError(f"{what} {value!r} is not an int") from None
 
 
 def _interval(value) -> tuple[int, int]:
@@ -627,6 +618,10 @@ def presentation_to_text(P: IntervalPresentation) -> str:
 def presentation_from_text(text: str) -> IntervalPresentation:
     lines = _token_lines(text)
     n, r = _header(lines, text, "LPM")
+    # a rank outside 0..n is a bad header; IntervalPresentation names a
+    # negative n
+    if r < 0 or 0 <= n < r:
+        raise MatroidError(f"bad header line: {_raw_line(text, 0)!r}")
     ivs: list[tuple[int, int]] = []
     order: Optional[tuple[int, ...]] = None
     for k, parts in enumerate(lines[1:], 1):

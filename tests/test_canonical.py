@@ -1,10 +1,13 @@
 """Stress tests for canonical labeling, against two references.  The
 brute-force twin is exhaustive permutation search, so any disagreement pins
 a bug in the refinement, pruning, or automorphism machinery.  The reference
-search in ``util`` refines against every cell in every round and recurses
-through forced tails; the package refines only against freshly split cells
-and places forced tails in a loop, which changes the work per node but not
-the nodes, so it must return the same form, order and group."""
+search in ``util`` refines against every cell in every round, recurses
+through forced tails and skips root children by the orbits of the
+automorphisms it has met; the package refines only against freshly split
+cells, places forced tails in a loop and prunes only by clones and worse
+profiles, so it visits more root children than the reference.  Pruning
+never changes the first best leaf or the group, so it must return the
+same form, order and group."""
 
 from __future__ import annotations
 
@@ -20,11 +23,12 @@ from latmat._canonical import (
     _degree_sorted_family,
     _element_lanes,
     _family_int,
+    _relabelled_family,
     _Search,
     automorphism_group,
     canonical_labeling,
 )
-from latmat.catalog import catalog_up_to, wheel3
+from latmat.catalog import catalog_up_to, wheel3, whirl3
 from latmat.corpus import (
     CorpusSpec,
     SplitMix64,
@@ -39,6 +43,7 @@ from latmat.kernel import (
     _subset_masks,
     automorphisms,
     canonical_form,
+    direct_sum,
     dual,
     from_bases,
     is_isomorphic,
@@ -447,6 +452,35 @@ def test_group_orders_of_the_largest_catalog_members():
             ), (e.name, p)
         seen.add(e.name)
     assert seen == set(orders)
+
+
+def test_sums_whose_component_swaps_no_clone_gives():
+    """W3 + W3, Whirl3 + Whirl3 and U2,4 + U2,4 + U2,4: swapping two
+    components is an automorphism that no product of clone transpositions
+    gives, so the group must come from the best leaves the search reaches
+    beyond the first, which root orbits used to cut.  The labeling
+    is the reference's, a seeded relabelling has the same form, and the
+    group, read off the best leaves, has the order of the components'
+    groups times the component swaps, every element fixing the bases."""
+    U24 = uniform(2, 4)
+    rng = SplitMix64(1212)
+    for M, order in (
+        (direct_sum(wheel3(), wheel3()), 24 * 24 * 2),
+        (direct_sum(whirl3(), whirl3()), 6 * 6 * 2),
+        (direct_sum(direct_sum(U24, U24), U24), 24 * 24 * 24 * 6),
+    ):
+        masks = M.basis_masks
+        assert canonical_labeling(
+            M.n, masks, M._family
+        ) == brute_canonical_labeling(M.n, masks), M
+        assert canonical_form(_shuffled(M, rng)) == canonical_form(M), M
+        group = automorphisms(M)
+        assert len(group) == order, M
+        for p in group:
+            # the relabelling sending e to p[e] fixes the family int
+            assert _relabelled_family(
+                M.n, M._family, sorted(range(M.n), key=p.__getitem__)
+            ) == M._family, (M, p)
 
 
 def test_group_size_guard():

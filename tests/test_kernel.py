@@ -159,6 +159,38 @@ def test_from_bases_integer_masks(monkeypatch):
         assert str(err.value) == message
 
 
+def test_non_int_elements_and_sets_are_named():
+    """``mask_of`` reads each element through ``operator.index`` and names
+    an element that is not an int, or a set that is not iterable, where a
+    bare TypeError escaped before; bools stay 0 and 1."""
+    for call, message in (
+        (lambda: from_bases(3, [(0, "1")]), "element '1' is not an int"),
+        (lambda: from_bases(3, [(0, 1.5)]), "element 1.5 is not an int"),
+        (lambda: from_bases(3, [None]), "element set None is not iterable"),
+        (lambda: closure(uniform(2, 4), ["x"]), "element 'x' is not an int"),
+    ):
+        with pytest.raises(kernel.MatroidError) as err:
+            call()
+        assert type(err.value) is kernel.MatroidError
+        assert str(err.value) == message
+    assert kernel.mask_of([True, 2]) == 0b110 and kernel.mask_of([False]) == 1
+    assert from_bases(3, [(False, True)]) == from_bases(3, [{0, 1}])
+
+
+def test_transversal_set_masks_out_of_range():
+    """A set mask that is negative or has a bit at n or above raises
+    OutOfRange, where indexing the element lanes failed before."""
+    for sets, message in (
+        ([8], "bitmask 0x8 not within 0..3"),
+        ([-1], "bitmask -0x1 not within 0..3"),
+        ([0b011, 0b1100], "bitmask 0xc not within 0..3"),
+    ):
+        with pytest.raises(OutOfRange) as err:
+            kernel.transversal_matroid(3, sets)
+        assert str(err.value) == message
+    assert kernel.transversal_matroid(3, [0b011, 0b110]).basis_masks == (3, 5, 6)
+
+
 def test_from_bases_empty_ground():
     M = from_bases(0, [frozenset()])
     assert M.n == 0 and M.rank == 0 and M.num_bases == 1

@@ -728,6 +728,9 @@ def test_presentation_text_roundtrip():
             presentation_from_text(f"LPM 4 1\n{line}\n")
     for text, message in (
         ("LPM x 1\n0 1\n", "bad header line: 'LPM x 1'"),
+        # a rank outside 0..n is a bad header, as in the matroid format
+        ("LPM 3 -1\n", "bad header line: 'LPM 3 -1'"),
+        ("LPM 2 3\n0 0\n1 1\n2 2\n", "bad header line: 'LPM 2 3'"),
         ("LPM 4 1\n0 1\nORDER 0 1 a 3\n", "bad ORDER line: 'ORDER 0 1 a 3'"),
         ("LPM 4 1\n0 1\nORDER 0 1 2 3\nORDER 3 2 1 0\n",
          "repeated ORDER line: 'ORDER 3 2 1 0'"),

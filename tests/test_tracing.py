@@ -4,14 +4,16 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.  Eight
+only for a hook is the one import the package may leave unused.  Nine
 more tests pin the package's structure: every import sits at module level,
 one cached list gives every r-subset family, only ``kernel`` and ``flats``
 read the byte-lane helpers, the internal import graph has no cycle, the
 oracle's scan imports nothing from the package, it takes the basis count
 rather than the bases, a matroid stores its bases once and builds its
-family int in one place, and there is one labeling search, which an
-isomorphism test runs on one side toward the other side's labeling.
+family int in one place, there is one labeling search, which an
+isomorphism test runs on one side toward the other side's labeling, and
+that search prunes by clones and profiles only, with no union-find and no
+root-orbit state.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import latmat
+from latmat import _canonical
 from latmat.catalog import wheel3
 from latmat.kernel import from_bases, uniform
 from latmat.ordersearch import scan_path_orders
@@ -320,3 +323,16 @@ def test_one_search_class_and_one_labelled_side():
         if isinstance(node, ast.Attribute) and node.attr == "_canon"
     }
     assert readers == {func.args.args[1].arg}
+
+
+def test_labeling_search_keeps_no_root_orbits():
+    """The labeling search prunes only by clone collapsing and worse
+    profiles: ``_canonical`` defines no union-find ``_find``, and
+    ``_Search`` absorbs no automorphisms into an ``autos`` set, since the
+    group is read off its final best leaves."""
+    assert not hasattr(_canonical, "_find")
+    assert not hasattr(_canonical._Search, "_absorb_autos")
+    W = wheel3()
+    search = _canonical._Search(W.n, W.basis_masks, W._family)
+    search.run()
+    assert not hasattr(search, "autos")

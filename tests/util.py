@@ -41,10 +41,12 @@ fundamental circuits of one basis off the rank table.  The reference
 clone classes try every transposition on every basis of the family, where
 the package compares two shifted bit lanes of the family's indicator.  The
 reference canonical labeling is the package's search as it was before it
-refined only against freshly split cells: every round recomputes each
-element's signature against every cell, every node down to the leaf
-refines and recurses, co-occurrences are counted basis by basis and the
-clone classes are the reference ones; it shares nothing with the package.
+refined only against freshly split cells and dropped root-orbit pruning:
+every round recomputes each element's signature against every cell, every
+node down to the leaf refines and recurses, co-occurrences are counted
+basis by basis, the clone classes are the reference ones, and a root
+child in the orbit of an earlier one under the automorphisms met at the
+leaves is skipped; it shares nothing with the package.
 The reference isomorphism test is the package's as it was before
 it ran one side's search toward the other side's labeling: it labels both
 sides in full, compares the forms and maps one canonical order onto the
@@ -52,7 +54,9 @@ other; it shares the labeling with the package.
 The reference automorphism group is the exhaustive mode the package's
 search no longer has, kept only as a reference: the same search with clone
 skipping and orbit pruning off, keeping one leaf per group element, where
-the package closes the generators its one pruned search absorbs.  The reference text reader is the line-by-line reader
+the package reads the group off the best leaves of its one search, which
+prunes only by clones and worse profiles, composed with the clone
+transpositions.  The reference text reader is the line-by-line reader
 the package had before its one reader packed well-spelt texts in bulk; it
 shares ``from_bases`` and the error classes with the package.  The
 reference degree-sorted relabelling moves every basis element by element,
