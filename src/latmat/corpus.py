@@ -22,16 +22,18 @@ re-implement elsewhere.  Draw protocols, in stream order:
   ``randrange(n)`` values each, sorted) and redrawn together until they
   interlace (a_i <= b_i for all i), i.e. rejection sampling uniform over the
   presentations with these (n, r); the matroid is the realized presentation.
-- ``duals-closure``: appends the dual of everything generated so far.
+- ``duals-closure``: appends the dual of every matroid kept so far (no
+  stream use).  Duality maps isomorphism classes onto classes, and the
+  first draw of each class is the one kept, so this keeps what dualizing
+  every draw would keep.
 
 Output is deduplicated up to isomorphism, keeping first occurrences in
-generation order.  A matroid is labelled only when nothing cheaper decides
-its class.  An exact repeat of a basis family is dropped unlabelled, and so
-is a ``duals-closure`` matroid whose primal is isomorphic to the primal of
-an earlier dual (isomorphic matroids have isomorphic duals).  Every other
-matroid is relabelled so that its basis degrees ascend, ties kept in label
-order (:func:`_canonical._degree_sorted_family`, a vertex-invariant
-relabelling after McKay & Piperno, Practical graph isomorphism II, 2014).
+generation order: every draw passes one class test as it is made.  A
+matroid is labelled only when nothing cheaper decides its class.  An exact
+repeat of a basis family is dropped unlabelled.  Every other matroid is
+relabelled so that its basis degrees ascend, ties kept in label order
+(:func:`_canonical._degree_sorted_family`, a vertex-invariant relabelling
+after McKay & Piperno, Practical graph isomorphism II, 2014).
 When an earlier matroid on as many elements relabels to the same family,
 the two are isomorphic by the composed bijections, and the matroid joins
 that class unlabelled.  The relabelling does not decide non-isomorphism,
@@ -45,7 +47,7 @@ are labelled, each once, and its canonical form is compared with theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import catalog, lpm
 from ._canonical import _clone_minimal, _degree_sorted_family
@@ -56,6 +58,7 @@ from .kernel import (
     MatroidError,
     _bits,
     _compress,
+    _index,
     _kept_runs,
     _minor_masks,  # unused here; perfbench/tracing.py wraps corpus._minor_masks
     _sparse_paving,
@@ -110,6 +113,10 @@ class CorpusSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "count", _index(self.count, "count"))
+        object.__setattr__(self, "max_n", _index(self.max_n, "max-n"))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _index(self.seed, "seed"))
         if not self.generators:
             raise MatroidError("corpus spec names no generator")
         for g in self.generators:
@@ -293,74 +300,51 @@ _RANDOM_GENERATORS = {
 
 
 def generate_tagged(spec: CorpusSpec) -> list[tuple[str, Matroid]]:
-    """(source, matroid) pairs, deduplicated up to isomorphism in order."""
-    return _first_of_each_class(*_generated(spec))
-
-
-def _generated(
-    spec: CorpusSpec,
-) -> tuple[list[tuple[str, Matroid]], dict[int, int]]:
-    """Every (source, matroid) pair the generators draw, in order, and the
-    map from the position of each dual to its primal's."""
+    """(source, matroid) pairs, deduplicated up to isomorphism in order:
+    each generator's draws are filtered through one class test as they
+    are made."""
     rng = SplitMix64(spec.seed if spec.seed is not None else 0)
-    raw: list[tuple[str, Matroid]] = []
-    primal_of: dict[int, int] = {}  # position of a dual -> of its primal
+    is_new = _class_test()
+    out: list[tuple[str, Matroid]] = []
     for g in spec.generators:
         if g in _RANDOM_GENERATORS:
             _, draw = _RANDOM_GENERATORS[g]
-            raw.extend((g, draw(rng, spec.max_n)) for _ in range(spec.count))
+            drawn = (draw(rng, spec.max_n) for _ in range(spec.count))
         elif g == "catalog-minors":
-            raw.extend(
-                ("catalog-minors", M) for M in _gen_catalog_minors(spec.max_n)
-            )
-        elif g == "duals-closure":
-            primal_of.update((len(raw) + i, i) for i in range(len(raw)))
-            raw.extend(("duals-closure", dual(M)) for _, M in list(raw))
-    return raw, primal_of
-
-
-def _first_of_each_class(
-    raw: list[tuple[str, Matroid]], primal_of: dict[int, int]
-) -> list[tuple[str, Matroid]]:
-    """The first (source, matroid) pair of each isomorphism class in `raw`,
-    in order; `primal_of` maps the position of a dual to its primal's.
-
-    After the shortcuts, a family whose degree-sorted relabelling matches
-    one met before is isomorphic to it by an explicit bijection.  The match
-    is keyed with n, since the int alone does not fix the ground set (every
-    rank-0 family is the empty set's bit).  Only canonical forms rule an
-    isomorphism out (see the module docstring)."""
-    family_class: dict[tuple[int, tuple[int, ...]], int] = {}
-    dual_class: dict[int, int] = {}  # class of a primal -> of its first dual
-    relabelled_class: dict[tuple[int, int], int] = {}
-    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    classes: list[int] = []  # class of each position, as a position in out
-    out: list[tuple[str, Matroid]] = []
-    for i, (source, M) in enumerate(raw):
-        family = (M.n, M.basis_masks)
-        p = primal_of.get(i)
-        c = family_class.get(family)
-        if c is None and p is not None:
-            c = dual_class.get(classes[p])
-        if c is None:
-            relabelled = (M.n, _degree_sorted_family(M.n, M._family))
-            c = relabelled_class.get(relabelled)
-            if c is None:
-                bucket = buckets.setdefault(M.degree_key, [])
-                for k in bucket:
-                    if canonical_form(out[k][1]) == canonical_form(M):
-                        c = k
-                        break
-                else:
-                    c = len(out)
-                    bucket.append(c)
-                    out.append((source, M))
-                relabelled_class[relabelled] = c
-        family_class[family] = c
-        if p is not None:
-            dual_class.setdefault(classes[p], c)
-        classes.append(c)
+            drawn = _gen_catalog_minors(spec.max_n)
+        else:  # duals-closure
+            drawn = [dual(M) for _, M in out]
+        out.extend((g, M) for M in drawn if is_new(M))
     return out
+
+
+def _class_test() -> Callable[[Matroid], bool]:
+    """A predicate true of the first matroid of each isomorphism class it
+    is shown, and false of every later one.
+
+    A family met before, as labelled or as relabelled by degree, is keyed
+    with n, since the int alone does not fix the ground set (every rank-0
+    family is the empty set's bit).  Only canonical forms rule an
+    isomorphism out (see the module docstring)."""
+    seen: set[tuple[int, object]] = set()
+    buckets: dict[tuple[int, tuple[int, ...]], list[Matroid]] = {}
+
+    def is_new(M: Matroid) -> bool:
+        family = (M.n, M.basis_masks)
+        if family in seen:
+            return False
+        seen.add(family)
+        relabelled = (M.n, _degree_sorted_family(M.n, M._family))
+        if relabelled in seen:
+            return False
+        seen.add(relabelled)
+        bucket = buckets.setdefault(M.degree_key, [])
+        if any(canonical_form(K) == canonical_form(M) for K in bucket):
+            return False
+        bucket.append(M)
+        return True
+
+    return is_new
 
 
 def generate(spec: CorpusSpec) -> list[Matroid]:

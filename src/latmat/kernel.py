@@ -412,8 +412,9 @@ def from_bases(n: int, bases: Iterable[ElementSetLike]) -> Matroid:
 
     Raises EmptyFamily, MixedCardinality, OutOfRange, GroundTooLarge, or
     AxiomViolation (with a witnessing pair) when the family is not the basis
-    family of a matroid on {0..n-1}.
+    family of a matroid on {0..n-1}, and MatroidError when n is not an int.
     """
+    n = _index(n, "ground size")
     if n < 0:
         raise OutOfRange(f"negative ground size {n}")
     if n > MAX_GROUND:
@@ -474,9 +475,10 @@ def _raise_exchange_violation(masks: list[int]) -> NoReturn:
 
 
 def uniform(r: int, n: int) -> Matroid:
-    """The uniform matroid: every r-subset of an n-set is a basis."""
+    """The uniform matroid: every r-subset of an n-set is a basis.  Raises
+    OutOfRange unless 0 <= r <= n."""
     if not 0 <= r <= n:
-        raise ValueError(f"uniform needs 0 <= r <= n, got r={r}, n={n}")
+        raise OutOfRange(f"uniform needs 0 <= r <= n, got r={r}, n={n}")
     if n > MAX_GROUND:
         raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
     return Matroid._from_masks(n, _subset_masks(n, r))
@@ -510,8 +512,10 @@ def transversal_matroid(n: int, sets: Iterable[int]) -> Matroid:
     rank r is the largest k with a partial transversal of size k, and the
     bases are the r-subsets of :func:`_subset_masks` whose bit is set.
     Each set goes through :func:`mask_of`, so a mask that is negative or
-    has a bit at n or above raises OutOfRange.
+    has a bit at n or above raises OutOfRange, as does a negative n.
     """
+    if n < 0:
+        raise OutOfRange(f"negative ground size {n}")
     if n > MAX_GROUND:
         raise GroundTooLarge(f"n={n} exceeds the cap of {MAX_GROUND}")
     lanes = _canonical._element_lanes(n)

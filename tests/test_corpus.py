@@ -4,13 +4,12 @@ from functools import lru_cache
 
 import pytest
 
-from latmat import _canonical, catalog
+from latmat import _canonical, catalog, corpus
 from latmat.catalog import b_nk, c_nk, p_prime_n
 from latmat.corpus import (
     CorpusSpec,
     SplitMix64,
-    _first_of_each_class,
-    _generated,
+    _class_test,
     generate,
     generate_tagged,
     parse_corpus_spec,
@@ -32,6 +31,7 @@ from test_acceptance import ACCEPT_SPEC
 from util import (
     brute_dedup,
     brute_generate_tagged,
+    brute_raw_draws,
     brute_transversal_bases,
     degree_twins,
     family_masks,
@@ -48,6 +48,12 @@ def count_labelings(monkeypatch) -> list[int]:
         lambda n, masks, family: labelled.append(n) or real(n, masks, family),
     )
     return labelled
+
+
+def first_of_each_class(raw):
+    """The (source, matroid) pairs of `raw` that one class test keeps."""
+    is_new = _class_test()
+    return [(s, M) for s, M in raw if is_new(M)]
 
 
 def test_splitmix64_reference_values():
@@ -109,6 +115,26 @@ def test_spec_past_ground_cap():
     with pytest.raises(GroundTooLarge, match=f"cap of {MAX_GROUND}"):
         transversal_matroid(13, [1, 2, 4])
     assert transversal_matroid(12, [1, 2, 4]).n == 12
+
+
+def test_spec_reads_its_numbers_as_ints():
+    """``count``, ``max_n`` and a given ``seed`` go through
+    ``operator.index``: a non-int is named where a bare TypeError escaped
+    before, and bools are 0 and 1."""
+    for kwargs, message in (
+        ({"count": 2.5}, "count 2.5 is not an int"),
+        ({"count": None}, "count None is not an int"),
+        ({"max_n": "8"}, "max-n '8' is not an int"),
+        ({"seed": 1.0}, "seed 1.0 is not an int"),
+    ):
+        with pytest.raises(MatroidError) as err:
+            CorpusSpec(("lpm-random",), **{"seed": 1, **kwargs})
+        assert type(err.value) is MatroidError
+        assert str(err.value) == message
+    spec = CorpusSpec(("lpm-random",), count=True, seed=False)
+    assert (spec.count, spec.seed) == (1, 0)
+    assert spec.label == "lpm-random,count=1,max-n=8,seed=0"
+    assert spec == CorpusSpec(("lpm-random",), count=1, seed=0)
 
 
 def test_spec_rejects_undrawable_sizes():
@@ -246,39 +272,37 @@ PINNED_SPECS = [
         id="two-closures",
     ),
     pytest.param("catalog-minors,max-n=5", id="catalog-max-n-5"),
+    pytest.param(
+        "random-sparse-paving,lpm-random,random-transversal,"
+        "count=12,max-n=12,seed=2718",
+        id="mixed-max-n-12",
+    ),
+    pytest.param(
+        "catalog-minors,random-transversal,random-sparse-paving,"
+        "lpm-random,duals-closure,count=25,max-n=12,seed=5",
+        id="all-generators-max-n-12",
+    ),
 ]
 
 
 @pytest.mark.parametrize("text", PINNED_SPECS)
 def test_generate_tagged_matches_brute_force(text):
+    """The reference labels every draw, and its ``duals-closure``
+    dualizes every draw before it, not only the kept ones."""
     spec = parse_corpus_spec(text)
     got = [(s, M.n, M.basis_masks) for s, M in generate_tagged(spec)]
     want = [(s, M.n, M.basis_masks) for s, M in brute_generate_tagged(spec)]
     assert got == want
 
 
-@pytest.mark.parametrize(
-    "text",
-    PINNED_SPECS + [
-        pytest.param(
-            "random-sparse-paving,lpm-random,random-transversal,"
-            "count=12,max-n=12,seed=2718",
-            id="mixed-max-n-12",
-        ),
-        pytest.param(
-            "catalog-minors,random-transversal,random-sparse-paving,"
-            "lpm-random,duals-closure,count=25,max-n=12,seed=5",
-            id="all-generators-max-n-12",
-        ),
-    ],
-)
+@pytest.mark.parametrize("text", PINNED_SPECS)
 def test_first_of_each_class_matches_labelling_everything(text):
-    """On the generators' own draws, the shortcuts, the degree-sorted
-    relabelling and the degree-key buckets keep what labelling every
-    matroid keeps."""
-    raw, primal_of = _generated(parse_corpus_spec(text))
+    """On every draw of the reference generators, duals of dropped draws
+    included, the exact repeats, the degree-sorted relabelling and the
+    degree-key buckets keep what labelling every matroid keeps."""
+    raw = brute_raw_draws(parse_corpus_spec(text))
     want = [(s, M.n, M.basis_masks) for s, M in brute_dedup(raw)]
-    got = _first_of_each_class(raw, primal_of)
+    got = first_of_each_class(raw)
     assert [(s, M.n, M.basis_masks) for s, M in got] == want
 
 
@@ -306,19 +330,17 @@ def _twin_items():
 
 
 @pytest.mark.parametrize(
-    "primal_of, labelings",
+    "labelings",
     [
         # b' and a' label a first; b misses a and meets b'; the repeat of
         # a is dropped unlabelled; then the same among the duals
-        pytest.param({}, 8, id="buckets-only"),
-        # the duals of a' and b are dropped by their primals' classes
-        pytest.param({5 + i: i for i in range(5)}, 6, id="dual-shortcut"),
+        pytest.param(8, id="buckets-only"),
     ],
 )
-def test_degree_key_bucket_with_two_classes(monkeypatch, primal_of, labelings):
+def test_degree_key_bucket_with_two_classes(monkeypatch, labelings):
     want = [(s, M.n, M.basis_masks) for s, M in brute_dedup(_twin_items())]
     labelled = count_labelings(monkeypatch)
-    got = _first_of_each_class(_twin_items(), primal_of)
+    got = first_of_each_class(_twin_items())
     assert [(s, M.n, M.basis_masks) for s, M in got] == want
     assert [s for s, _ in got] == ["primal", "primal", "dual", "dual"]
     assert len(labelled) == labelings
@@ -337,10 +359,10 @@ def test_relabelled_copy_is_dropped_unlabelled(monkeypatch):
     raw = [("a'", a1), ("a", a), ("a''", a2),
            ("loop", uniform(0, 1)), ("loops", uniform(0, 2))]
     labelled = count_labelings(monkeypatch)
-    got = _first_of_each_class(raw, {})
+    got = first_of_each_class(raw)
     assert [s for s, _ in got] == ["a'", "loop", "loops"]
     assert labelled == [8, 8]  # a and its bucket mate a'; a'' never
-    assert got == _first_of_each_class(raw[:1] + raw[2:], {})
+    assert got == first_of_each_class(raw[:1] + raw[2:])
     assert labelled == [8, 8]
 
 
@@ -359,3 +381,30 @@ def test_generate_tagged_labels_only_on_key_collisions(monkeypatch):
     assert len(generate_tagged(spec)) == 498
     assert fresh.cache_info().misses == 3
     assert len(labelled) == 25
+
+
+@pytest.mark.parametrize(
+    "text, kept_before, kept, labelings",
+    [
+        pytest.param(ACCEPT_SPEC, 373, 498, 25, id="acceptance"),
+        pytest.param(
+            "random-sparse-paving,duals-closure,count=300,max-n=8,"
+            "seed=20261017",
+            63, 82, 87, id="reject",
+        ),
+    ],
+)
+def test_duals_closure_dualizes_the_kept_classes(
+    monkeypatch, text, kept_before, kept, labelings
+):
+    """``duals-closure`` builds one dual per class kept before it, not one
+    per draw, and the class test labels only on degree-key collisions."""
+    duals = []
+    real = corpus.dual
+    monkeypatch.setattr(corpus, "dual", lambda M: duals.append(M) or real(M))
+    labelled = count_labelings(monkeypatch)
+    tagged = generate_tagged(parse_corpus_spec(text))
+    assert len(tagged) == kept
+    assert len(duals) == kept_before
+    assert sum(s != "duals-closure" for s, _ in tagged) == kept_before
+    assert len(labelled) == labelings

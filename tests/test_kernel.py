@@ -191,6 +191,34 @@ def test_transversal_set_masks_out_of_range():
     assert kernel.transversal_matroid(3, [0b011, 0b110]).basis_masks == (3, 5, 6)
 
 
+def test_ground_sizes_and_ranks_out_of_range():
+    """``uniform`` raises OutOfRange for a rank outside 0..n or a negative
+    n, and ``transversal_matroid`` for a negative n, as ``from_bases``
+    does; ``from_bases`` names a ground size that is not an int.  Bare
+    ValueError, shift and comparison errors escaped before."""
+    for call, message in (
+        (lambda: uniform(4, 3), "uniform needs 0 <= r <= n, got r=4, n=3"),
+        (lambda: uniform(-1, 3), "uniform needs 0 <= r <= n, got r=-1, n=3"),
+        (lambda: uniform(0, -1), "uniform needs 0 <= r <= n, got r=0, n=-1"),
+        (lambda: kernel.transversal_matroid(-1, []), "negative ground size -1"),
+        (lambda: from_bases(-1, [0]), "negative ground size -1"),
+    ):
+        with pytest.raises(OutOfRange) as err:
+            call()
+        assert str(err.value) == message
+    for n, message in (
+        (2.0, "ground size 2.0 is not an int"),
+        ("2", "ground size '2' is not an int"),
+        (None, "ground size None is not an int"),
+    ):
+        with pytest.raises(kernel.MatroidError) as err:
+            from_bases(n, [[0]])
+        assert type(err.value) is kernel.MatroidError
+        assert str(err.value) == message
+    assert from_bases(True, [[0]]) == from_bases(1, [[0]])
+    assert uniform(0, 0).num_bases == 1 and uniform(3, 3).num_bases == 1
+
+
 def test_from_bases_empty_ground():
     M = from_bases(0, [frozenset()])
     assert M.n == 0 and M.rank == 0 and M.num_bases == 1

@@ -48,6 +48,7 @@ from latmat.lpm import (
 )
 from test_acceptance import ACCEPT_SPEC
 from util import (
+    brute_raw_draws,
     brute_transversal_bases,
     loop_check_component,
     p3_bases,
@@ -609,7 +610,8 @@ def test_check_component_matches_loop_reference():
         for M in corpus.generate(corpus.parse_corpus_spec(spec))
     ]
     hosts += [entry.matroid for entry in catalog_up_to(12)]
-    raw, _ = corpus._generated(corpus.parse_corpus_spec(RAW_DRAW_SPEC))
+    raw = brute_raw_draws(corpus.parse_corpus_spec(RAW_DRAW_SPEC))
+    assert len(raw) == 1200  # 300 + 300 draws and the dual of each
     hosts += [M for _, M in raw]
     outcomes = set()
     for M in hosts:

@@ -4,16 +4,16 @@
 warm-up in ``perfbench/run.py`` reads them by name.  A renamed attribute
 would crash a benchmark run, and a call that bypasses the module attribute
 would silently count zero; both fail here instead.  A module binding kept
-only for a hook is the one import the package may leave unused.  Nine
+only for a hook is the one import the package may leave unused.  Ten
 more tests pin the package's structure: every import sits at module level,
 one cached list gives every r-subset family, only ``kernel`` and ``flats``
 read the byte-lane helpers, the internal import graph has no cycle, the
 oracle's scan imports nothing from the package, it takes the basis count
 rather than the bases, a matroid stores its bases once and builds its
 family int in one place, there is one labeling search, which an
-isomorphism test runs on one side toward the other side's labeling, and
-that search prunes by clones and profiles only, with no union-find and no
-root-orbit state.
+isomorphism test runs on one side toward the other side's labeling, that
+search prunes by clones and profiles only, with no union-find and no
+root-orbit state, and the corpus has one class test.
 """
 
 from __future__ import annotations
@@ -336,3 +336,13 @@ def test_labeling_search_keeps_no_root_orbits():
     search = _canonical._Search(W.n, W.basis_masks, W._family)
     search.run()
     assert not hasattr(search, "autos")
+
+
+def test_one_class_test_in_the_corpus():
+    """``corpus`` relabels by degree and compares canonical forms in one
+    function only: the class test every draw passes as it is made."""
+    tree = ast.parse((Path(latmat.__file__).parent / "corpus.py").read_text())
+    for name in ("_degree_sorted_family", "canonical_form"):
+        assert _scopes_calling(tree, "corpus", name) == {
+            "corpus._class_test.is_new"
+        }, name

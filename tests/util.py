@@ -1051,9 +1051,16 @@ def brute_catalog_minors(max_n: int):
 
 
 def brute_generate_tagged(spec):
-    """Reference ``corpus.generate_tagged``: the generators in spec order,
-    then the canonical form of every generated matroid, keeping the first
-    of each form."""
+    """Reference ``corpus.generate_tagged``: the canonical form of every
+    draw of :func:`brute_raw_draws`, keeping the first of each form."""
+    return brute_dedup(brute_raw_draws(spec))
+
+
+def brute_raw_draws(spec):
+    """Every (source, matroid) pair the generators of `spec` draw from the
+    corpus SplitMix64 stream, in spec order, through the reference
+    generators; ``duals-closure`` dualizes every draw before it, not only
+    the kept ones."""
     rng = corpus.SplitMix64(spec.seed if spec.seed is not None else 0)
     draws = lambda draw: [draw(rng, spec.max_n) for _ in range(spec.count)]
     raw = []
@@ -1069,7 +1076,7 @@ def brute_generate_tagged(spec):
         else:
             got = [dual(M) for _, M in raw]
         raw.extend((g, M) for M in got)
-    return brute_dedup(raw)
+    return raw
 
 
 def brute_degree_sorted_masks(n: int, masks) -> list[int]:
@@ -1089,8 +1096,8 @@ def family_masks(n: int, family: int) -> list[int]:
 
 
 def brute_dedup(raw):
-    """Reference ``corpus._first_of_each_class``: label every (source,
-    matroid) pair and keep the first of each canonical form."""
+    """Reference for ``corpus._class_test``: label every (source, matroid)
+    pair and keep the first of each canonical form."""
     seen = set()
     out = []
     for source, M in raw:
